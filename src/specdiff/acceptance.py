@@ -7,22 +7,26 @@ cannot reach the L -> infinity band edge that criterion 8 specifies, so its
 test asserts the index-explained confinement of the box spectra
 (``bulk_confinement``) and that all four specified verdicts are reported.
 
-Criteria 1-4, 7-9 delegate to the corresponding experiment campaigns at
-their benchmark configurations; 5 and 6 are self-contained checks (seeded
-random projection algebra, scattering-route cross-validation); 10 re-runs
-the deterministic campaigns twice and compares serialized reports byte for
-byte (timing excluded).
+Criteria 1-4, 7-9 judge verdicts of the experiment campaigns at their
+benchmark configurations; 5 and 6 are self-contained checks (seeded random
+projection algebra, scattering-route cross-validation).  Every criterion is
+called as ``criterion_i(seed=..., reports=...)``.  ``run_all`` hands all the
+criteria it runs one report store, so each campaign runs at most once for
+them; a criterion called without a store gets a fresh one.  Criterion 10
+serializes every campaign report of the store (running those still missing),
+runs every campaign once more from scratch, and compares the two bundles
+byte for byte (timing excluded).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import experiments, scattering, schrodinger1d
-from .experiments import default_config, report_json, run_experiment
+from . import scattering, schrodinger1d
+from .experiments import CAMPAIGNS, default_config, report_json, run_experiment
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
@@ -37,6 +41,24 @@ class CriterionResult:
     verdicts: list = field(default_factory=list)
 
 
+def _config(campaign: str, seed: int):
+    return replace(default_config(campaign), seed=seed)
+
+
+class _Reports:
+    """Campaign reports of one ``run_all`` call: each campaign runs, at its
+    default config with ``seed``, the first time a criterion asks for it."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._reports = {}
+
+    def get(self, campaign: str):
+        if campaign not in self._reports:
+            self._reports[campaign] = run_experiment(_config(campaign, self.seed))
+        return self._reports[campaign]
+
+
 def _from_report(index: int, title: str, report, elapsed: float,
                  only: tuple = ()) -> CriterionResult:
     verdicts = [v for v in report.verdicts if not only or v["name"] in only]
@@ -46,40 +68,36 @@ def _from_report(index: int, title: str, report, elapsed: float,
     return CriterionResult(index, title, passed, "; ".join(bits), elapsed, verdicts)
 
 
-def criterion_1(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
-    report = run_experiment(default_config("SpecfunAudit"))
-    return _from_report(1, "conical seam consistency", report,
-                        time.perf_counter() - t0,
-                        only=("seam_consistency", "branch_realness"))
+def _campaign_criterion(index: int, title: str, campaign: str, only: tuple):
+    def criterion(seed: int = 0, reports=None) -> CriterionResult:
+        t0 = time.perf_counter()
+        report = (reports or _Reports(seed)).get(campaign)
+        return _from_report(index, title, report, time.perf_counter() - t0,
+                            only)
+    criterion.__name__ = criterion.__qualname__ = f"criterion_{index}"
+    return criterion
 
 
-def criterion_2(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
-    report = run_experiment(default_config("SpecfunAudit"))
-    return _from_report(2, "conical bound audit", report,
-                        time.perf_counter() - t0,
-                        only=("bound_stability_uniform", "bound_stability_holder"))
+# (index, title, campaign, verdicts judged; () judges all of them)
+_CAMPAIGN_CRITERIA = (
+    (1, "conical seam consistency", "SpecfunAudit",
+     ("seam_consistency", "branch_realness")),
+    (2, "conical bound audit", "SpecfunAudit",
+     ("bound_stability_uniform", "bound_stability_holder")),
+    (3, "half-Carleman spectrum", "CarlemanMehler",
+     ("spectrum_lower", "spectrum_upper", "top_eigenvalue",
+      "scaling_invariance")),
+    (4, "Mehler eigenfunction residual", "CarlemanMehler",
+     ("mehler_residual", "mehler_refinement_monotone")),
+    (7, "Birman-Krein identity", "BirmanKrein", ()),
+    (9, "model operator product spectrum", "ModelSpectrum", ()),
+)
+
+(criterion_1, criterion_2, criterion_3, criterion_4, criterion_7,
+ criterion_9) = (_campaign_criterion(*row) for row in _CAMPAIGN_CRITERIA)
 
 
-def criterion_3(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
-    report = run_experiment(default_config("CarlemanMehler"))
-    return _from_report(3, "half-Carleman spectrum", report,
-                        time.perf_counter() - t0,
-                        only=("spectrum_lower", "spectrum_upper",
-                              "top_eigenvalue", "scaling_invariance"))
-
-
-def criterion_4(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
-    report = run_experiment(default_config("CarlemanMehler"))
-    return _from_report(4, "Mehler eigenfunction residual", report,
-                        time.perf_counter() - t0,
-                        only=("mehler_residual", "mehler_refinement_monotone"))
-
-
-def criterion_5(seed: int = 0) -> CriterionResult:
+def criterion_5(seed: int = 0, reports=None) -> CriterionResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     dim, trials = 50, 20
@@ -106,7 +124,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
                            time.perf_counter() - t0)
 
 
-def criterion_6(seed: int = 0) -> CriterionResult:
+def criterion_6(seed: int = 0, reports=None) -> CriterionResult:
     t0 = time.perf_counter()
     well = schrodinger1d.SquareWell(depth=-2.0, half_width=1.0)
     pt = schrodinger1d.PoschlTeller(strength=1)
@@ -132,21 +150,14 @@ def criterion_6(seed: int = 0) -> CriterionResult:
                            time.perf_counter() - t0)
 
 
-def criterion_7(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
-    report = run_experiment(default_config("BirmanKrein"))
-    return _from_report(7, "Birman-Krein identity", report,
-                        time.perf_counter() - t0)
-
-
 # Criterion 8's verdicts that ask a box of L <= 200 for the L -> infinity
 # band edge; the box spectra themselves match the dense path.
 _BOX_SIZE_LIMITED = ("edge_deficit", "coverage_gap_monotone", "m_pm_top_deficit")
 
 
-def criterion_8(seed: int = 0) -> CriterionResult:
+def criterion_8(seed: int = 0, reports=None) -> CriterionResult:
     t0 = time.perf_counter()
-    report = run_experiment(default_config("BandFilling"))
+    report = (reports or _Reports(seed)).get("BandFilling")
     result = _from_report(8, "band filling of the projection difference",
                           report, time.perf_counter() - t0)
     verdicts = {v["name"]: v for v in report.verdicts}
@@ -165,28 +176,15 @@ def criterion_8(seed: int = 0) -> CriterionResult:
     return result
 
 
-def criterion_9(seed: int = 0) -> CriterionResult:
+def criterion_10(seed: int = 0, reports=None) -> CriterionResult:
     t0 = time.perf_counter()
-    report = run_experiment(default_config("ModelSpectrum"))
-    return _from_report(9, "model operator product spectrum", report,
-                        time.perf_counter() - t0)
+    shared = reports or _Reports(seed)
 
-
-_DETERMINISM_CAMPAIGNS = ("SpecfunAudit", "CarlemanMehler", "ModelSpectrum",
-                          "BandFilling", "BirmanKrein")
-
-
-def criterion_10(seed: int = 0) -> CriterionResult:
-    t0 = time.perf_counter()
-    def bundle() -> str:
-        parts = []
-        for name in _DETERMINISM_CAMPAIGNS:
-            cfg = default_config(name)
-            cfg = experiments.config_from_dict({**cfg.as_dict(), "seed": seed})
-            parts.append(report_json(run_experiment(cfg), include_timing=False))
-        return "\n".join(parts)
-    first = bundle()
-    second = bundle()
+    def bundle(report_for) -> str:
+        return "\n".join(report_json(report_for(name), include_timing=False)
+                         for name in CAMPAIGNS)
+    first = bundle(shared.get)
+    second = bundle(lambda name: run_experiment(_config(name, seed)))
     passed = first == second
     detail = (f"two full campaign bundles, {len(first)} bytes each, "
               f"{'identical' if passed else 'DIFFER'} with timing excluded")
@@ -200,4 +198,5 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 def run_all(seed: int = 0, indices=None) -> list[CriterionResult]:
     picked = CRITERIA if indices is None else [CRITERIA[i - 1] for i in indices]
-    return [fn(seed=seed) for fn in picked]
+    reports = _Reports(seed)
+    return [fn(seed=seed, reports=reports) for fn in picked]

@@ -1,5 +1,5 @@
-"""Kernel operators on (0, a): the half-Carleman operator, its square, the
-model operator built from a scattering matrix, and related weights.
+"""Kernel operators on (0, a): the half-Carleman operator, its square, and
+the model operator built from a scattering matrix.
 
 All integral operators are discretized in symmetrized Nystroem form
 
@@ -12,8 +12,6 @@ Kernels:
     half-Carleman      K(x, y) = 1 / (pi (x + y)),       spectrum in [0, 1]
     its square         K(x, y) = (1/pi^2) log(y(x+a) / (x(y+a))) / (y - x)
                        (diagonal limit (1/pi^2) a / (x (x+a)))
-    log-compact        K(x, y) = (1+|log x|)^-p (x+y)^-1 (1+|log y|)^q,
-                       compact for p > q > 0
     model              kron(C^2, G) for a PSD factor G built from a unitary.
 
 Eigenfunctions: f_t(u) = P_{-1/2+it}(a/u) / u satisfies
@@ -41,18 +39,14 @@ __all__ = [
     "KernelKind",
     "KernelOperator",
     "GammaMatrix",
-    "SingularValueReport",
     "gauss_legendre_grid",
     "composite_graded_grid",
     "half_carleman",
     "carleman_squared",
-    "apply_kernel",
     "mehler_eigenfunction",
     "mehler_residual",
     "gamma_matrix",
     "model_operator",
-    "log_weight",
-    "log_kernel_svd_decay",
 ]
 
 
@@ -113,7 +107,6 @@ def composite_graded_grid(a: float, panels: int = 20, order: int = 10,
 class KernelKind(Enum):
     HALF_CARLEMAN = "HalfCarleman"
     CARLEMAN_SQUARED = "CarlemanSquared"
-    LOG_COMPACT = "LogCompact"
     MODEL = "Model"
 
 
@@ -189,14 +182,6 @@ def carleman_squared(a: float, n: int, scheme: Scheme = Scheme.GAUSS_LEGENDRE,
     return KernelOperator(grid, _symmetrize(grid, K), KernelKind.CARLEMAN_SQUARED)
 
 
-def apply_kernel(grid: QuadratureGrid, kernel, values: np.ndarray, x):
-    """Quadrature evaluation of (K f)(x) = int_0^a kernel(x, v) f(v) dv at
-    arbitrary points x (scalar or array), given samples of f on the grid."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([np.sum(grid.weights * kernel(xv, grid.nodes) * values) for xv in xs])
-    return out if np.ndim(x) else float(out[0])
-
-
 def mehler_eigenfunction(a: float, t: float, grid: QuadratureGrid) -> np.ndarray:
     """Samples of f_t(u) = P_{-1/2+it}(a/u)/u, the generalized eigenfunction
     of the half-Carleman operator on (0, a) with eigenvalue 1/cosh(pi t)."""
@@ -260,56 +245,3 @@ def model_operator(csq: KernelOperator, gamma: GammaMatrix) -> KernelOperator:
     return KernelOperator(csq.grid, np.kron(csq.matrix, gamma.matrix),
                           KernelKind.MODEL, params=(gamma.dim,))
 
-
-def log_weight(gamma: float, x, a: float = 1.0):
-    """The weight (1 + |log x|)^-gamma on (0, a), extended by 1 elsewhere.
-
-    x = 0 is rejected: the weight's defining expression is singular there
-    even though the extension by 1 would be bounded.
-    """
-    if gamma <= 0:
-        raise DomainError("log_weight: gamma must be positive")
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs == 0.0):
-        raise DomainError("log_weight: x = 0 is outside the domain")
-    inside = (xs > 0.0) & (xs < a)
-    out = np.ones_like(xs)
-    out[inside] = (1.0 + np.abs(np.log(xs[inside]))) ** (-gamma)
-    return out if np.ndim(x) else float(out)
-
-
-@dataclass(frozen=True)
-class SingularValueReport:
-    """Singular values of the log-weighted compactness kernel at one
-    resolution, with the data needed for a two-resolution stability check."""
-
-    p: float
-    q: float
-    a: float
-    n: int
-    singular_values: np.ndarray   # descending
-    operator_norm: float
-
-    def tail_ratio(self, k: int) -> float:
-        if k >= self.singular_values.size:
-            raise DomainError(f"tail index {k} exceeds {self.singular_values.size} singular values")
-        return float(self.singular_values[k] / self.singular_values[0])
-
-
-def log_kernel_svd_decay(p: float, q: float, a: float, n: int) -> SingularValueReport:
-    """Singular values of (1+|log x|)^-p (x+y)^-1 (1+|log y|)^q on (0, a).
-
-    The kernel is compact exactly when p > q > 0; numerically this shows as a
-    decaying singular-value tail and an operator norm stable under refinement.
-    """
-    if not (p > q > 0):
-        raise DomainError(f"log_kernel_svd_decay requires p > q > 0, got p={p}, q={q}")
-    grid = gauss_legendre_grid(a, n)
-    x = grid.nodes
-    wl = (1.0 + np.abs(np.log(x))) ** (-p)
-    wr = (1.0 + np.abs(np.log(x))) ** q
-    K = wl[:, None] / (x[:, None] + x[None, :]) * wr[None, :]
-    sw = np.sqrt(grid.weights)
-    sv = np.linalg.svd(sw[:, None] * K * sw[None, :], compute_uv=False)
-    return SingularValueReport(p=p, q=q, a=a, n=n, singular_values=sv,
-                               operator_norm=float(sv[0]))

@@ -5,6 +5,11 @@ class DomainError(ValueError):
     """An argument lies outside the domain a routine is specified for."""
 
 
+class LevelCollisionError(DomainError):
+    """A Fermi level sits on (within the relative gap of) a box eigenvalue,
+    so spectral counting there is ambiguous; callers may nudge the level."""
+
+
 class ConvergenceError(RuntimeError):
     """An iteration failed to converge within its cap.
 

@@ -51,7 +51,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import carleman, scattering, schrodinger1d, specfun
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, LevelCollisionError
 
 __all__ = [
     "CAMPAIGNS",
@@ -559,12 +559,26 @@ def _with_level_nudge(fn, box, lam: float, record: dict):
     for _ in range(3):
         try:
             return fn(lam)
-        except DomainError as exc:
-            if "collision" not in str(exc) and "nudge" not in str(exc):
-                raise
+        except LevelCollisionError:
             lam = _nudge_level(box, lam)
             record["lambda_nudged_to"] = lam
     return fn(lam)
+
+
+def _run_cases(fn, cases, jobs: int, seconds: list) -> list:
+    """``fn`` over ``cases`` in order, on ``jobs`` threads when jobs > 1;
+    appends each case's own wall time to ``seconds`` either way."""
+    def timed(case):
+        t_case = time.perf_counter()
+        out = fn(case)
+        return out, time.perf_counter() - t_case
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(timed, cases))
+    else:
+        done = [timed(case) for case in cases]
+    seconds.extend(dt for _, dt in done)
+    return [out for out, _ in done]
 
 
 # An eigenvalue of D or M+- counts as pinned at +-1 within this distance.
@@ -661,20 +675,9 @@ def run_band_filling(config: ExperimentConfig, jobs: int = 1) -> ExperimentRepor
         return report
     kappa_max = float(kappas.max())
 
-    cases = list(config.box_sequence)
-    t_start = time.perf_counter()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            boxes = list(pool.map(
-                lambda Ln: _band_case(pot, lam, Ln[0], Ln[1], kappas, tol), cases))
-    else:
-        boxes = []
-        for L, n in cases:
-            t_case = time.perf_counter()
-            boxes.append(_band_case(pot, lam, L, n, kappas, tol))
-            report.per_case_seconds.append(time.perf_counter() - t_case)
-    if jobs > 1:
-        report.per_case_seconds.append(time.perf_counter() - t_start)
+    boxes = _run_cases(
+        lambda Ln: _band_case(pot, lam, Ln[0], Ln[1], kappas, tol),
+        config.box_sequence, jobs, report.per_case_seconds)
     recs = [rec for rec, _ in boxes]
     confined = [conf for _, conf in boxes]
     report.records.extend(recs)
@@ -719,17 +722,7 @@ def run_birman_krein(config: ExperimentConfig, jobs: int = 1) -> ExperimentRepor
             return scattering.birman_krein_value(pot, level, box, s=s)
         return _with_level_nudge(attempt, box, lam, note)
 
-    t_start = time.perf_counter()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            vals = list(pool.map(one, zip(lams, nudges)))
-        report.per_case_seconds.append(time.perf_counter() - t_start)
-    else:
-        vals = []
-        for pair in zip(lams, nudges):
-            t_case = time.perf_counter()
-            vals.append(one(pair))
-            report.per_case_seconds.append(time.perf_counter() - t_case)
+    vals = _run_cases(one, zip(lams, nudges), jobs, report.per_case_seconds)
 
     # Branch tracking: shift each value by an integer to follow its
     # predecessor, so jumps measure genuine discontinuity, not mod-1 wraps.

@@ -50,7 +50,8 @@ from .errors import ConvergenceError, DomainError, SingularOperatorError, StepSi
 from .schrodinger1d import (
     BoxDiscretization,
     Potential,
-    count_below,
+    check_level_clear,
+    count_below,  # noqa: F401  (kept importable from this module by name)
     eigenvalues_by_index,
     free_levels,
     hamiltonian_tridiagonal,
@@ -324,27 +325,12 @@ def eigenphases(s: ScatteringMatrix, phase_tol: float = 1e-6) -> EigenphaseSet:
     return EigenphaseSet(thetas=thetas[order], kappas=kappas[order])
 
 
-def _guard_level_distance(lam: float, diag, off, ev0, rel_gap: float = 1e-9):
-    scale = float(ev0[-1])
-    j = count_below(diag, off, lam)
-    nearest = eigenvalues_by_index(diag, off, max(j - 1, 0), min(j, diag.size - 1))
-    dist_h = float(np.min(np.abs(nearest - lam)))
-    dist_h0 = float(np.min(np.abs(ev0 - lam)))
-    if min(dist_h, dist_h0) < rel_gap * scale:
-        raise DomainError(
-            f"level collision: lambda={lam} is within {min(dist_h, dist_h0):.3e} "
-            "of a box eigenvalue; nudge lambda by half the local spacing")
-    return j
-
-
 def spectral_shift_count(potential: Potential, lam: float,
                          box: BoxDiscretization) -> int:
     """Integer spectral-shift estimate -(#eig(H) < lam) + (#eig(H0) < lam);
     equals -trace(D) for the same box by construction."""
-    diag, off = hamiltonian_tridiagonal(box, potential)
-    ev0 = free_levels(box)
-    j = _guard_level_distance(lam, diag, off, ev0)
-    return -(j - int(np.sum(ev0 < lam)))
+    j = check_level_clear(box, potential, lam)
+    return -(j - int(np.sum(free_levels(box) < lam)))
 
 
 def _interp_count(levels_below: int, e_lo: float, e_hi: float, lam: float) -> float:
@@ -377,8 +363,8 @@ def smeared_spectral_shift(potential: Potential, lam: float,
     """O(1/L)-smeared spectral shift from linearly interpolated counting
     staircases (per parity sector for even potentials)."""
     diag, off = hamiltonian_tridiagonal(box, potential)
+    j = check_level_clear(box, potential, lam, tridiagonal=(diag, off))
     ev0 = free_levels(box)
-    j = _guard_level_distance(lam, diag, off, ev0)
     j0 = int(np.sum(ev0 < lam))
     if j < 2 or j0 < 2 or j + 1 >= box.n or j0 + 1 >= box.n:
         raise DomainError("level too close to the edge of the box spectrum")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, LevelCollisionError
 
 __all__ = [
     "BoxDiscretization",
@@ -53,6 +53,7 @@ __all__ = [
     "free_levels",
     "free_vectors",
     "count_below",
+    "check_level_clear",
     "eigenpairs_below",
     "band_spectra",
 ]
@@ -307,7 +308,7 @@ def spectral_projection(eig: EigenData, fermi_level: float,
     gap = np.abs(eig.values - fermi_level)
     j = int(np.argmin(gap))
     if gap[j] < rel_gap * scale:
-        raise DomainError(
+        raise LevelCollisionError(
             f"fermi level {fermi_level} is within {gap[j]:.3e} of eigenvalue "
             f"{eig.values[j]:.12g}; nudge it by at least half the local spacing")
     sel = eig.vectors[:, eig.values < fermi_level]
@@ -439,10 +440,15 @@ class BandSpectra:
 
 
 def check_level_clear(box: BoxDiscretization, potential: Potential | None,
-                      fermi_level: float, rel_gap: float = 1e-9) -> None:
+                      fermi_level: float, rel_gap: float = 1e-9,
+                      tridiagonal=None) -> int:
     """Reject a Fermi level sitting within rel_gap of either box spectrum
-    (relative to the spectral scale); counting would be ambiguous there."""
-    diag, off = hamiltonian_tridiagonal(box, potential)
+    (relative to the spectral scale); counting would be ambiguous there.
+
+    Returns the Sturm count #eig(H) < fermi_level.  ``tridiagonal`` is the
+    (diagonal, off-diagonal) pair of H when the caller already holds it.
+    """
+    diag, off = tridiagonal or hamiltonian_tridiagonal(box, potential)
     ev0 = free_levels(box)
     j = count_below(diag, off, fermi_level)
     nearest = eigenvalues_by_index(diag, off, max(j - 1, 0),
@@ -450,22 +456,22 @@ def check_level_clear(box: BoxDiscretization, potential: Potential | None,
     dist = min(float(np.abs(nearest - fermi_level).min()),
                float(np.abs(ev0 - fermi_level).min()))
     if dist < rel_gap * float(ev0[-1]):
-        raise DomainError(
+        raise LevelCollisionError(
             f"level collision: lambda={fermi_level} is within {dist:.3e} of a "
             "box eigenvalue; nudge lambda by half the local spacing")
+    return j
 
 
 def band_spectra(box: BoxDiscretization, potential: Potential,
-                 fermi_level: float, check_level: bool = True) -> BandSpectra:
+                 fermi_level: float) -> BandSpectra:
     """Spectra of D(lambda), M+, M- without forming any n x n matrix.
 
     U (H eigenvectors below lambda) and U0 (closed-form H0 eigenvectors
     below lambda) span everything D acts on; the overlap C = U^T U0 then
     yields M+ and M- spectra directly, and a QR basis of [U U0] reduces D.
     """
-    if check_level:
-        check_level_clear(box, potential, fermi_level)
     diag, off = hamiltonian_tridiagonal(box, potential)
+    check_level_clear(box, potential, fermi_level, tridiagonal=(diag, off))
     _, u = eigenpairs_below(diag, off, fermi_level)
     r = u.shape[1]
     r0 = int(np.sum(free_levels(box) < fermi_level))

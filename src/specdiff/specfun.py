@@ -232,6 +232,20 @@ def _far_t_zero(x: float) -> float:
     return (2.0 / math.pi) * (2.0 * x) ** -0.5 * (f0 * math.log(8.0 * x) - s)
 
 
+def _conical_far(t: float, x: float) -> ConicalEval:
+    """The two-branch form; below T_SWITCH, the even-in-t quadratic
+    interpolation through the exact t = 0 limit."""
+    if t >= T_SWITCH:
+        value, resid = _far_direct(t, x)
+        return ConicalEval(t, x, value, Representation.FAR_BRANCH, resid)
+    p0 = _far_t_zero(x)
+    if t == 0.0:
+        return ConicalEval(t, x, p0, Representation.FAR_BRANCH, 0.0)
+    p1, resid = _far_direct(T_SWITCH, x)
+    value = p0 + (t / T_SWITCH) ** 2 * (p1 - p0)
+    return ConicalEval(t, x, value, Representation.FAR_BRANCH, resid)
+
+
 def conical_p(t: float, x: float) -> ConicalEval:
     """Evaluate the conical function P_{-1/2+it}(x) for t >= 0, x >= 1.
 
@@ -253,16 +267,7 @@ def conical_p(t: float, x: float) -> ConicalEval:
     if x < SEAM_X:
         value, resid = _conical_near(t, x)
         return ConicalEval(t, x, value, Representation.NEAR_ONE, resid)
-    if t >= T_SWITCH:
-        value, resid = _far_direct(t, x)
-        return ConicalEval(t, x, value, Representation.FAR_BRANCH, resid)
-    # Even-in-t quadratic interpolation through the exact t = 0 limit.
-    p0 = _far_t_zero(x)
-    if t == 0.0:
-        return ConicalEval(t, x, p0, Representation.FAR_BRANCH, 0.0)
-    p1, resid = _far_direct(T_SWITCH, x)
-    value = p0 + (t / T_SWITCH) ** 2 * (p1 - p0)
-    return ConicalEval(t, x, value, Representation.FAR_BRANCH, resid)
+    return _conical_far(t, x)
 
 
 def conical_p_near_one(t: float, x: float) -> ConicalEval:
@@ -279,14 +284,7 @@ def conical_p_far_branch(t: float, x: float) -> ConicalEval:
     """Force the two-branch representation (valid for x > 1)."""
     if not (x > 1.0):
         raise DomainError(f"two-branch representation needs x > 1, got x={x}")
-    if t >= T_SWITCH:
-        value, resid = _far_direct(t, x)
-        return ConicalEval(t, x, value, Representation.FAR_BRANCH, resid)
-    p0 = _far_t_zero(x)
-    if t == 0.0:
-        return ConicalEval(t, x, p0, Representation.FAR_BRANCH, 0.0)
-    p1, resid = _far_direct(T_SWITCH, x)
-    return ConicalEval(t, x, p0 + (t / T_SWITCH) ** 2 * (p1 - p0), Representation.FAR_BRANCH, resid)
+    return _conical_far(t, x)
 
 
 def check_conical_bounds(t_max: float, x_samples, n_t: int = 9) -> ConicalBoundReport:

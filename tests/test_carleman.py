@@ -19,8 +19,6 @@ from specdiff.carleman import (
     gamma_matrix,
     gauss_legendre_grid,
     half_carleman,
-    log_kernel_svd_decay,
-    log_weight,
     mehler_eigenfunction,
     mehler_residual,
     model_operator,
@@ -237,42 +235,3 @@ class TestModelOperator:
         with pytest.raises(ContractViolationError):
             model_operator(half, g)
 
-
-class TestLogWeight:
-    def test_unity_at_one_inside(self):
-        assert log_weight(3.0, 1.0, a=2.0) == 1.0
-
-    def test_value_at_inverse_e(self):
-        assert abs(log_weight(2.0, math.exp(-1.0)) - 0.25) <= 1e-15
-
-    def test_monotone_toward_zero(self):
-        xs = np.geomspace(1e-8, 0.9, 40)
-        vals = log_weight(2.0, xs)
-        assert np.all(np.diff(vals) > 0)
-
-    def test_outside_interval_is_one(self):
-        assert log_weight(2.0, 3.5, a=1.0) == 1.0
-        assert log_weight(2.0, -4.0, a=1.0) == 1.0
-
-    def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            log_weight(2.0, 0.0)
-
-
-class TestLogKernel:
-    def test_norm_stable_and_tail_decays(self):
-        r200 = log_kernel_svd_decay(2.0, 1.0, 1.0, 200)
-        r400 = log_kernel_svd_decay(2.0, 1.0, 1.0, 400)
-        rel = abs(r400.operator_norm - r200.operator_norm) / r200.operator_norm
-        assert rel <= 0.05
-        assert r200.tail_ratio(50) <= 1e-2
-
-    def test_precondition(self):
-        with pytest.raises(DomainError):
-            log_kernel_svd_decay(1.0, 1.0, 1.0, 50)
-        with pytest.raises(DomainError):
-            log_kernel_svd_decay(0.5, 1.0, 1.0, 50)
-
-    def test_entries_finite(self):
-        r = log_kernel_svd_decay(2.0, 1.0, 1.0, 80)
-        assert np.all(np.isfinite(r.singular_values))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from specdiff.errors import ConfigError
+from specdiff.errors import ConfigError, DomainError, LevelCollisionError
 from specdiff.experiments import (
     ExperimentReport,
     config_from_dict,
@@ -21,7 +21,9 @@ from specdiff.experiments import (
     run_experiment,
     run_model_spectrum,
     run_specfun_audit,
+    _with_level_nudge,
 )
+from specdiff.schrodinger1d import BoxDiscretization
 
 
 class TestConfig:
@@ -212,6 +214,8 @@ class TestBandFillingCampaign:
         r2 = run_band_filling(cfg, jobs=2)
         assert report_json(r1, include_timing=False) == \
             report_json(r2, include_timing=False)
+        # One timing entry per box, whatever the number of jobs.
+        assert len(r1.per_case_seconds) == len(r2.per_case_seconds) == 2
 
 
 class TestBandFillingSpecialCases:
@@ -375,6 +379,8 @@ class TestBirmanKreinCampaign:
         r2 = run_birman_krein(cfg, jobs=3)
         assert report_json(r1, include_timing=False) == \
             report_json(r2, include_timing=False)
+        # One timing entry per energy, whatever the number of jobs.
+        assert len(r1.per_case_seconds) == len(r2.per_case_seconds) == 3
 
     def test_runner_dispatch(self):
         cfg = config_from_dict({
@@ -400,3 +406,37 @@ class TestBirmanKreinCampaign:
         rec = report.records[0]
         assert rec["lambda_effective"] != rec["lambda"]
         assert rec["residual"] <= 1e-9
+
+
+class TestLevelNudge:
+    """Only the typed level collision is nudged; the message text of an
+    error plays no part."""
+
+    def test_domain_error_mentioning_collision_propagates(self):
+        levels = []
+
+        def fails_once(level):
+            levels.append(level)
+            if len(levels) == 1:
+                raise DomainError("level collision; nudge lambda")
+            return level
+
+        with pytest.raises(DomainError, match="collision"):
+            _with_level_nudge(fails_once, BoxDiscretization(40.0, 3999), 1.0, {})
+        assert levels == [1.0]
+
+    def test_level_collision_error_is_nudged(self):
+        levels = []
+
+        def collides_once(level):
+            levels.append(level)
+            if len(levels) == 1:
+                raise LevelCollisionError("on a box eigenvalue")
+            return level
+
+        note = {}
+        got = _with_level_nudge(collides_once, BoxDiscretization(40.0, 3999),
+                                1.0, note)
+        assert len(levels) == 2 and levels[0] == 1.0
+        assert got == levels[1] == note["lambda_nudged_to"] != 1.0
+

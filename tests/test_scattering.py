@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from specdiff.errors import DomainError
+from specdiff.errors import DomainError, LevelCollisionError
 from specdiff.scattering import (
     Method,
     birman_krein_check,
@@ -337,8 +337,10 @@ class TestSpectralShift:
         from specdiff.schrodinger1d import free_levels
         box = BoxDiscretization.from_spacing(40.0, 0.05)
         lam = float(free_levels(box)[30])
-        with pytest.raises(DomainError):
+        with pytest.raises(LevelCollisionError):
             spectral_shift_count(GaussianBump(amplitude=0.0), lam, box)
+        with pytest.raises(LevelCollisionError):
+            smeared_spectral_shift(GaussianBump(amplitude=0.0), lam, box)
 
 
 class TestBirmanKrein:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from specdiff.errors import DomainError
+from specdiff.errors import DomainError, LevelCollisionError
 from specdiff.schrodinger1d import (
     BoxDiscretization,
     GaussianBump,
@@ -22,6 +22,7 @@ from specdiff.schrodinger1d import (
     band_spectra,
     build_h,
     build_h0,
+    check_level_clear,
     count_below,
     eigendecompose,
     eigenpairs_below,
@@ -193,7 +194,7 @@ class TestProjections:
 
     def test_level_collision_rejected(self):
         eig, _ = self._eigendata()
-        with pytest.raises(DomainError) as err:
+        with pytest.raises(LevelCollisionError) as err:
             spectral_projection(eig, eig.values[3])
         assert f"{eig.values[3]:.12g}" in str(err.value)
 
@@ -281,6 +282,17 @@ class TestTridiagonalPath:
         rng = np.random.default_rng(9)
         for lam in rng.uniform(0.1, 30.0, size=12):
             assert count_below(diag, off, lam) == int(np.sum(levels < lam))
+
+    def test_level_guard_returns_sturm_count_or_raises_typed(self):
+        box = BoxDiscretization(8.0, 400)
+        well = SquareWell(-2.0, 1.0)
+        diag, off = hamiltonian_tridiagonal(box, well)
+        lam = 3.3
+        assert check_level_clear(box, well, lam) == count_below(diag, off, lam)
+        assert check_level_clear(box, well, lam, tridiagonal=(diag, off)) == \
+            count_below(diag, off, lam)
+        with pytest.raises(LevelCollisionError):
+            check_level_clear(box, well, float(free_levels(box)[5]))
 
     def test_free_vectors_are_eigenvectors(self):
         box = BoxDiscretization(8.0, 200)

@@ -152,8 +152,6 @@ def _run_verify(args) -> int:
             verdicts=[v for r in results for v in r.verdicts],
             per_case_seconds=[r.elapsed for r in results],
         )
-        from datetime import datetime, timezone
-        report.created_at = datetime.now(timezone.utc).isoformat()
         experiments.emit_report(report, args.format, args.out)
         if not args.quiet:
             print(f"aggregate report written to {args.out}")

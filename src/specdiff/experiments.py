@@ -250,7 +250,8 @@ class ExperimentReport:
     records: list = field(default_factory=list)
     verdicts: list = field(default_factory=list)
     per_case_seconds: list = field(default_factory=list)
-    created_at: str = ""
+    created_at: str = field(
+        default_factory=lambda: datetime.now(timezone.utc).isoformat())
     format_version: int = FORMAT_VERSION
 
     @property
@@ -268,8 +269,7 @@ class ExperimentReport:
 
 def _new_report(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
-        experiment=config.experiment, config=config.as_dict(),
-        created_at=datetime.now(timezone.utc).isoformat())
+        experiment=config.experiment, config=config.as_dict())
 
 
 # --- deterministic serialization -------------------------------------------

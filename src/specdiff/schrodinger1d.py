@@ -12,13 +12,15 @@ Two computational paths coexist:
   ``spectral_projection`` ...) that materializes n x n matrices and is the
   reference implementation for desk-scale boxes, and
 * a tridiagonal path (``hamiltonian_tridiagonal``, ``count_below``,
-  ``band_spectra``) that never forms an n x n matrix.  For the spectrum of
-  D = P - P0 it uses the exact observation that D vanishes outside
-  span(ran P + ran P0), so its nonzero spectrum is that of a matrix of size
-  rank(P) + rank(P0); likewise the nonzero spectra of
-  M+ = (I-P0) P (I-P0) and M- = P0 (I-P) P0 equal those of
-  I_r - C C^T and I_r0 - C^T C for the overlap matrix C = U^T U0.
-  The two paths agree to rounding and are cross-checked in the tests.
+  ``band_spectra``) that never forms an n x n matrix.  It reads the spectra
+  of D = P - P0, M+ = (I-P0) P (I-P0) and M- = P0 (I-P) P0 off the principal
+  angles theta between ran P and ran P0 and the index j = rank P - rank P0
+  (Halmos, "Two subspaces", Trans. AMS 144, 1969): up to zeros,
+  D ~ +-sin theta + sign(j) 1_{|j|} and M+- ~ sin^2 theta + 1_{|j|}, the
+  index part in M+ for j > 0 and in M- for j < 0.  The sines come from
+  singular values, accurate at small angles where sqrt(1 - cos^2) cancels
+  (Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002).  The two paths
+  agree to rounding and are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -413,11 +415,13 @@ def eigenvalues_by_index(diag: np.ndarray, off: np.ndarray, i_lo: int, i_hi: int
 
 @dataclass(frozen=True)
 class BandSpectra:
-    """Spectra of D, M+, M- for one box, from the rank-reduced computation.
+    """Spectra of D, M+, M- for one box, from the principal angles.
 
-    ``d_nonzero`` carries the spectrum of D on span(ran P + ran P0); D is
-    zero on the orthogonal complement, which contributes ``zero_multiplicity``
-    exact zeros.  The M+- arrays likewise omit their trivial kernels.
+    ``d_nonzero`` holds +-sin theta and the index values sign(j) on
+    ran P + ran P0; D is zero on its complement, which contributes
+    ``zero_multiplicity`` exact zeros.  ``m_plus`` and ``m_minus`` hold the
+    squared sines seen from ran P and ran P0, without their trivial kernels.
+    All arrays ascend.
     """
 
     fermi_level: float
@@ -467,8 +471,9 @@ def band_spectra(box: BoxDiscretization, potential: Potential,
     """Spectra of D(lambda), M+, M- without forming any n x n matrix.
 
     U (H eigenvectors below lambda) and U0 (closed-form H0 eigenvectors
-    below lambda) span everything D acts on; the overlap C = U^T U0 then
-    yields M+ and M- spectra directly, and a QR basis of [U U0] reduces D.
+    below lambda) are orthonormal bases of ran P and ran P0.  The singular
+    values of (I-P0) U and (I-P) U0 are the principal-angle sines seen from
+    either side, the index values 1 included on the larger side.
     """
     diag, off = hamiltonian_tridiagonal(box, potential)
     check_level_clear(box, potential, fermi_level, tridiagonal=(diag, off))
@@ -478,18 +483,12 @@ def band_spectra(box: BoxDiscretization, potential: Potential,
     u0 = free_vectors(box, r0)
 
     c = u.T @ u0
-    m_plus = np.linalg.eigvalsh(np.eye(r) - c @ c.T) if r else np.empty(0)
-    m_minus = np.linalg.eigvalsh(np.eye(r0) - c.T @ c) if r0 else np.empty(0)
-
-    w = np.hstack([u, u0])
-    q, _ = np.linalg.qr(w)
-    a = q.T @ u
-    b = q.T @ u0
-    d_small = a @ a.T - b @ b.T
-    d_nonzero = np.linalg.eigvalsh(d_small)
+    s_plus = np.linalg.svd(u - u0 @ c.T, compute_uv=False)
+    s_minus = np.linalg.svd(u0 - u @ c, compute_uv=False)
 
     return BandSpectra(
         fermi_level=fermi_level, box=box, rank_p=r, rank_p0=r0,
-        d_nonzero=d_nonzero, m_plus=m_plus, m_minus=m_minus,
-        zero_multiplicity=box.n - q.shape[1],
+        d_nonzero=np.sort(np.concatenate([s_plus, -s_minus])),
+        m_plus=np.sort(s_plus ** 2), m_minus=np.sort(s_minus ** 2),
+        zero_multiplicity=box.n - r - r0,
     )

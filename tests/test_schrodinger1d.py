@@ -307,14 +307,23 @@ class TestTridiagonalPath:
         assert resid <= 1e-9 * np.abs(diag).max()
         assert np.abs(u.T @ u - np.eye(7)).max() <= 1e-12
 
-    def test_band_spectra_matches_dense_path(self):
+    # One box per case of the index j = rank P - rank P0, plus P = P0
+    # (every principal angle zero), rank P0 = 0, and rank P = rank P0 = 0.
+    @pytest.mark.parametrize("potential, lam, index", [
+        (SquareWell(-2.0, 1.0), 1.0, 1),
+        (SquareWell(2.0, 1.0), 1.0, -1),
+        (SquareWell(2.0, 1.0), 3.0, 0),
+        (GaussianBump(amplitude=0.0), 1.0, 0),
+        (SquareWell(-2.0, 1.0), 0.01, 1),
+        (SquareWell(2.0, 1.0), 0.01, 0),
+    ], ids=["j_plus", "j_minus", "j_zero", "p_equals_p0", "rank_p0_zero",
+            "both_ranks_zero"])
+    def test_band_spectra_matches_dense_path(self, potential, lam, index):
         box = BoxDiscretization.from_spacing(6.0, 0.02)
-        well = SquareWell(-2.0, 1.0)
-        lam = 1.0
-        spectra = band_spectra(box, well, lam)
+        spectra = band_spectra(box, potential, lam)
 
         eig0 = eigendecompose(build_h0(box))
-        eig1 = eigendecompose(build_h(box, well))
+        eig1 = eigendecompose(build_h(box, potential))
         p = spectral_projection(eig1, lam)
         p0 = spectral_projection(eig0, lam)
         d_dense = np.linalg.eigvalsh(p - p0)
@@ -325,9 +334,10 @@ class TestTridiagonalPath:
             got = np.sort(small)[::-1]
             want = np.sort(np.linalg.eigvalsh(dense))[::-1]
             # dense spectrum carries extra exact zeros; compare the head
-            assert np.abs(got - want[:got.size]).max() <= 1e-10
+            assert np.abs(got - want[:got.size]).max(initial=0.0) <= 1e-10
 
-        assert spectra.trace_d == round(np.trace(p - p0))
+        assert spectra.trace_d == round(np.trace(p - p0)) == index
+        assert abs(spectra.d_full.sum() - spectra.trace_d) <= 1e-10
 
     def test_interior_pairing_on_benchmark_box(self):
         box = BoxDiscretization.from_spacing(100.0, 0.05)

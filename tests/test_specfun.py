@@ -3,8 +3,8 @@
 Oracles used here are independent of the implementation paths they check:
 a plain fixed-length series loop for the hypergeometric function, the Gauss
 product limit for the gamma function, scipy's complex gamma as a second
-opinion, and quadrature of the Mehler-Dirichlet integral for the conical
-function.
+opinion, and quadrature of the Mehler-Dirichlet integral and mpmath's
+Legendre function for the conical function.
 """
 
 import math
@@ -243,6 +243,31 @@ class TestConical:
         near = conical_p_near_one(16.0, 1.5)
         far = conical_p_far_branch(16.0, 1.5)
         assert abs(near.value - far.value) <= 1e-8
+
+
+def mpmath_weighted_error(ts, xs):
+    """max sqrt(x) |conical_p(t, x) - Re P_{-1/2+it}(x)| against mpmath's
+    Legendre function of type 3 (the x > 1 branch)."""
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for t in ts:
+        for x in xs:
+            want = float(mpmath.re(mpmath.legenp(-0.5 + 1j * float(t), 0,
+                                                 float(x), type=3)))
+            worst = max(worst, math.sqrt(x) * abs(conical_p(t, x).value - want))
+    return worst
+
+
+class TestConicalMpmath:
+    def test_campaign_domain(self):
+        xs = np.union1d(np.linspace(1.0, 3.0, 41), np.geomspace(3.0, 1e4, 40))
+        assert mpmath_weighted_error(np.linspace(0.0, 3.0, 13), xs) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 4: the fixed seam at x = 2 leaves the near-one series "
+        "in cancellation at large t"))
+    def test_large_t_below_seam(self):
+        assert mpmath_weighted_error([16.0], [1.95]) <= 1e-12
 
 
 class TestBoundReport:

@@ -283,7 +283,9 @@ def _fmt(value) -> str:
         x = float(value)
         if math.isnan(x) or math.isinf(x):
             raise ValueError("reports must not contain NaN or Inf")
-        return "%.17g" % x
+        text = "%.17g" % x
+        # An integral float such as 1.0 must read back as a float, not 1.
+        return text if "." in text or "e" in text else text + ".0"
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:

@@ -28,6 +28,18 @@ quadrature the discrete identity Im T = pi Z* Z holds exactly node by node,
 so the discrete S is unitary to rounding regardless of quadrature quality;
 accuracy against route 1 is what the node count controls.
 
+The kernel is rank-1 semiseparable in each triangle (Greengard & Rokhlin,
+CPAM 44, 1991; Eidelman & Gohberg, IEOT 34, 1999): with ascending nodes,
+its action is a prefix and a suffix sum.  Carrying those sums as extra
+unknowns embeds (I + T J) y = Z* in a 3n x 3n banded system that one
+pivoted band LU solves in O(n), on the same Nystrom matrix, without forming
+any n x n array.  The solve is exact algebra on that matrix, so Im T =
+pi Z* Z still holds and S stays unitary to rounding; one full-size solve
+also serves parity-even potentials, which need no sector split.  The
+Gauss-Legendre rule costs O(n^2) (tridiagonal eigenvalues plus one Newton
+step), and the condition guard uses the exact O(n) 1-norm of I + T J with
+a Hager-Higham estimate of the inverse's norm from the same band LU.
+
 Spectral shift.  The integer count -(#eig(H) < lam) + (#eig(H0) < lam) on a
 Dirichlet box equals -trace(D) exactly but carries O(1) truncation jitter.
 For the Birman-Krein comparison the staircases are interpolated linearly at
@@ -44,7 +56,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .errors import ConvergenceError, DomainError, SingularOperatorError, StepSizeError
 from .schrodinger1d import (
@@ -74,6 +87,7 @@ __all__ = [
 UNITARITY_TOL_ODE = 1e-8
 UNITARITY_TOL_STATIONARY = 1e-6
 COND_GUARD = 1e12
+_SAFMIN = np.finfo(float).tiny
 
 
 class Method(Enum):
@@ -118,7 +132,6 @@ class StationaryOperators:
     weights: np.ndarray
     g_diag: np.ndarray          # |V|^{1/2} at nodes
     j_diag: np.ndarray          # sign V at nodes
-    t_matrix: np.ndarray        # symmetrized G R0(lam+i0) G
     z_rows: np.ndarray          # 2 x n energy-shell rows
     condition_number: float
 
@@ -202,73 +215,146 @@ def s_matrix_ode(potential: Potential, lam: float, x_max: float | None = None,
     return ScatteringMatrix(lam, k, s, Method.ODE_MATCH, defect)
 
 
-def _solve_with_condition(a: np.ndarray, rhs: np.ndarray):
-    """LU solve plus a 1-norm condition estimate from the same factorization
-    (a full SVD would dominate the runtime at the node counts used here)."""
-    from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
-    lu, piv = lu_factor(a)
-    gecon = get_lapack_funcs("gecon", (a,))
-    anorm = float(np.linalg.norm(a, 1))
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0 or rcond == 0.0:
-        raise SingularOperatorError(
-            "I + T J is numerically singular (exceptional energy)", math.inf)
-    cond = 1.0 / float(rcond)
-    if cond > COND_GUARD:
-        raise SingularOperatorError(
-            "I + T J is numerically singular (exceptional energy)", cond)
-    return lu_solve((lu, piv), rhs), cond
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] in O(n^2).
+
+    The nodes are the eigenvalues of the Jacobi matrix (Golub-Welsch),
+    polished by one Newton step on P_n; the weights are
+    2 / ((1 - x^2) P_n'(x)^2).  P_n and P_n' come from the three-term
+    recurrence, and P_n' is carried to the polished node with the Legendre
+    equation, so no second sweep is needed.  The rule is symmetric: only
+    the non-positive half is computed.
+    """
+    k = np.arange(1.0, n)
+    x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0),
+                             lapack_driver="sterf")
+    m = n // 2
+    lo = x[:n - m]
+    p_prev, p = np.ones_like(lo), lo.copy()
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * lo * p - (j - 1) * p_prev) / j
+    one_minus_x2 = 1.0 - lo * lo
+    dp = n * (p_prev - lo * p) / one_minus_x2
+    step = p / dp
+    lo = lo - step
+    # (1 - x^2) P'' = 2x P' - n(n+1) P
+    dp = dp - step * (2.0 * lo * dp - n * (n + 1) * p) / one_minus_x2
+    w = 2.0 / ((1.0 - lo * lo) * dp * dp)
+    if n % 2:
+        lo[-1] = 0.0
+    return (np.concatenate([lo, -lo[:m][::-1]]),
+            np.concatenate([w, w[:m][::-1]]))
 
 
-def _scattering_correction(t_mat, j_diag, z):
-    """The 2x2 correction 2 pi i Z J (I + T J)^{-1} Z* and the condition
-    number of the solved system."""
-    a = np.eye(t_mat.shape[0], dtype=complex) + t_mat * j_diag[None, :]
-    y, cond = _solve_with_condition(a, z.conj().T)
-    return 2j * math.pi * (z * j_diag[None, :]) @ y, cond
+# The embedded system orders its unknowns (y_i, p_i, q_i) node by node; each
+# equation reaches at most three unknowns away.
+_BAND = 3
+_SINGULAR = "I + T J is numerically singular (exceptional energy)"
+
+
+def _embedded_band(nodes, gw, j_diag, k: float) -> np.ndarray:
+    """``I + T J`` embedded in a 3n x 3n banded system, in LAPACK ``gbtrf``
+    storage (row ``2*_BAND + i - j`` of column ``j`` holds entry (i, j)).
+
+    With ascending nodes and w_j = gw_j J_j y_j, the kernel e^{ik|x_i-x_j|}
+    splits into the prefix sums p_i = sum_{j<=i} e^{-ik x_j} w_j and the
+    suffix sums q_i = sum_{j>i} e^{ik x_j} w_j, so that
+
+        y_i + (i/2k) gw_i (e^{ik x_i} p_i + e^{-ik x_i} q_i) = b_i,
+        p_i - p_{i-1} - e^{-ik x_i} w_i = 0,
+        q_i - q_{i+1} - e^{ik x_{i+1}} w_{i+1} = 0.
+
+    Eliminating p and q gives back ``I + T J``, so the y-block of the
+    embedded inverse is exactly ``(I + T J)^{-1}`` (Schur complement).
+    """
+    e = np.exp(1j * k * nodes)
+    c = (0.5j / k) * gw
+    u = gw * j_diag
+    d = 2 * _BAND                       # storage row of the diagonal
+    ab = np.zeros((3 * _BAND + 1, 3 * nodes.size), dtype=complex, order="F")
+    ab[d] = 1.0
+    ab[d - 1, 1::3] = c * e             # y_i row, p_i column
+    ab[d - 2, 2::3] = c * e.conj()      # y_i row, q_i column
+    ab[d + 1, 0::3] = -e.conj() * u     # p_i row, y_i column
+    ab[d + 3, 1:-3:3] = -1.0            # p_{i+1} row, p_i column
+    ab[d - 3, 5::3] = -1.0              # q_{i-1} row, q_i column
+    ab[d - 1, 3::3] = -(e * u)[1:]      # q_{i-1} row, y_i column
+    return ab
+
+
+def _embedded_solve(lu, piv, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """``(I + T J)^{-1} b``, or ``(I + T J)^{-H} b`` when ``adjoint``, from
+    the banded LU of the embedded system."""
+    rhs = np.zeros((lu.shape[1],) + b.shape[1:], dtype=complex)
+    rhs[0::3] = b
+    x, _ = zgbtrs(lu, _BAND, _BAND, rhs, piv, trans=2 if adjoint else 0,
+                  overwrite_b=1)
+    return x[0::3]
+
+
+def _inverse_norm1(solve, n: int) -> float:
+    """Lower estimate of ``||A^{-1}||_1`` by the deterministic Hager-Higham
+    iteration of LAPACK ``lacn2``, as ``gecon`` runs it.  ``solve(b,
+    adjoint)`` returns ``A^{-1} b`` or ``A^{-H} b``."""
+    def signs(v):
+        a = np.abs(v)
+        return np.where(a > _SAFMIN, v / np.maximum(a, _SAFMIN), 1.0)
+
+    y = solve(np.full(n, 1.0 / n), False)
+    if n == 1:
+        return float(abs(y[0]))
+    est = float(np.abs(y).sum())
+    j = int(np.argmax(np.abs(solve(signs(y), True))))
+    for _ in range(4):                  # lacn2 makes at most five iterations
+        y = solve(np.eye(1, n, j)[0], False)
+        est_old, est = est, float(np.abs(y).sum())
+        if est <= est_old:
+            break
+        x = solve(signs(y), True)
+        j_last, j = j, int(np.argmax(np.abs(x)))
+        if abs(x[j_last]) == abs(x[j]):
+            break
+    alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
+    return max(est, 2.0 * float(np.abs(solve(alt, False)).sum()) / (3 * n))
+
+
+def _condition_guard(solve, anorm: float, n: int) -> float:
+    """1-norm condition number of the system ``solve`` inverts, with
+    ``anorm`` its exact 1-norm; raises above ``COND_GUARD``."""
+    cond = anorm * _inverse_norm1(solve, n)
+    if not cond <= COND_GUARD:
+        raise SingularOperatorError(_SINGULAR, cond)
+    return cond
 
 
 def _stationary_once(potential: Potential, lam: float, x_max: float, n: int):
     k = math.sqrt(lam)
-    xi, wq = leggauss(n)
+    xi, wq = _gauss_legendre(n)
     nodes = x_max * xi
     weights = x_max * wq
     v = np.asarray(potential(nodes), dtype=float)
     g = np.sqrt(np.abs(v))
     j_diag = np.sign(v)
-    sw = np.sqrt(weights)
-    gw = g * sw
-    # Outgoing free resolvent kernel i e^{ik|x-y|} / (2k), sandwiched by G
-    # and symmetrized by the weights.
-    r0 = 1j * np.exp(1j * k * np.abs(nodes[:, None] - nodes[None, :])) / (2.0 * k)
-    t_mat = gw[:, None] * r0 * gw[None, :]
+    gw = g * np.sqrt(weights)
     c = 1.0 / math.sqrt(4.0 * math.pi * k)
     z = np.vstack([c * np.exp(1j * k * nodes) * gw,      # right-incoming row
                    c * np.exp(-1j * k * nodes) * gw])    # left-incoming row
 
-    if potential.is_even() and n % 2 == 0:
-        # Parity block-diagonalization: with the reflection-symmetric rule,
-        # even/odd combinations of mirrored nodes decouple, so two half-size
-        # solves reproduce the full correction exactly.
-        m = n // 2
-        lower = slice(0, m)
-        upper_rev = slice(n - 1, m - 1, -1)
-        correction = np.zeros((2, 2), dtype=complex)
-        cond = 1.0
-        for sign in (+1.0, -1.0):
-            t_sector = t_mat[upper_rev, :][:, upper_rev] + sign * t_mat[upper_rev, lower]
-            z_sector = (z[:, upper_rev] + sign * z[:, lower]) / math.sqrt(2.0)
-            corr, cond_sector = _scattering_correction(
-                t_sector, j_diag[upper_rev], z_sector)
-            correction += corr
-            cond = max(cond, cond_sector)
-    else:
-        correction, cond = _scattering_correction(t_mat, j_diag, z)
+    lu, piv, info = zgbtrf(_embedded_band(nodes, gw, j_diag, k), _BAND, _BAND,
+                           overwrite_ab=1)
+    if info != 0:
+        raise SingularOperatorError(_SINGULAR, math.inf)
+    # |T_ij| = gw_i gw_j / (2k), so the 1-norm of I + T J is exact in O(n).
+    aj = np.abs(j_diag) * gw
+    anorm = float(np.max(aj * (gw.sum() - gw) / (2.0 * k)
+                         + np.abs(1.0 + 0.5j * aj * gw / k)))
+    cond = _condition_guard(
+        lambda b, adjoint: _embedded_solve(lu, piv, b, adjoint), anorm, n)
 
-    s = np.eye(2, dtype=complex) - correction
+    y = _embedded_solve(lu, piv, z.conj().T)
+    s = np.eye(2, dtype=complex) - 2j * math.pi * (z * j_diag) @ y
     ops = StationaryOperators(nodes=nodes, weights=weights, g_diag=g,
-                              j_diag=j_diag, t_matrix=t_mat, z_rows=z,
-                              condition_number=cond)
+                              j_diag=j_diag, z_rows=z, condition_number=cond)
     return s, ops
 
 
@@ -286,7 +372,7 @@ def s_matrix_stationary(potential: Potential, lam: float,
         raise DomainError(f"scattering energy must be positive, got {lam}")
     # Truncating where |V| falls below 1e-6 perturbs S by O(1e-6), far below
     # both the refinement target and the cross-method tolerance, and keeps
-    # the dense solves small for slowly decaying potentials.
+    # the node counts small for slowly decaying potentials.
     x_max = potential.effective_support(1e-6)
 
     if n_nodes is not None:

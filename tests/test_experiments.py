@@ -121,6 +121,37 @@ class TestReports:
                     assert got[key] == val     # bit-exact round trip
         assert loaded["config"] == report.config
 
+    def test_json_keeps_float_type(self):
+        def check(got, want):
+            if isinstance(want, dict):
+                assert list(got) == [str(key) for key in want]
+                for key, val in want.items():
+                    check(got[str(key)], val)
+            elif isinstance(want, (list, tuple, np.ndarray)):
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    check(g, w)
+            elif isinstance(want, (bool, np.bool_)):
+                assert got is bool(want)
+            elif isinstance(want, (int, np.integer)):
+                assert type(got) is int and got == want
+            elif isinstance(want, (float, np.floating)):
+                assert type(got) is float and got == float(want)
+            else:
+                assert got == want
+
+        synthetic = ExperimentReport(
+            experiment="x", config={"seed": 0, "scale": 2.0},
+            records=[{"one": 1.0, "zero": 0.0, "minus_zero": -0.0,
+                      "negative": -3.0, "big": 1e16, "huge": 1e300,
+                      "tenth": 0.1, "count": 3, "flag": True,
+                      "mixed": [1.0, 2, np.float64(4.0), np.int64(5)]}])
+        for report in (synthetic, run_specfun_audit(small_audit_config())):
+            doc = json.loads(report_json(report, include_timing=False))
+            check(doc["records"], report.records)
+            check(doc["verdicts"], report.verdicts)
+            check(doc["config"], report.config)
+
     def test_csv_row_count(self, tmp_path):
         cfg = small_audit_config()
         report = run_specfun_audit(cfg)

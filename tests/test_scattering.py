@@ -3,13 +3,15 @@
 Oracles: the square-well scattering matrix from a directly solved 4x4
 plane-wave matching system (independent of both library routes), the
 closed-form reflectionless transmission (k+i)/(k-i) of the unit
-Poschl-Teller well, the analytic first Born term, and eigenvalue counting
-against the closed-form free spectrum.
+Poschl-Teller well, the analytic first Born term, the dense n x n
+stationary system for the banded solve, numpy's ``leggauss`` and mpmath for
+the Gauss-Legendre rule, and eigenvalue counting against the closed-form
+free spectrum.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ import pytest
 from specdiff.errors import DomainError, LevelCollisionError
 from specdiff.scattering import (
     Method,
+    _gauss_legendre,
     birman_krein_check,
     birman_krein_value,
     eigenphases,
@@ -99,6 +102,15 @@ def matching_oracle(depth, half_width, lam, center=0.0):
     t_right, r_right = solve(-1)
     assert abs(t_left - t_right) < 1e-12
     return np.array([[t_right, r_left], [r_right, t_left]])
+
+
+def dense_t_matrix(ops, lam):
+    """The symmetrized n x n matrix T = G R0(lam + i0) G, rebuilt densely
+    from the stationary operators' node data."""
+    k = math.sqrt(lam)
+    gw = ops.g_diag * np.sqrt(ops.weights)
+    dist = np.abs(ops.nodes[:, None] - ops.nodes[None, :])
+    return gw[:, None] * (1j * np.exp(1j * k * dist) / (2.0 * k)) * gw[None, :]
 
 
 def pt_transmission(k):
@@ -210,21 +222,92 @@ class TestStationaryRoute:
 
     def test_singular_system_guard(self):
         from specdiff.errors import SingularOperatorError
-        from specdiff.scattering import _solve_with_condition
+        from specdiff.scattering import _condition_guard
         near_singular = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
+
+        def solve(b, adjoint):
+            return np.linalg.solve(
+                near_singular.conj().T if adjoint else near_singular, b)
+
         with pytest.raises(SingularOperatorError) as err:
-            _solve_with_condition(near_singular, np.eye(2, dtype=complex))
+            _condition_guard(solve, float(np.linalg.norm(near_singular, 1)), 2)
         assert err.value.cond > 1e12
 
     def test_energy_shell_identity(self):
         # Im T = pi Z* Z holds node by node for the symmetrized rule; this is
         # what makes the discrete S unitary regardless of quadrature quality.
-        _, ops = s_matrix_stationary(SquareWell(-2.0, 1.0), 1.3, n_nodes=150,
+        lam = 1.3
+        _, ops = s_matrix_stationary(SquareWell(-2.0, 1.0), lam, n_nodes=150,
                                      return_operators=True)
-        lhs = ops.t_matrix.imag
+        lhs = dense_t_matrix(ops, lam).imag
         rhs = math.pi * (ops.z_rows.conj().T @ ops.z_rows).real
         assert np.abs(lhs - rhs).max() <= 1e-14
         assert ops.condition_number < 1e3
+
+
+ORACLE_POTENTIALS = {
+    "square_well": SquareWell(-2.0, 1.0),
+    "poschl_teller": PoschlTeller(1),
+    "gaussian": GaussianBump(-1.0, 1.0),
+    "zero": GaussianBump(amplitude=0.0),
+    # not even, and its support leaves J = 0 on the nodes left of -0.3
+    "shifted_well": ShiftedWell(center=0.7),
+}
+
+
+class TestStationaryDenseOracle:
+    """The banded O(n) solve against I + T J built and solved densely on
+    the same nodes."""
+
+    @pytest.mark.parametrize("n", [64, 150])
+    @pytest.mark.parametrize("name", sorted(ORACLE_POTENTIALS))
+    def test_banded_solve_matches_dense_path(self, name, n):
+        pot = ORACLE_POTENTIALS[name]
+        for lam in (0.5, 2.0):
+            s, ops = s_matrix_stationary(pot, lam, n_nodes=n,
+                                         return_operators=True)
+            a = np.eye(n) + dense_t_matrix(ops, lam) * ops.j_diag[None, :]
+            y = np.linalg.solve(a, ops.z_rows.conj().T)
+            s_dense = np.eye(2) - 2j * math.pi * (ops.z_rows * ops.j_diag) @ y
+            assert np.abs(s.matrix - s_dense).max() <= 1e-12
+            exact = np.linalg.norm(a, 1) * np.linalg.norm(np.linalg.inv(a), 1)
+            assert exact / 10 <= ops.condition_number <= exact * (1 + 1e-12)
+            for f in fields(ops):
+                assert np.size(getattr(ops, f.name)) <= 2 * n
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 16, 200, 800])
+    def test_matches_numpy_leggauss(self, n):
+        from numpy.polynomial.legendre import leggauss
+        x, w = _gauss_legendre(n)
+        x_np, w_np = leggauss(n)
+        assert np.abs(x - x_np).max() <= 1e-15
+        # Relative to the largest weight: leggauss takes P_n' at the node
+        # before its Newton step, which leaves its edge weights 1.4e-9
+        # (relative) off at n = 800; test_edge_weights_against_mpmath holds
+        # ours to 1e-11 there.
+        assert np.abs(w - w_np).max() <= 1e-11 * w_np.max()
+
+    def test_edge_weights_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        n = 800
+        x, w = _gauss_legendre(n)
+        with mp.workdps(40):
+            for i in range(3):
+                root = mp.findroot(lambda t: mp.legendre(n, t), mp.mpf(x[i]))
+                exact = 2 * (1 - root ** 2) / (n * mp.legendre(n - 1, root)) ** 2
+                assert abs(x[i] - root) <= 1e-16
+                assert abs(w[i] / exact - 1) <= 1e-11
+
+    def test_large_rule_invariants(self):
+        x, w = _gauss_legendre(3200)
+        assert np.all(np.diff(x) > 0)
+        assert np.abs(x + x[::-1]).max() <= 1e-13
+        assert np.abs(w - w[::-1]).max() <= 1e-13
+        assert abs(w.sum() - 2.0) <= 1e-13
+        for m in range(21):
+            assert abs(w @ x ** (2 * m) - 2.0 / (2 * m + 1)) <= 1e-13
 
 
 class TestEigenphases:

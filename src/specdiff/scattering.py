@@ -43,9 +43,10 @@ a Hager-Higham estimate of the inverse's norm from the same band LU.
 Spectral shift.  The integer count -(#eig(H) < lam) + (#eig(H0) < lam) on a
 Dirichlet box equals -trace(D) exactly but carries O(1) truncation jitter.
 For the Birman-Krein comparison the staircases are interpolated linearly at
-midpoint convention (per parity sector when V is even; parity alternates
-exactly along the sorted spectrum), which removes the jitter and leaves an
-O(1/L)-smeared estimate of the spectral shift.
+midpoint convention (per parity sector when the sampled box is
+mirror-symmetric; parity alternates exactly along the sorted spectrum),
+which removes the jitter and leaves an O(1/L)-smeared estimate of the
+spectral shift.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .errors import ConvergenceError, DomainError, SingularOperatorError, StepSi
 from .schrodinger1d import (
     BoxDiscretization,
     Potential,
+    _mirror_sectors,
     check_level_clear,
     count_below,  # noqa: F401  (kept importable from this module by name)
     eigenvalues_by_index,
@@ -81,7 +83,6 @@ __all__ = [
     "spectral_shift_count",
     "smeared_spectral_shift",
     "birman_krein_value",
-    "birman_krein_check",
 ]
 
 UNITARITY_TOL_ODE = 1e-8
@@ -447,7 +448,8 @@ def _sector_interp(window: np.ndarray, first_index: int, n_below: int,
 def smeared_spectral_shift(potential: Potential, lam: float,
                            box: BoxDiscretization) -> float:
     """O(1/L)-smeared spectral shift from linearly interpolated counting
-    staircases (per parity sector for even potentials)."""
+    staircases (per parity sector when the sampled box is mirror-symmetric,
+    as ``schrodinger1d._mirror_sectors`` decides)."""
     diag, off = hamiltonian_tridiagonal(box, potential)
     j = check_level_clear(box, potential, lam, tridiagonal=(diag, off))
     ev0 = free_levels(box)
@@ -455,7 +457,7 @@ def smeared_spectral_shift(potential: Potential, lam: float,
     if j < 2 or j0 < 2 or j + 1 >= box.n or j0 + 1 >= box.n:
         raise DomainError("level too close to the edge of the box spectrum")
 
-    if potential.is_even():
+    if len(_mirror_sectors(diag, off)) == 2:
         window_h = eigenvalues_by_index(diag, off, j - 2, j + 1)
         n_h = _sector_interp(window_h, j - 2, j, lam)
         window_0 = ev0[j0 - 2: j0 + 2]
@@ -479,9 +481,3 @@ def birman_krein_value(potential: Potential, lam: float, box: BoxDiscretization,
     xi = smeared_spectral_shift(potential, lam, box)
     return -cmath.phase(s.det()) / (2.0 * math.pi) - xi
 
-
-def birman_krein_check(potential: Potential, lam: float, box: BoxDiscretization,
-                       s: ScatteringMatrix | None = None) -> float:
-    """Distance of the Birman-Krein combination to the nearest integer."""
-    val = birman_krein_value(potential, lam, box, s=s)
-    return abs(val - round(val))

@@ -8,17 +8,20 @@ algebra cross-checking the rank-reduced band-spectra path.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh_tridiagonal
 
+from specdiff import schrodinger1d
 from specdiff.errors import DomainError, LevelCollisionError
 from specdiff.schrodinger1d import (
     BoxDiscretization,
     GaussianBump,
     PoschlTeller,
     SquareWell,
+    _mirror_sectors,
     band_spectra,
     build_h,
     build_h0,
@@ -34,6 +37,8 @@ from specdiff.schrodinger1d import (
     spectral_projection,
     symmetry_pairing_report,
 )
+
+from potentials import ShiftedWell
 
 
 def dirichlet_spectrum(box):
@@ -134,11 +139,16 @@ class TestHamiltonians:
         got = count_below(diag, off, -1e-9)
         assert got == square_well_bound_count(depth, half_width)
 
-    def test_potential_decay_constants(self):
-        assert SquareWell(-2.0, 1.0).decay_constant() <= 2.0 * 4.0
-        assert PoschlTeller(1).decay_constant(rho=3.0) < math.inf
-        with pytest.raises(DomainError):
-            GaussianBump().decay_constant(rho=0.5)
+    def test_poschl_teller_samples_large_box_silently(self):
+        # cosh(x)^2 overflows beyond |x| ~ 355; the sample there is exactly 0
+        box = BoxDiscretization.from_spacing(400.0, 0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = PoschlTeller(1)(box.grid)
+        with np.errstate(over="ignore"):
+            want = -2.0 / np.cosh(box.grid) ** 2
+        assert np.array_equal(got, want)
+        assert got[0] == got[-1] == 0.0
 
 
 class TestEigendecompose:
@@ -308,18 +318,25 @@ class TestTridiagonalPath:
         assert np.abs(u.T @ u - np.eye(7)).max() <= 1e-12
 
     # One box per case of the index j = rank P - rank P0, plus P = P0
-    # (every principal angle zero), rank P0 = 0, and rank P = rank P0 = 0.
-    @pytest.mark.parametrize("potential, lam, index", [
-        (SquareWell(-2.0, 1.0), 1.0, 1),
-        (SquareWell(2.0, 1.0), 1.0, -1),
-        (SquareWell(2.0, 1.0), 3.0, 0),
-        (GaussianBump(amplitude=0.0), 1.0, 0),
-        (SquareWell(-2.0, 1.0), 0.01, 1),
-        (SquareWell(2.0, 1.0), 0.01, 0),
+    # (every principal angle zero), rank P0 = 0, and rank P = rank P0 = 0;
+    # then one box per shape of the sector split: no mirror symmetry (one
+    # sector), even n (no centre node), and a diagonal that is mirror
+    # symmetric only to 1 ulp.
+    @pytest.mark.parametrize("potential, lam, index, half_length, h", [
+        (SquareWell(-2.0, 1.0), 1.0, 1, 6.0, 0.02),
+        (SquareWell(2.0, 1.0), 1.0, -1, 6.0, 0.02),
+        (SquareWell(2.0, 1.0), 3.0, 0, 6.0, 0.02),
+        (GaussianBump(amplitude=0.0), 1.0, 0, 6.0, 0.02),
+        (SquareWell(-2.0, 1.0), 0.01, 1, 6.0, 0.02),
+        (SquareWell(2.0, 1.0), 0.01, 0, 6.0, 0.02),
+        (ShiftedWell(center=0.7), 1.0, 1, 6.0, 0.02),
+        (SquareWell(-2.0, 1.0), 1.0, 1, 6.01, 0.02),
+        (PoschlTeller(1), 1.0, 0, 8.0, 0.05),
     ], ids=["j_plus", "j_minus", "j_zero", "p_equals_p0", "rank_p0_zero",
-            "both_ranks_zero"])
-    def test_band_spectra_matches_dense_path(self, potential, lam, index):
-        box = BoxDiscretization.from_spacing(6.0, 0.02)
+            "both_ranks_zero", "one_sector", "even_n", "ulp_mirror"])
+    def test_band_spectra_matches_dense_path(self, potential, lam, index,
+                                             half_length, h):
+        box = BoxDiscretization.from_spacing(half_length, h)
         spectra = band_spectra(box, potential, lam)
 
         eig0 = eigendecompose(build_h0(box))
@@ -339,9 +356,63 @@ class TestTridiagonalPath:
         assert spectra.trace_d == round(np.trace(p - p0)) == index
         assert abs(spectra.d_full.sum() - spectra.trace_d) <= 1e-10
 
+    @pytest.mark.parametrize("potential", [SquareWell(-2.0, 1.0),
+                                           PoschlTeller(1),
+                                           GaussianBump(-1.0, 1.0)],
+                             ids=["square_well", "poschl_teller", "gaussian"])
+    def test_two_sectors_match_one_sector(self, potential, monkeypatch):
+        box = BoxDiscretization.from_spacing(50.0, 0.02)
+        split = band_spectra(box, potential, 1.0)
+        monkeypatch.setattr(
+            schrodinger1d, "_mirror_sectors",
+            lambda diag, off: [schrodinger1d._Sector(diag, off, 1,
+                                                     np.ones(diag.size))])
+        whole = band_spectra(box, potential, 1.0)
+        assert (split.rank_p, split.rank_p0, split.zero_multiplicity) == \
+            (whole.rank_p, whole.rank_p0, whole.zero_multiplicity)
+        for a, b in ((split.d_nonzero, whole.d_nonzero),
+                     (split.m_plus, whole.m_plus),
+                     (split.m_minus, whole.m_minus)):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-11
+
     def test_interior_pairing_on_benchmark_box(self):
         box = BoxDiscretization.from_spacing(100.0, 0.05)
         spectra = band_spectra(box, SquareWell(-2.0, 1.0), 1.0)
         rep = symmetry_pairing_report(spectra.d_full, 0.05)
         assert rep.unpaired.size == 0
         assert rep.max_pair_error <= 1e-8
+
+
+class TestMirrorSectors:
+    @pytest.mark.parametrize("potential", [SquareWell(-2.0, 1.0),
+                                           PoschlTeller(1),
+                                           GaussianBump(-1.0, 1.0)],
+                             ids=["square_well", "poschl_teller", "gaussian"])
+    @pytest.mark.parametrize("half_length, h", [(8.0, 0.05), (6.01, 0.02),
+                                                (400.0, 0.05)])
+    def test_even_potentials_split(self, potential, half_length, h):
+        box = BoxDiscretization.from_spacing(half_length, h)
+        diag, off = hamiltonian_tridiagonal(box, potential)
+        sectors = _mirror_sectors(diag, off)
+        assert len(sectors) == 2
+        assert sum(s.diag.size for s in sectors) == box.n
+
+    def test_asymmetric_boxes_stay_whole(self):
+        box = BoxDiscretization.from_spacing(8.0, 0.05)
+        diag, off = hamiltonian_tridiagonal(box, ShiftedWell(center=0.7))
+        assert len(_mirror_sectors(diag, off)) == 1
+        diag, off = hamiltonian_tridiagonal(box, SquareWell(-2.0, 1.0))
+        diag[37] += 1e-6
+        assert len(_mirror_sectors(diag, off)) == 1
+
+    @pytest.mark.parametrize("n", [99, 100])
+    def test_sector_spectra_are_the_box_spectrum(self, n):
+        box = BoxDiscretization(5.0, n)
+        diag, off = hamiltonian_tridiagonal(box, SquareWell(-2.0, 1.0))
+        sectors = _mirror_sectors(diag, off)
+        assert [s.first_mode for s in sectors] == [1, 2]
+        union = np.sort(np.concatenate([eigvalsh_tridiagonal(s.diag, s.off)
+                                        for s in sectors]))
+        want = eigvalsh_tridiagonal(diag, off)
+        assert np.abs(union - want).max() <= 1e-12 * np.abs(want).max()

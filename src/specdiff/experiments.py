@@ -715,13 +715,20 @@ def run_birman_krein(config: ExperimentConfig, jobs: int = 1) -> ExperimentRepor
     box = schrodinger1d.BoxDiscretization(L, n)
     lams = [float(x) for x in config.lambda_grid]
 
+    # One window of box levels serves every energy, up to three nudges
+    # above the top one.
+    top = max(lams)
+    for _ in range(3):
+        top = _nudge_level(box, top)
+    levels = schrodinger1d.box_levels(box, pot, min(lams), top)
     nudges = [dict() for _ in lams]
 
     def one(pair):
         lam, note = pair
         def attempt(level):
             s = scattering.s_matrix_ode(pot, level)
-            return scattering.birman_krein_value(pot, level, box, s=s)
+            return scattering.birman_krein_value(pot, level, box, s=s,
+                                                 levels=levels)
         return _with_level_nudge(attempt, box, lam, note)
 
     vals = _run_cases(one, zip(lams, nudges), jobs, report.per_case_seconds)

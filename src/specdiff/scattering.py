@@ -15,7 +15,10 @@ V = 0 gives S = I.
 Route 1 (``OdeMatch``): integrate -u'' + V u = lam u across the support with
 a fixed-step RK4 scheme, once per incoming direction, and match to plane
 waves.  Integration is segmented at the potential's jump points so the
-integrator never steps across a discontinuity.
+integrator never steps across a discontinuity.  The equation is linear with
+real coefficients, so each RK4 step is a real 2x2 transfer matrix; the
+steps of a segment are built at once and multiplied pairwise, and the
+product of the segments acts once on the complex (u, u').
 
 Route 2 (``Stationary``): the on-shell formula
 
@@ -43,10 +46,11 @@ a Hager-Higham estimate of the inverse's norm from the same band LU.
 Spectral shift.  The integer count -(#eig(H) < lam) + (#eig(H0) < lam) on a
 Dirichlet box equals -trace(D) exactly but carries O(1) truncation jitter.
 For the Birman-Krein comparison the staircases are interpolated linearly at
-midpoint convention (per parity sector when the sampled box is
-mirror-symmetric; parity alternates exactly along the sorted spectrum),
-which removes the jitter and leaves an O(1/L)-smeared estimate of the
-spectral shift.
+midpoint convention, one staircase per parity sector of the box (a box that
+is not mirror-symmetric is one sector), which removes the jitter and leaves
+an O(1/L)-smeared estimate of the spectral shift.  The staircases are read
+from ``schrodinger1d.box_levels``: one window of eigenvalues per sector,
+which a campaign computes once for all its energies.
 """
 
 from __future__ import annotations
@@ -63,13 +67,10 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 from .errors import ConvergenceError, DomainError, SingularOperatorError, StepSizeError
 from .schrodinger1d import (
     BoxDiscretization,
+    BoxLevels,
     Potential,
-    _mirror_sectors,
-    check_level_clear,
+    box_levels,
     count_below,  # noqa: F401  (kept importable from this module by name)
-    eigenvalues_by_index,
-    free_levels,
-    hamiltonian_tridiagonal,
 )
 
 __all__ = [
@@ -137,12 +138,17 @@ class StationaryOperators:
     condition_number: float
 
 
-def _rk4_segment(potential, lam: float, x0: float, x1: float, step: float,
-                 u: complex, du: complex):
-    """RK4 for (u, u') with u'' = (V - lam) u across one smooth segment.
+def _rk4_segment(potential, lam: float, x0: float, x1: float,
+                 step: float) -> np.ndarray:
+    """Real 2x2 propagator of (u, u') under RK4 for u'' = (V - lam) u across
+    one smooth segment.
 
-    Stage points are clamped a hair inside the segment so that one-sided
-    values are used at jump locations sitting on segment ends.
+    The equation is linear with real coefficients, so each step is a real
+    2x2 map M_i: the RK4 stages, applied to the basis columns (1, 0) and
+    (0, 1) for all steps at once, give its columns.  The maps are then
+    multiplied pairwise, M_{N-1} ... M_1 M_0 in log2(N) rounds.  Stage
+    points are clamped a hair inside the segment so that one-sided values
+    are used at jump locations sitting on segment ends.
     """
     length = abs(x1 - x0)
     nsteps = max(1, math.ceil(length / step))
@@ -150,11 +156,12 @@ def _rk4_segment(potential, lam: float, x0: float, x1: float, step: float,
     lo, hi = min(x0, x1), max(x0, x1)
     eps = 1e-12 * length
     xs = x0 + h * np.arange(nsteps)
-    v_a = np.asarray(potential(np.clip(xs, lo + eps, hi - eps)), dtype=float)
-    v_m = np.asarray(potential(np.clip(xs + h / 2, lo + eps, hi - eps)), dtype=float)
-    v_b = np.asarray(potential(np.clip(xs + h, lo + eps, hi - eps)), dtype=float)
-    for i in range(nsteps):
-        ca, cm, cb = v_a[i] - lam, v_m[i] - lam, v_b[i] - lam
+
+    def coefficient(x):
+        return np.asarray(potential(np.clip(x, lo + eps, hi - eps)), dtype=float) - lam
+    ca, cm, cb = coefficient(xs), coefficient(xs + h / 2), coefficient(xs + h)
+
+    def rk4_step(u, du):
         k1u, k1d = du, ca * u
         k2u = du + 0.5 * h * k1d
         k2d = cm * (u + 0.5 * h * k1u)
@@ -162,19 +169,30 @@ def _rk4_segment(potential, lam: float, x0: float, x1: float, step: float,
         k3d = cm * (u + 0.5 * h * k2u)
         k4u = du + h * k3d
         k4d = cb * (u + h * k3u)
-        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        du = du + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
-    return u, du
+        return (u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u),
+                du + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d))
+
+    one, zero = np.ones(nsteps), np.zeros(nsteps)
+    maps = np.empty((nsteps, 2, 2))
+    maps[:, 0, 0], maps[:, 1, 0] = rk4_step(one, zero)
+    maps[:, 0, 1], maps[:, 1, 1] = rk4_step(zero, one)
+    while len(maps) > 1:
+        pairs = maps[1::2] @ maps[:-1:2]
+        maps = np.concatenate([pairs, maps[-1:]]) if len(maps) % 2 else pairs
+    return maps[0]
 
 
 def _integrate(potential, lam: float, x_from: float, x_to: float, step: float,
                u: complex, du: complex):
+    """(u, u') at x_to from its value at x_from: the product of the segment
+    propagators between the potential's jump points, applied once."""
     lo, hi = min(x_from, x_to), max(x_from, x_to)
     inner = [b for b in potential.breakpoints() if lo < b < hi]
     points = [x_from] + sorted(inner, reverse=x_from > x_to) + [x_to]
+    m = np.eye(2)
     for a, b in zip(points[:-1], points[1:]):
-        u, du = _rk4_segment(potential, lam, a, b, step, u, du)
-    return u, du
+        m = _rk4_segment(potential, lam, a, b, step) @ m
+    return m[0, 0] * u + m[0, 1] * du, m[1, 0] * u + m[1, 1] * du
 
 
 def s_matrix_ode(potential: Potential, lam: float, x_max: float | None = None,
@@ -416,8 +434,8 @@ def spectral_shift_count(potential: Potential, lam: float,
                          box: BoxDiscretization) -> int:
     """Integer spectral-shift estimate -(#eig(H) < lam) + (#eig(H0) < lam);
     equals -trace(D) for the same box by construction."""
-    j = check_level_clear(box, potential, lam)
-    return -(j - int(np.sum(free_levels(box) < lam)))
+    levels = box_levels(box, potential, lam, lam)
+    return -sum(h[0] - h0[0] for h, h0 in levels.at(lam))
 
 
 def _interp_count(levels_below: int, e_lo: float, e_hi: float, lam: float) -> float:
@@ -426,58 +444,35 @@ def _interp_count(levels_below: int, e_lo: float, e_hi: float, lam: float) -> fl
     return (levels_below - 0.5) + (lam - e_lo) / (e_hi - e_lo)
 
 
-def _sector_interp(window: np.ndarray, first_index: int, n_below: int,
-                   lam: float) -> float:
-    """Sum of per-parity interpolated staircases; ``window`` holds the
-    eigenvalues with 0-based indices first_index..first_index+len-1 around
-    the level, and parity alternates with the index (even index = even
-    eigenfunction)."""
-    total = 0.0
-    for parity in (0, 1):
-        below = [e for i, e in enumerate(window, start=first_index)
-                 if i % 2 == parity and e < lam]
-        above = [e for i, e in enumerate(window, start=first_index)
-                 if i % 2 == parity and e >= lam]
-        if not below or not above:
-            raise DomainError("sector interpolation window does not bracket the level")
-        count = (n_below + 1) // 2 if parity == 0 else n_below // 2
-        total += _interp_count(count, below[-1], above[0], lam)
-    return total
-
-
 def smeared_spectral_shift(potential: Potential, lam: float,
-                           box: BoxDiscretization) -> float:
+                           box: BoxDiscretization,
+                           levels: BoxLevels | None = None) -> float:
     """O(1/L)-smeared spectral shift from linearly interpolated counting
-    staircases (per parity sector when the sampled box is mirror-symmetric,
-    as ``schrodinger1d._mirror_sectors`` decides)."""
-    diag, off = hamiltonian_tridiagonal(box, potential)
-    j = check_level_clear(box, potential, lam, tridiagonal=(diag, off))
-    ev0 = free_levels(box)
-    j0 = int(np.sum(ev0 < lam))
-    if j < 2 or j0 < 2 or j + 1 >= box.n or j0 + 1 >= box.n:
-        raise DomainError("level too close to the edge of the box spectrum")
+    staircases, one per parity sector of the box (``box_levels``).
 
-    if len(_mirror_sectors(diag, off)) == 2:
-        window_h = eigenvalues_by_index(diag, off, j - 2, j + 1)
-        n_h = _sector_interp(window_h, j - 2, j, lam)
-        window_0 = ev0[j0 - 2: j0 + 2]
-        n_0 = _sector_interp(window_0, j0 - 2, j0, lam)
-    else:
-        e_h = eigenvalues_by_index(diag, off, j - 1, j)
-        n_h = _interp_count(j, e_h[0], e_h[1], lam)
-        n_0 = _interp_count(j0, ev0[j0 - 1], ev0[j0], lam)
+    ``levels`` are ``box_levels(box, potential, lo, hi)`` for a window
+    holding lam; without them the window [lam, lam] is computed.
+    """
+    if levels is None:
+        levels = box_levels(box, potential, lam, lam)
+    n_h = n_0 = 0.0
+    for h, h0 in levels.at(lam):
+        if not all(map(math.isfinite, h + h0)):
+            raise DomainError("level too close to the edge of the box spectrum")
+        n_h += _interp_count(*h, lam)
+        n_0 += _interp_count(*h0, lam)
     return -(n_h - n_0)
 
 
 def birman_krein_value(potential: Potential, lam: float, box: BoxDiscretization,
-                       s: ScatteringMatrix | None = None) -> float:
+                       s: ScatteringMatrix | None = None,
+                       levels: BoxLevels | None = None) -> float:
     """-arg det S(lam) / (2 pi) minus the smeared box spectral shift.
 
     Modulo 1 this must vanish; its distance to the nearest integer is the
-    Birman-Krein residual.
+    Birman-Krein residual.  ``s`` and ``levels`` are computed when not given.
     """
     if s is None:
         s = s_matrix_ode(potential, lam)
-    xi = smeared_spectral_shift(potential, lam, box)
+    xi = smeared_spectral_shift(potential, lam, box, levels)
     return -cmath.phase(s.det()) / (2.0 * math.pi) - xi
-

@@ -12,10 +12,11 @@ Two computational paths coexist:
   ``spectral_projection`` ...) that materializes n x n matrices and is the
   reference implementation for desk-scale boxes, and
 * a tridiagonal path (``hamiltonian_tridiagonal``, ``count_below``,
-  ``band_spectra``) that never forms an n x n matrix.  It reads the spectra
-  of D = P - P0, M+ = (I-P0) P (I-P0) and M- = P0 (I-P) P0 off the principal
-  angles theta between ran P and ran P0 and the index j = rank P - rank P0
-  (Halmos, "Two subspaces", Trans. AMS 144, 1969): up to zeros,
+  ``box_levels``, ``band_spectra``) that never forms an n x n matrix.  It
+  reads the spectra of D = P - P0, M+ = (I-P0) P (I-P0) and
+  M- = P0 (I-P) P0 off the principal angles theta between ran P and ran P0
+  and the index j = rank P - rank P0 (Halmos, "Two subspaces", Trans. AMS
+  144, 1969): up to zeros,
   D ~ +-sin theta + sign(j) 1_{|j|} and M+- ~ sin^2 theta + 1_{|j|}, the
   index part in M+ for j > 0 and in M- for j < 0.  The sines come from
   singular values, accurate at small angles where sqrt(1 - cos^2) cancels
@@ -29,7 +30,9 @@ even and an odd block; the principal angles of the pair are the union of
 the angles in each block and the index j is the sum of the blocks' indices.
 Each block has half of n and about half of rank P, which cuts the O(n k^2)
 cost of the eigenvectors and of the two sine SVDs about fourfold.  A box
-that fails the test stays one block on the same code path.
+that fails the test stays one block on the same code path.  ``box_levels``
+counts in the same blocks: one eigenvalue window per block serves every
+energy of a range.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ __all__ = [
     "free_levels",
     "free_vectors",
     "count_below",
+    "BoxLevels",
+    "box_levels",
     "check_level_clear",
     "eigenpairs_below",
     "band_spectra",
@@ -442,29 +447,6 @@ class BandSpectra:
         return self.rank_p - self.rank_p0
 
 
-def check_level_clear(box: BoxDiscretization, potential: Potential | None,
-                      fermi_level: float, rel_gap: float = 1e-9,
-                      tridiagonal=None) -> int:
-    """Reject a Fermi level sitting within rel_gap of either box spectrum
-    (relative to the spectral scale); counting would be ambiguous there.
-
-    Returns the Sturm count #eig(H) < fermi_level.  ``tridiagonal`` is the
-    (diagonal, off-diagonal) pair of H when the caller already holds it.
-    """
-    diag, off = tridiagonal or hamiltonian_tridiagonal(box, potential)
-    ev0 = free_levels(box)
-    j = count_below(diag, off, fermi_level)
-    nearest = eigenvalues_by_index(diag, off, max(j - 1, 0),
-                                   min(j, box.n - 1))
-    dist = min(float(np.abs(nearest - fermi_level).min()),
-               float(np.abs(ev0 - fermi_level).min()))
-    if dist < rel_gap * float(ev0[-1]):
-        raise LevelCollisionError(
-            f"level collision: lambda={fermi_level} is within {dist:.3e} of a "
-            "box eigenvalue; nudge lambda by half the local spacing")
-    return j
-
-
 class _Sector(NamedTuple):
     """One reflection block of a tridiagonal on n nodes, in the orthonormal
     basis (e_i +- e_{n-1-i})/sqrt(2), i < n//2, plus e_centre for odd n.
@@ -514,6 +496,101 @@ def _mirror_sectors(diag: np.ndarray, off: np.ndarray) -> list[_Sector]:
             _Sector(odd_diag, off[:m - 1], 2, weight)]
 
 
+class _SectorLevels(NamedTuple):
+    """The levels of one parity sector that a window needs: the H
+    eigenvalues with sector indices first, first + 1, ..., and all the
+    sector's closed-form H0 levels."""
+
+    first: int
+    values: np.ndarray
+    free: np.ndarray
+
+
+def _neighbours(values: np.ndarray, first: int, lam: float):
+    """(#levels below lam, the nearest level below it, the nearest at or
+    above it) for ascending ``values`` whose first has index ``first``;
+    -inf and +inf stand where the spectrum ends."""
+    i = int(np.searchsorted(values, lam))
+    below = float(values[i - 1]) if i else -math.inf
+    above = float(values[i]) if i < values.size else math.inf
+    return first + i, below, above
+
+
+@dataclass(frozen=True)
+class BoxLevels:
+    """The box levels that counting needs at every energy in [lo, hi], per
+    parity sector (see ``box_levels``); ``scale`` is the top free level,
+    the spectral scale of the level guard."""
+
+    lo: float
+    hi: float
+    scale: float
+    sectors: tuple
+
+    def at(self, lam: float, rel_gap: float = 1e-9) -> list:
+        """Per sector, the ``_neighbours`` triples of H and of H0 at lam.
+
+        Raises DomainError outside [lo, hi], where the window could miscount,
+        and LevelCollisionError within rel_gap * scale of a level of either
+        box spectrum, where counting would be ambiguous.
+        """
+        if not self.lo <= lam <= self.hi:
+            raise DomainError(f"level {lam} lies outside the window "
+                              f"[{self.lo}, {self.hi}] of the box levels")
+        out = [(_neighbours(s.values, s.first, lam), _neighbours(s.free, 0, lam))
+               for s in self.sectors]
+        dist = min(abs(x - lam) for h, h0 in out for x in h[1:] + h0[1:])
+        if dist < rel_gap * self.scale:
+            raise LevelCollisionError(
+                f"level collision: lambda={lam} is within {dist:.3e} of a "
+                "box eigenvalue; nudge lambda by half the local spacing")
+        return out
+
+    def count(self, lam: float, rel_gap: float = 1e-9) -> int:
+        """The Sturm count #eig(H) < lam, after the level guard."""
+        return sum(h[0] for h, _ in self.at(lam, rel_gap))
+
+
+def box_levels(box: BoxDiscretization, potential: Potential | None,
+               lo: float, hi: float) -> BoxLevels:
+    """The levels of H and H0 that counting at any energy in [lo, hi] needs,
+    from one eigenvalue window per parity sector.
+
+    Per sector of ``_mirror_sectors`` (a box that is not mirror-symmetric is
+    one sector), the Sturm counts a = #eig < lo and b = #eig < hi pick the
+    indices a-1..b: the last eigenvalue below lo to the first at or above
+    hi, computed by one bisection.  The sector's H0 levels are its free
+    modes in closed form.  A sector may end inside the window; its
+    neighbours there are infinite.
+    """
+    if not lo <= hi:
+        raise DomainError(f"empty level window [{lo}, {hi}]")
+    diag, off = hamiltonian_tridiagonal(box, potential)
+    free = free_levels(box)
+    sectors = _mirror_sectors(diag, off)
+    levels = []
+    for sector in sectors:
+        a = count_below(sector.diag, sector.off, lo)
+        b = a if hi == lo else count_below(sector.diag, sector.off, hi)
+        first = max(a - 1, 0)
+        levels.append(_SectorLevels(
+            first, eigenvalues_by_index(sector.diag, sector.off, first, b),
+            free[sector.first_mode - 1::len(sectors)]))
+    return BoxLevels(lo, hi, float(free[-1]), tuple(levels))
+
+
+def check_level_clear(box: BoxDiscretization, potential: Potential | None,
+                      fermi_level: float, rel_gap: float = 1e-9) -> int:
+    """Reject a Fermi level sitting within rel_gap of either box spectrum
+    (relative to the spectral scale); counting would be ambiguous there.
+
+    Returns the Sturm count #eig(H) < fermi_level.  This is the lo = hi
+    case of ``box_levels``.
+    """
+    return box_levels(box, potential, fermi_level, fermi_level).count(
+        fermi_level, rel_gap)
+
+
 def band_spectra(box: BoxDiscretization, potential: Potential,
                  fermi_level: float) -> BandSpectra:
     """Spectra of D(lambda), M+, M- without forming any n x n matrix.
@@ -528,10 +605,10 @@ def band_spectra(box: BoxDiscretization, potential: Potential,
     the size: the reflection commutes with H and H0, so P, P0 and D are
     block diagonal, the principal angles are the union of the sectors'
     angles, and the ranks and the index add.  The odd free modes k are
-    even, the even ones odd.  The level guard runs on the full box.
+    even, the even ones odd.  The level guard reads the same sectors.
     """
+    check_level_clear(box, potential, fermi_level)
     diag, off = hamiltonian_tridiagonal(box, potential)
-    check_level_clear(box, potential, fermi_level, tridiagonal=(diag, off))
     r0 = int(np.sum(free_levels(box) < fermi_level))
     sectors = _mirror_sectors(diag, off)
     r, s_plus, s_minus = 0, [], []

@@ -10,6 +10,10 @@ the band edge is pinned at +-1 by the index rank P - rank P0
 (Avron-Seiler-Simon), and that the four specified verdicts are present.
 See README for the measured band edges.
 
+Criteria 1-4, 7-9 and 10 share one module-scoped report store, as
+``run_all`` shares one: each campaign runs once for them, and criterion 10
+compares that store's reports with one fresh run of every campaign.
+
 The tests after those count the campaign runs ``run_all`` makes, with a
 stand-in ``run_experiment``: one run per campaign for the criteria that
 judge it, plus one fresh run per campaign for criterion 10.
@@ -25,34 +29,39 @@ from specdiff.experiments import CAMPAIGNS, ExperimentReport
 SEED = 20240811
 
 
-def _run(criterion_fn):
-    result = criterion_fn(seed=SEED)
+@pytest.fixture(scope="module")
+def reports():
+    return acceptance._Reports(SEED)
+
+
+def _run(criterion_fn, reports=None):
+    result = criterion_fn(seed=SEED, reports=reports)
     mark = "PASS" if result.passed else "FAIL"
     print(f"[{mark}] criterion {result.index}: {result.title} "
           f"({result.elapsed:.1f}s): {result.detail}")
     return result
 
 
-def test_criterion_01_conical_seam_consistency():
-    result = _run(acceptance.criterion_1)
+def test_criterion_01_conical_seam_consistency(reports):
+    result = _run(acceptance.criterion_1, reports)
     assert result.elapsed < 5.0
     assert result.passed, result.detail
 
 
-def test_criterion_02_conical_bound_audit():
-    result = _run(acceptance.criterion_2)
+def test_criterion_02_conical_bound_audit(reports):
+    result = _run(acceptance.criterion_2, reports)
     assert result.elapsed < 10.0
     assert result.passed, result.detail
 
 
-def test_criterion_03_half_carleman_spectrum():
-    result = _run(acceptance.criterion_3)
+def test_criterion_03_half_carleman_spectrum(reports):
+    result = _run(acceptance.criterion_3, reports)
     assert result.elapsed < 10.0
     assert result.passed, result.detail
 
 
-def test_criterion_04_mehler_eigenfunction_residual():
-    result = _run(acceptance.criterion_4)
+def test_criterion_04_mehler_eigenfunction_residual(reports):
+    result = _run(acceptance.criterion_4, reports)
     assert result.elapsed < 30.0
     assert result.passed, result.detail
 
@@ -69,14 +78,14 @@ def test_criterion_06_scattering_two_routes():
     assert result.passed, result.detail
 
 
-def test_criterion_07_birman_krein():
-    result = _run(acceptance.criterion_7)
+def test_criterion_07_birman_krein(reports):
+    result = _run(acceptance.criterion_7, reports)
     assert result.elapsed < 300.0
     assert result.passed, result.detail
 
 
-def test_criterion_08_band_filling():
-    result = _run(acceptance.criterion_8)
+def test_criterion_08_band_filling(reports):
+    result = _run(acceptance.criterion_8, reports)
     assert result.elapsed < 600.0
     verdicts = {v["name"]: v for v in result.verdicts}
     # What a finite box promises: every eigenvalue beyond the band edge is
@@ -88,14 +97,14 @@ def test_criterion_08_band_filling():
             "m_pm_top_deficit"} <= set(verdicts)
 
 
-def test_criterion_09_model_operator():
-    result = _run(acceptance.criterion_9)
+def test_criterion_09_model_operator(reports):
+    result = _run(acceptance.criterion_9, reports)
     assert result.elapsed < 10.0
     assert result.passed, result.detail
 
 
-def test_criterion_10_report_determinism():
-    result = _run(acceptance.criterion_10)
+def test_criterion_10_report_determinism(reports):
+    result = _run(acceptance.criterion_10, reports)
     assert result.passed, result.detail
 
 

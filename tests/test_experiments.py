@@ -438,6 +438,26 @@ class TestBirmanKreinCampaign:
         assert rec["lambda_effective"] != rec["lambda"]
         assert rec["residual"] <= 1e-9
 
+    def test_top_energy_on_a_free_level_is_nudged_inside_the_window(self):
+        # The campaign's one window of box levels must hold the nudged top
+        # energy; the value there is the single-energy one.
+        from specdiff.scattering import birman_krein_value
+        from specdiff.schrodinger1d import SquareWell, free_levels
+        box = BoxDiscretization(40.0, 3999)
+        levels = free_levels(box)
+        top = float(levels[np.searchsorted(levels, 1.2)])
+        cfg = config_from_dict({
+            "experiment": "BirmanKrein",
+            "lambda_grid": [0.6, 0.9, top],
+            "box_sequence": [[40, 3999]],
+        })
+        rec = run_birman_krein(cfg).records[-1]
+        assert rec["lambda"] == top
+        assert top < rec["lambda_effective"] < levels[levels > top][0]
+        want = birman_krein_value(SquareWell(-2.0, 1.0),
+                                  rec["lambda_effective"], box)
+        assert abs(rec["bk_value"] - want) <= 1e-9
+
 
 class TestLevelNudge:
     """Only the typed level collision is nudged; the message text of an

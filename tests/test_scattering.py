@@ -5,8 +5,9 @@ plane-wave matching system (independent of both library routes), the
 closed-form reflectionless transmission (k+i)/(k-i) of the unit
 Poschl-Teller well, the analytic first Born term, the dense n x n
 stationary system for the banded solve, numpy's ``leggauss`` and mpmath for
-the Gauss-Legendre rule, and eigenvalue counting against the closed-form
-free spectrum.
+the Gauss-Legendre rule, eigenvalue counting against the closed-form
+free spectrum, the scalar RK4 step loop for the propagator product, and
+the full-box spectrum with parity alternation for windowed counting.
 """
 
 import cmath
@@ -15,11 +16,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
+from specdiff import scattering
 from specdiff.errors import DomainError, LevelCollisionError
 from specdiff.scattering import (
     Method,
     _gauss_legendre,
+    _rk4_segment,
     birman_krein_value,
     eigenphases,
     s_matrix_ode,
@@ -32,6 +36,10 @@ from specdiff.schrodinger1d import (
     GaussianBump,
     PoschlTeller,
     SquareWell,
+    _mirror_sectors,
+    box_levels,
+    free_levels,
+    hamiltonian_tridiagonal,
 )
 
 from potentials import ShiftedWell
@@ -131,6 +139,71 @@ class TestOdeRoute:
         with pytest.raises(StepSizeError) as err:
             s_matrix_ode(SquareWell(-2.0, 1.0), 1.0, step=0.5)
         assert err.value.suggested_step == pytest.approx(0.25)
+
+
+def rk4_loop(potential, lam, x0, x1, step, u, du):
+    """(u, u') at x1 from its value at x0, one RK4 step at a time: the
+    scalar step loop, the oracle of the propagator product."""
+    length = abs(x1 - x0)
+    nsteps = max(1, math.ceil(length / step))
+    h = (x1 - x0) / nsteps
+    lo, hi = min(x0, x1), max(x0, x1)
+    eps = 1e-12 * length
+    xs = x0 + h * np.arange(nsteps)
+    v_a = np.asarray(potential(np.clip(xs, lo + eps, hi - eps)), dtype=float)
+    v_m = np.asarray(potential(np.clip(xs + h / 2, lo + eps, hi - eps)), dtype=float)
+    v_b = np.asarray(potential(np.clip(xs + h, lo + eps, hi - eps)), dtype=float)
+    for i in range(nsteps):
+        ca, cm, cb = v_a[i] - lam, v_m[i] - lam, v_b[i] - lam
+        k1u, k1d = du, ca * u
+        k2u = du + 0.5 * h * k1d
+        k2d = cm * (u + 0.5 * h * k1u)
+        k3u = du + 0.5 * h * k2d
+        k3d = cm * (u + 0.5 * h * k2u)
+        k4u = du + h * k3d
+        k4d = cb * (u + h * k3u)
+        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+        du = du + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
+    return u, du
+
+
+def integrate_loop(potential, lam, x_from, x_to, step, u, du):
+    lo, hi = min(x_from, x_to), max(x_from, x_to)
+    inner = [b for b in potential.breakpoints() if lo < b < hi]
+    points = [x_from] + sorted(inner, reverse=x_from > x_to) + [x_to]
+    for a, b in zip(points[:-1], points[1:]):
+        u, du = rk4_loop(potential, lam, a, b, step, u, du)
+    return u, du
+
+
+class TestRk4Product:
+    """The propagator product against the scalar RK4 step loop."""
+
+    @pytest.mark.parametrize("potential, lam", [
+        (SquareWell(-2.0, 1.0), 1.0),
+        (ShiftedWell(center=0.7), 1.3),
+        (PoschlTeller(1), 0.8),
+        (GaussianBump(), 1.5),
+        # A barrier above the energy: solutions grow and decay under it.
+        (GaussianBump(amplitude=1.0), 0.5),
+    ], ids=["square_well", "shifted_well", "poschl_teller", "gaussian",
+            "barrier"])
+    def test_s_matrix_matches_step_loop(self, monkeypatch, potential, lam):
+        got = s_matrix_ode(potential, lam)
+        monkeypatch.setattr(scattering, "_integrate", integrate_loop)
+        want = s_matrix_ode(potential, lam)
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-13
+        # |S*S - I| moves by at most about 2 |dS|.
+        assert abs(got.unitarity_defect - want.unitarity_defect) <= 4e-13
+
+    @pytest.mark.parametrize("x1", [0.004, -0.004, 0.021, 0.037])
+    def test_short_segments_match_step_loop(self, x1):
+        # 0.004 is shorter than one step (N = 1); 0.021 and 0.037 take
+        # N = 3 and 4, an odd and an even product.
+        barrier, y = GaussianBump(amplitude=1.0), (0.3 + 0.2j, -1.1j)
+        m = _rk4_segment(barrier, 0.5, 0.0, x1, 0.01)
+        want = rk4_loop(barrier, 0.5, 0.0, x1, 0.01, *y)
+        assert np.abs(m @ np.array(y) - np.array(want)).max() <= 1e-15
 
 
 class TestStationaryRoute:
@@ -389,13 +462,72 @@ class TestSpectralShift:
             assert abs(diff - round(diff)) <= 0.05
 
     def test_level_collision_guard(self):
-        from specdiff.schrodinger1d import free_levels
         box = BoxDiscretization.from_spacing(40.0, 0.05)
         lam = float(free_levels(box)[30])
         with pytest.raises(LevelCollisionError):
             spectral_shift_count(GaussianBump(amplitude=0.0), lam, box)
         with pytest.raises(LevelCollisionError):
             smeared_spectral_shift(GaussianBump(amplitude=0.0), lam, box)
+
+
+def alternation_shift(ev, ev0, lam, sectors):
+    """Smeared spectral shift from the full sorted spectra ``ev`` (H) and
+    ``ev0`` (H0): with two sectors, parity alternates along each sorted
+    spectrum, so the sector staircases are the even- and odd-indexed
+    levels."""
+    def staircase(levels):
+        total = 0.0
+        for sub in (levels[0::2], levels[1::2]) if sectors == 2 else (levels,):
+            j = int(np.sum(sub < lam))
+            total += (j - 0.5) + (lam - sub[j - 1]) / (sub[j] - sub[j - 1])
+        return total
+    return -(staircase(ev) - staircase(ev0))
+
+
+class TestWindowedCounting:
+    """Staircases read from one window of box levels, against the full-box
+    spectrum and against the single-energy path."""
+
+    BOX = BoxDiscretization.from_spacing(50.0, 0.02)
+    GRID = np.linspace(0.5, 2.0, 20)
+
+    @pytest.mark.parametrize("potential, sectors", [
+        (SquareWell(-2.0, 1.0), 2), (PoschlTeller(1), 2), (GaussianBump(), 2),
+        (ShiftedWell(center=0.7), 1),
+    ], ids=["square_well", "poschl_teller", "gaussian", "shifted_well"])
+    def test_window_matches_full_spectrum_and_single_energy(self, potential,
+                                                            sectors):
+        box = self.BOX
+        diag, off = hamiltonian_tridiagonal(box, potential)
+        assert len(_mirror_sectors(diag, off)) == sectors
+        ev = eigvalsh_tridiagonal(diag, off)
+        ev0 = free_levels(box)
+        levels = box_levels(box, potential, self.GRID[0], self.GRID[-1])
+        for lam in self.GRID:
+            got = smeared_spectral_shift(potential, lam, box, levels)
+            assert abs(got - alternation_shift(ev, ev0, lam, sectors)) <= 1e-9
+            assert abs(got - smeared_spectral_shift(potential, lam, box)) <= 1e-9
+            assert levels.count(lam) == int(np.sum(ev < lam))
+
+    def test_level_inside_window_collides(self):
+        well = SquareWell(-2.0, 1.0)
+        levels = box_levels(self.BOX, well, 0.5, 2.0)
+        diag, off = hamiltonian_tridiagonal(self.BOX, well)
+        ev = eigvalsh_tridiagonal(diag, off)
+        for level in (free_levels(self.BOX), ev):
+            lam = float(level[np.searchsorted(level, 1.0)])
+            with pytest.raises(LevelCollisionError):
+                smeared_spectral_shift(well, lam, self.BOX, levels)
+
+    @pytest.mark.parametrize("lam", [0.45, 2.05])
+    def test_level_outside_window_raises(self, lam):
+        well = SquareWell(-2.0, 1.0)
+        levels = box_levels(self.BOX, well, 0.5, 2.0)
+        with pytest.raises(DomainError, match="outside the window") as err:
+            smeared_spectral_shift(well, lam, self.BOX, levels)
+        assert type(err.value) is DomainError
+        with pytest.raises(DomainError, match="outside the window"):
+            levels.count(lam)
 
 
 def nearest_integer_distance(value):

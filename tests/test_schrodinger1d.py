@@ -299,8 +299,6 @@ class TestTridiagonalPath:
         diag, off = hamiltonian_tridiagonal(box, well)
         lam = 3.3
         assert check_level_clear(box, well, lam) == count_below(diag, off, lam)
-        assert check_level_clear(box, well, lam, tridiagonal=(diag, off)) == \
-            count_below(diag, off, lam)
         with pytest.raises(LevelCollisionError):
             check_level_clear(box, well, float(free_levels(box)[5]))
 

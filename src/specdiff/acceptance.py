@@ -59,11 +59,23 @@ class _Reports:
         return self._reports[campaign]
 
 
+# Observed values below this print as one fixed string: a rounding-level
+# value moves with every change of rounding, and its digits carry nothing.
+# The verdict dicts keep the full float.
+_ROUNDING_FLOOR = 1e-12
+
+
+def _observed(value: float) -> str:
+    if 0.0 < abs(value) < _ROUNDING_FLOOR:
+        return f"<{_ROUNDING_FLOOR:.0e}"
+    return f"{value:.3g}"
+
+
 def _from_report(index: int, title: str, report, elapsed: float,
                  only: tuple = ()) -> CriterionResult:
     verdicts = [v for v in report.verdicts if not only or v["name"] in only]
     passed = all(v["passed"] for v in verdicts)
-    bits = [f"{v['name']}={v['observed']:.3g} (tol {v['tolerance']:.3g}, "
+    bits = [f"{v['name']}={_observed(v['observed'])} (tol {v['tolerance']:.3g}, "
             f"{'ok' if v['passed'] else 'FAIL'})" for v in verdicts]
     return CriterionResult(index, title, passed, "; ".join(bits), elapsed, verdicts)
 

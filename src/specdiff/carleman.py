@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ContractViolationError, DomainError
-from .specfun import conical_p
+from .specfun import conical_values
 
 __all__ = [
     "Scheme",
@@ -182,21 +182,25 @@ def carleman_squared(a: float, n: int, scheme: Scheme = Scheme.GAUSS_LEGENDRE,
     return KernelOperator(grid, _symmetrize(grid, K), KernelKind.CARLEMAN_SQUARED)
 
 
+def _mehler_samples(a: float, t: float, u: np.ndarray) -> np.ndarray:
+    if not (0.0 < t <= 16.0):
+        raise DomainError(f"mehler_eigenfunction: t={t} outside (0, 16]")
+    return conical_values(t, a / u)[0] / u
+
+
 def mehler_eigenfunction(a: float, t: float, grid: QuadratureGrid) -> np.ndarray:
     """Samples of f_t(u) = P_{-1/2+it}(a/u)/u, the generalized eigenfunction
     of the half-Carleman operator on (0, a) with eigenvalue 1/cosh(pi t)."""
-    if not (0.0 < t <= 16.0):
-        raise DomainError(f"mehler_eigenfunction: t={t} outside (0, 16]")
-    return np.array([conical_p(t, a / u).value / u for u in grid.nodes])
+    return _mehler_samples(a, t, grid.nodes)
 
 
 def mehler_residual(a: float, t: float, grid: QuadratureGrid,
                     eval_points) -> np.ndarray:
     """Relative residual |(C f_t)(x) - f_t(x)/cosh(pi t)| / |f_t(x)| at the
     given interior points, with (C f_t) evaluated by quadrature on the grid."""
-    f = mehler_eigenfunction(a, t, grid)
     xs = np.atleast_1d(np.asarray(eval_points, dtype=float))
-    fx = np.array([conical_p(t, a / xv).value / xv for xv in xs])
+    samples = _mehler_samples(a, t, np.concatenate([grid.nodes, xs]))
+    f, fx = samples[:grid.n], samples[grid.n:]
     cf = np.array([np.sum(grid.weights * f / (xv + grid.nodes)) / math.pi for xv in xs])
     return np.abs(cf - fx / math.cosh(math.pi * t)) / np.abs(fx)
 

@@ -361,13 +361,11 @@ def run_specfun_audit(config: ExperimentConfig) -> ExperimentReport:
     worst = 0.0
     worst_imag = 0.0
     for t in g["seam_t"]:
-        diff_t = 0.0
-        imag_t = 0.0
-        for x in xs:
-            near = specfun.conical_p_near_one(t, x)
-            far = specfun.conical_p_far_branch(t, x)
-            diff_t = max(diff_t, abs(near.value - far.value))
-            imag_t = max(imag_t, near.imag_residual, far.imag_residual)
+        near = specfun.conical_p_near_one(t, xs)
+        far = specfun.conical_p_far_branch(t, xs)
+        diff_t = float(np.max(np.abs(near.value - far.value)))
+        imag_t = float(max(np.max(near.imag_residual),
+                           np.max(far.imag_residual)))
         worst = max(worst, diff_t)
         worst_imag = max(worst_imag, imag_t)
         report.records.append({

@@ -28,11 +28,22 @@ S = sum_n T_n z^n (s_n - H_n), T_n = (1/4)_n (3/4)_n / (n!)^2,
 s_n = (1/2) sum_{k<n} [1/(k+1/4) + 1/(k+3/4)], H_n the harmonic number.
 For 0 < t below a small switch point the value is interpolated in t^2
 between this limit and a direct evaluation (the function is even in t).
+
+Array API.  ``hyp2f1``, ``complex_gamma`` and ``conical_values`` take numpy
+arrays and broadcast them; a scalar input gives a scalar output.  The series
+run on all elements at once with masked convergence: each element stops on
+its own rule (three consecutive terms below ``SERIES_RTOL`` times its
+running sum) and leaves the active set, so every element gets, bit for bit,
+the value it gets when evaluated alone.  ``conical_values(t, x)`` picks the
+representation per point and evaluates G(+-t) on ``t`` as given, before
+broadcasting: on a grid ``conical_values(ts[:, None], xs)`` that is one
+Gamma pair per t, not per point.  ``conical_p`` (scalars) and the forced
+representations ``conical_p_near_one`` and ``conical_p_far_branch`` (scalars
+or arrays) wrap the same kernels.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -47,7 +58,10 @@ __all__ = [
     "ConicalBoundReport",
     "hyp2f1",
     "complex_gamma",
+    "conical_values",
     "conical_p",
+    "conical_p_near_one",
+    "conical_p_far_branch",
     "check_conical_bounds",
     "T_MAX",
 ]
@@ -70,7 +84,13 @@ T_SWITCH = 1e-3
 # Public contract: larger t would need asymptotic expansions.
 T_MAX = 16.0
 
+# Points per pass through the series.  A complex work array of this many
+# points is 64 kB, so memory stays flat on any grid; the values do not
+# depend on it (each point is computed on its own).
+_BLOCK = 4096
+
 _SQRT_PI = math.sqrt(math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Lanczos approximation, g = 7, 9 terms; relative accuracy ~1e-13 on the
 # moderate strip once paired with reflection for Re z < 1/2.
@@ -98,7 +118,9 @@ class ConicalEval:
     """One evaluation of P_{-1/2+it}(x) with representation provenance.
 
     ``imag_residual`` is the magnitude of the imaginary part produced by the
-    representation before it was discarded; it must stay below 1e-10.
+    representation before it was discarded; it must stay below 1e-10.  The
+    forced-representation functions given arrays return the broadcast
+    arrays in ``t``, ``x``, ``value`` and ``imag_residual``.
     """
 
     t: float
@@ -121,129 +143,231 @@ class ConicalBoundReport:
     delta: float = 0.5
 
 
-def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
-    zr = round(z.real)
-    return zr <= 0 and abs(z - zr) <= tol
+def _near_nonpositive_integer(z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    zr = np.round(z.real)
+    return (zr <= 0) & (np.abs(z - zr) <= tol)
 
 
-def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
-    """Gauss hypergeometric series sum_n (a)_n (b)_n / (c)_n z^n / n!.
+def hyp2f1(a, b, c, z):
+    """Gauss hypergeometric series sum_n (a)_n (b)_n / (c)_n z^n / n!,
+    elementwise over the broadcast of the arguments.
 
-    Restricted to |z| <= 0.9 where the plain series is the right tool; the
-    iteration stops once three consecutive terms fall below 1e-16 of the
-    running sum (robust against an early small term).
+    Restricted to |z| <= 0.9 where the plain series is the right tool.  Each
+    element stops once three consecutive terms fall below 1e-16 of its own
+    running sum (robust against an early small term) and then leaves the
+    active set; elements with z == 0 are exactly 1.
     """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    z = complex(z)
-    if _is_nonpositive_integer(c):
-        raise DomainError(f"hyp2f1: c={c} is (numerically) a non-positive integer pole")
-    if abs(z) > SERIES_Z_MAX:
-        raise DomainError(f"hyp2f1: |z|={abs(z):.4f} outside the series regime |z| <= {SERIES_Z_MAX}")
-    if z == 0:
-        return 1.0 + 0.0j
+    a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))
+    a, b, c, z = np.broadcast_arrays(a, b, c, np.asarray(z))
+    if np.any(_near_nonpositive_integer(c)):
+        raise DomainError("hyp2f1: c is (numerically) a non-positive integer pole")
+    if np.any(np.abs(z) > SERIES_Z_MAX):
+        raise DomainError(f"hyp2f1: |z| outside the series regime |z| <= {SERIES_Z_MAX}")
 
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    last_magnitude = 1.0
-    small_run = 0
-    for n in range(SERIES_CAP):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        magnitude = abs(term)
-        if not math.isfinite(magnitude):
-            raise ConvergenceError("hyp2f1 series overflowed", last_magnitude)
-        last_magnitude = magnitude
-        total += term
-        if magnitude <= SERIES_RTOL * abs(total):
-            small_run += 1
-            if small_run == 3:
-                return total
-        else:
-            small_run = 0
-    raise ConvergenceError("hyp2f1 series did not converge within the term cap",
-                           last_magnitude)
+    # numpy's complex product fuses multiply-adds, so (a+n)(b+n) and
+    # (b+n)(a+n) can differ in the last bit; a fixed order of a and b per
+    # element keeps the computed value as symmetric as the function.
+    swap = (b.real < a.real) | ((b.real == a.real) & (b.imag < a.imag))
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+
+    out = np.ones(z.shape, dtype=complex)
+    flat = out.reshape(-1)
+    live = np.flatnonzero(z != 0)
+    a, b, c, z = (v.reshape(-1)[live] for v in (a, b, c, z))
+    total = np.ones(live.size, dtype=complex)
+    term = np.ones(live.size, dtype=complex)
+    last_magnitude = np.ones(live.size)
+    small_run = np.zeros(live.size, dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(SERIES_CAP):
+            if live.size == 0:
+                break
+            # Not in place: numpy's in-place complex product takes another
+            # path for one-element arrays, and each element must get the same
+            # bits alone as in a grid.
+            term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0)) * z)
+            magnitude = np.abs(term)
+            if not np.isfinite(magnitude).all():
+                overflow = ~np.isfinite(magnitude)
+                raise ConvergenceError("hyp2f1 series overflowed",
+                                       float(last_magnitude[overflow][0]))
+            last_magnitude = magnitude
+            total += term
+            small_run = np.where(magnitude <= SERIES_RTOL * np.abs(total),
+                                 small_run + 1, 0)
+            done = small_run == 3
+            if done.any():
+                flat[live[done]] = total[done]
+                keep = ~done
+                live, a, b, c, z, total, term, last_magnitude, small_run = (
+                    v[keep] for v in (live, a, b, c, z, total, term,
+                                      last_magnitude, small_run))
+    if live.size:
+        raise ConvergenceError("hyp2f1 series did not converge within the term cap",
+                               float(np.max(last_magnitude)))
+    return out[()]
 
 
-def _sinpi(z: complex) -> complex:
+def _sinpi(z: np.ndarray) -> np.ndarray:
     # sin(pi z) with argument reduction so accuracy survives near integers.
-    n = round(z.real)
-    r = z - n
-    s = cmath.sin(math.pi * r)
-    return -s if n % 2 else s
+    n = np.round(z.real)
+    s = np.sin(math.pi * (z - n))
+    return np.where(n % 2 == 1, -s, s)
 
 
-def complex_gamma(z: complex) -> complex:
-    """Gamma function for complex argument (Lanczos, reflection for Re z < 1/2).
+def complex_gamma(z):
+    """Gamma function for complex argument (Lanczos, reflection for Re z < 1/2),
+    elementwise over an array.
 
     Relative accuracy ~1e-13 on the strip |Re z| <= 10, |Im z| <= 10, away
     from the poles at the non-positive integers (guarded to 1e-12).
     """
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise DomainError(f"complex_gamma: z={z} is within 1e-12 of a pole")
-    if z.real < 0.5:
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (_sinpi(z) * complex_gamma(1.0 - z))
-    zz = z - 1.0
-    acc = _LANCZOS[0] + 0.0j
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    if np.any(_near_nonpositive_integer(z)):
+        raise DomainError("complex_gamma: argument within 1e-12 of a pole")
+    reflect = z.real < 0.5
+    # Gamma(w + 1) by Lanczos, w = z - 1 (or -z under reflection).
+    w = np.where(reflect, 1.0 - z, z) - 1.0
+    acc = np.full(z.size, _LANCZOS[0], dtype=complex)
     for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * acc
+        acc = acc + _LANCZOS[i] / (w + i)
+    s = w + _LANCZOS_G + 0.5
+    gamma = _SQRT_2PI * np.exp((w + 0.5) * np.log(s) - s) * acc
+    # Gamma(z) Gamma(1-z) = pi / sin(pi z)
+    gamma[reflect] = math.pi / (_sinpi(z[reflect]) * gamma[reflect])
+    return gamma.reshape(shape)[()]
 
 
-def _conical_near(t: float, x: float) -> tuple[float, float]:
-    nu = -0.5 + 1j * t
-    val = hyp2f1(-nu, nu + 1.0, 1.0, (1.0 - x) / 2.0)
-    return val.real, abs(val.imag)
+def _check_t(t: np.ndarray) -> None:
+    if not np.all(t >= 0.0):
+        raise DomainError("conical function: t must be >= 0")
+    if np.any(t > T_MAX):
+        raise DomainError(f"conical function: t exceeds the supported range [0, {T_MAX}]")
 
 
-def _far_one_branch(t: float, x: float) -> complex:
-    pref = complex_gamma(-1j * t) / (_SQRT_PI * complex_gamma(0.5 - 1j * t))
-    power = (2.0 * x) ** complex(-0.5, -t)
-    series = hyp2f1(0.25 + 0.5j * t, 0.75 + 0.5j * t, 1.0 + 1j * t, x ** -2)
-    return pref * power * series
+def _near(t, x):
+    """The near-one form, elementwise over the broadcast of t and x."""
+    val = hyp2f1(0.5 - 1j * t, 0.5 + 1j * t, 1.0, (1.0 - x) / 2.0)
+    return val.real, np.abs(val.imag)
 
 
-def _far_direct(t: float, x: float) -> tuple[float, float]:
-    # Both conjugate branches are evaluated independently; the imaginary
-    # leftover measures genuine rounding asymmetry and is reported.
-    val = _far_one_branch(t, x) + _far_one_branch(-t, x)
-    return val.real, abs(val.imag)
+def _prefactor(t: np.ndarray) -> np.ndarray:
+    return complex_gamma(-1j * t) / (_SQRT_PI * complex_gamma(0.5 - 1j * t))
 
 
-def _far_t_zero(x: float) -> float:
-    z = x ** -2
-    f0 = 0.0
-    s = 0.0
-    term = 1.0
+def _far_t_zero(x: np.ndarray) -> np.ndarray:
+    """The exact t = 0 limit of the two-branch form, elementwise over a 1-D x;
+    each element stops on its own once its term falls below 1e-18 of F0."""
+    f0 = np.zeros(x.size)
+    s = np.zeros(x.size)
+    live = np.arange(x.size)
+    z_live = x ** -2.0
+    f0_live = np.zeros(live.size)
+    s_live = np.zeros(live.size)
+    term = np.ones(live.size)
     digamma_part = 0.0
     harmonic = 0.0
     for n in range(SERIES_CAP):
+        if live.size == 0:
+            break
         if n > 0:
-            term *= (n - 0.75) * (n - 0.25) / (n * n) * z
+            term = term * ((n - 0.75) * (n - 0.25) / (n * n) * z_live)
             digamma_part += 0.5 * (1.0 / (n - 0.75) + 1.0 / (n - 0.25))
             harmonic += 1.0 / n
-        f0 += term
-        s += term * (digamma_part - harmonic)
-        if abs(term) < 1e-18 * abs(f0):
-            break
-    return (2.0 / math.pi) * (2.0 * x) ** -0.5 * (f0 * math.log(8.0 * x) - s)
+        f0_live += term
+        s_live += term * (digamma_part - harmonic)
+        done = np.abs(term) < 1e-18 * np.abs(f0_live)
+        if done.any():
+            f0[live[done]] = f0_live[done]
+            s[live[done]] = s_live[done]
+            keep = ~done
+            live, z_live, f0_live, s_live, term = (
+                v[keep] for v in (live, z_live, f0_live, s_live, term))
+    f0[live] = f0_live
+    s[live] = s_live
+    return (2.0 / math.pi) * (2.0 * x) ** -0.5 * (f0 * np.log(8.0 * x) - s)
 
 
-def _conical_far(t: float, x: float) -> ConicalEval:
-    """The two-branch form; below T_SWITCH, the even-in-t quadratic
-    interpolation through the exact t = 0 limit."""
-    if t >= T_SWITCH:
-        value, resid = _far_direct(t, x)
-        return ConicalEval(t, x, value, Representation.FAR_BRANCH, resid)
-    p0 = _far_t_zero(x)
-    if t == 0.0:
-        return ConicalEval(t, x, p0, Representation.FAR_BRANCH, 0.0)
-    p1, resid = _far_direct(T_SWITCH, x)
-    value = p0 + (t / T_SWITCH) ** 2 * (p1 - p0)
-    return ConicalEval(t, x, value, Representation.FAR_BRANCH, resid)
+def _far(t: np.ndarray, x: np.ndarray, prefs) -> tuple[np.ndarray, np.ndarray]:
+    """The two-branch form at 1-D points (t, x), given G(+-t) per point in
+    ``prefs``; below T_SWITCH, the even-in-t interpolation through the exact
+    t = 0 limit.
+
+    Both conjugate branches are evaluated independently; the imaginary
+    leftover measures genuine rounding asymmetry and is reported.
+    """
+    value = np.zeros(t.size)
+    resid = np.zeros(t.size)
+    direct = t > 0.0
+    s = np.maximum(t[direct], T_SWITCH)
+    xd = x[direct]
+    log2x = np.log(2.0 * xd)
+    z = xd ** -2.0
+    val = 0.0
+    for sign, pref in zip((1.0, -1.0), prefs):
+        st = sign * s
+        power = np.exp(-0.5 * log2x - 1j * st * log2x)     # (2x)^(-1/2-i st)
+        series = hyp2f1(0.25 + 0.5j * st, 0.75 + 0.5j * st, 1.0 + 1j * st, z)
+        val = val + pref[direct] * power * series
+    value[direct] = val.real
+    resid[direct] = np.abs(val.imag)
+
+    small = t < T_SWITCH
+    if np.any(small):
+        # At t = 0 no direct value was taken: p0 + 0 * (0 - p0) is p0.
+        p0 = _far_t_zero(x[small])
+        value[small] = p0 + (t[small] / T_SWITCH) ** 2 * (value[small] - p0)
+    return value, resid
+
+
+def _conical(t: np.ndarray, x: np.ndarray, near: np.ndarray):
+    """Values and imaginary residuals on the broadcast of t and x: the
+    near-one form where ``near``, the two-branch form elsewhere.
+
+    G(+-t) is evaluated once per entry of t as given.  The points go through
+    the series in blocks of at most _BLOCK, so the working arrays stay small
+    whatever the grid; since every element is computed on its own, the
+    blocking does not change a bit of the result.
+    """
+    shape = near.shape
+    tb = np.broadcast_to(t, shape)
+    xb = np.broadcast_to(x, shape)
+    value = np.empty(shape)
+    resid = np.empty(shape)
+    idx = np.flatnonzero(near)
+    for start in range(0, idx.size, _BLOCK):
+        block = idx[start:start + _BLOCK]
+        value.flat[block], resid.flat[block] = _near(tb.flat[block], xb.flat[block])
+    idx = np.flatnonzero(~near)
+    if idx.size:
+        t_direct = np.maximum(t, T_SWITCH)
+        prefs = [np.broadcast_to(_prefactor(sign * t_direct), shape)
+                 for sign in (1.0, -1.0)]
+        for start in range(0, idx.size, _BLOCK):
+            block = idx[start:start + _BLOCK]
+            value.flat[block], resid.flat[block] = _far(
+                tb.flat[block], xb.flat[block], [p.flat[block] for p in prefs])
+    return value, resid
+
+
+def conical_values(t, x):
+    """P_{-1/2+it}(x) and the imaginary residual of its representation,
+    elementwise over the broadcast of t (0 <= t <= T_MAX) and x (x >= 1).
+
+    Representation per point: the near-one form for x below the seam at
+    x = 2 (x = 1 gives exactly 1), the two-branch form at and above it.
+    G(+-t) is evaluated once per entry of t as given, so pass a grid as
+    ``conical_values(ts[:, None], xs)``.  Scalars in, scalars out.
+    """
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    _check_t(t)
+    if not np.all(x >= 1.0):
+        raise DomainError("conical function: x must be >= 1")
+    near = np.broadcast_to(x, np.broadcast_shapes(t.shape, x.shape)) < SEAM_X
+    value, resid = _conical(t, x, near)
+    return value[()], resid[()]
 
 
 def conical_p(t: float, x: float) -> ConicalEval:
@@ -255,36 +379,40 @@ def conical_p(t: float, x: float) -> ConicalEval:
     """
     t = float(t)
     x = float(x)
-    if not (t >= 0.0):
-        raise DomainError(f"conical_p: t={t} must be >= 0")
-    if t > T_MAX:
-        raise DomainError(f"conical_p: t={t} exceeds the supported range [0, {T_MAX}]")
-    if not (x >= 1.0):
-        raise DomainError(f"conical_p: x={x} must be >= 1")
-
-    if x == 1.0:
-        return ConicalEval(t, x, 1.0, Representation.NEAR_ONE, 0.0)
-    if x < SEAM_X:
-        value, resid = _conical_near(t, x)
-        return ConicalEval(t, x, value, Representation.NEAR_ONE, resid)
-    return _conical_far(t, x)
+    value, resid = conical_values(t, x)
+    rep = Representation.NEAR_ONE if x < SEAM_X else Representation.FAR_BRANCH
+    return ConicalEval(t, x, float(value), rep, float(resid))
 
 
-def conical_p_near_one(t: float, x: float) -> ConicalEval:
-    """Force the near-one representation (valid for 1 <= x < 3)."""
-    if not (1.0 <= x < 3.0):
-        raise DomainError(f"near-one representation needs 1 <= x < 3, got x={x}")
-    if x == 1.0:
-        return ConicalEval(t, x, 1.0, Representation.NEAR_ONE, 0.0)
-    value, resid = _conical_near(t, x)
-    return ConicalEval(t, x, value, Representation.NEAR_ONE, resid)
+def _forced(t, x, value, resid, rep: Representation) -> ConicalEval:
+    t, x = np.broadcast_arrays(t, x)
+    return ConicalEval(t[()], x[()], value[()], rep, resid[()])
 
 
-def conical_p_far_branch(t: float, x: float) -> ConicalEval:
-    """Force the two-branch representation (valid for x > 1)."""
-    if not (x > 1.0):
-        raise DomainError(f"two-branch representation needs x > 1, got x={x}")
-    return _conical_far(t, x)
+def conical_p_near_one(t, x) -> ConicalEval:
+    """Force the near-one representation (valid for 1 <= x < 3), elementwise
+    over the broadcast of t and x."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    _check_t(t)
+    if not np.all((1.0 <= x) & (x < 3.0)):
+        raise DomainError("near-one representation needs 1 <= x < 3")
+    near = np.ones(np.broadcast_shapes(t.shape, x.shape), dtype=bool)
+    value, resid = _conical(t, x, near)
+    return _forced(t, x, value, resid, Representation.NEAR_ONE)
+
+
+def conical_p_far_branch(t, x) -> ConicalEval:
+    """Force the two-branch representation (valid for x > 1), elementwise
+    over the broadcast of t and x."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    _check_t(t)
+    if not np.all(x > 1.0):
+        raise DomainError("two-branch representation needs x > 1")
+    near = np.zeros(np.broadcast_shapes(t.shape, x.shape), dtype=bool)
+    value, resid = _conical(t, x, near)
+    return _forced(t, x, value, resid, Representation.FAR_BRANCH)
 
 
 def check_conical_bounds(t_max: float, x_samples, n_t: int = 9) -> ConicalBoundReport:
@@ -292,7 +420,8 @@ def check_conical_bounds(t_max: float, x_samples, n_t: int = 9) -> ConicalBoundR
     bound (exponent 1/2) over the given x samples and an even t grid.
 
     The suprema are finite by construction; stability is judged by the caller
-    comparing reports at two sample resolutions.
+    comparing reports at two sample resolutions.  The Hoelder sup takes one
+    row of t at a time against all later rows, so memory stays O(n_t n_x).
     """
     xs = np.asarray(list(x_samples), dtype=float)
     if xs.size == 0:
@@ -300,24 +429,20 @@ def check_conical_bounds(t_max: float, x_samples, n_t: int = 9) -> ConicalBoundR
     if np.any(xs < 1.0):
         raise DomainError("check_conical_bounds: samples must satisfy x >= 1")
     ts = np.linspace(0.0, float(t_max), n_t)
-
-    values = np.empty((n_t, xs.size))
-    for i, t in enumerate(ts):
-        for j, x in enumerate(xs):
-            values[i, j] = conical_p(t, x).value
+    values, _ = conical_values(ts[:, None], xs)
 
     uniform = float(np.max(np.sqrt(xs)[None, :] * np.abs(values)))
 
     delta = 0.5
     weight = xs ** -0.5 * (1.0 + np.log(xs)) ** delta
     holder = 0.0
-    for i1 in range(n_t):
-        for i2 in range(i1 + 1, n_t):
-            dt = abs(ts[i2] - ts[i1])
-            if dt == 0.0:
-                continue
-            q = np.max(np.abs(values[i2] - values[i1]) / (dt ** delta * weight))
-            holder = max(holder, float(q))
+    for i in range(n_t - 1):
+        dt = np.abs(ts[i + 1:] - ts[i])
+        later = dt > 0.0
+        if np.any(later):
+            q = (np.abs(values[i + 1:][later] - values[i])
+                 / (dt[later, None] ** delta * weight))
+            holder = max(holder, float(np.max(q)))
 
     return ConicalBoundReport(
         t_max=float(t_max), n_t=n_t, n_x=int(xs.size),

@@ -23,6 +23,7 @@ from specdiff.specfun import (
     conical_p,
     conical_p_far_branch,
     conical_p_near_one,
+    conical_values,
     hyp2f1,
 )
 
@@ -246,15 +247,19 @@ class TestConical:
 
 
 def mpmath_weighted_error(ts, xs):
-    """max sqrt(x) |conical_p(t, x) - Re P_{-1/2+it}(x)| against mpmath's
-    Legendre function of type 3 (the x > 1 branch)."""
+    """max sqrt(x) |P_{-1/2+it}(x) - Re P_{-1/2+it}(x)| over the grid ts x xs,
+    the first from one array call, the second from mpmath's Legendre function
+    of type 3 (the x > 1 branch)."""
     mpmath = pytest.importorskip("mpmath")
+    ts = np.asarray(ts, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    got, _ = conical_values(ts[:, None], xs)
     worst = 0.0
-    for t in ts:
-        for x in xs:
+    for i, t in enumerate(ts):
+        for j, x in enumerate(xs):
             want = float(mpmath.re(mpmath.legenp(-0.5 + 1j * float(t), 0,
                                                  float(x), type=3)))
-            worst = max(worst, math.sqrt(x) * abs(conical_p(t, x).value - want))
+            worst = max(worst, math.sqrt(x) * abs(got[i, j] - want))
     return worst
 
 
@@ -263,11 +268,129 @@ class TestConicalMpmath:
         xs = np.union1d(np.linspace(1.0, 3.0, 41), np.geomspace(3.0, 1e4, 40))
         assert mpmath_weighted_error(np.linspace(0.0, 3.0, 13), xs) <= 1e-12
 
+    def test_far_branch_whole_t_range(self):
+        # x >= 2, t = 0 (the exact limit) and t in [T_SWITCH, T_MAX].
+        ts = [0.0, 1e-3, 0.3, 1.7, 4.2, 7.5, 11.0, 16.0]
+        assert mpmath_weighted_error(ts, np.geomspace(2.0, 1e4, 12)) <= 1e-12
+
+    def test_near_one_up_to_t8(self):
+        ts = [0.0, 1e-3, 0.9, 2.6, 5.0, 8.0]
+        assert mpmath_weighted_error(ts, np.linspace(1.0, 1.99, 12)) <= 1e-12
+
+    def test_below_t_switch(self):
+        # The t^2 interpolation through the t = 0 limit (ROADMAP item 4)
+        # is off by about 1.3e-10 here; the bound records that, not 1e-12.
+        ts = [1e-5, 2e-4, 6e-4, 9.9e-4]
+        assert mpmath_weighted_error(ts, np.geomspace(2.0, 1e4, 12)) <= 5e-10
+
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 4: the fixed seam at x = 2 leaves the near-one series "
         "in cancellation at large t"))
     def test_large_t_below_seam(self):
         assert mpmath_weighted_error([16.0], [1.95]) <= 1e-12
+
+
+def holder_sup_oracle(ts, xs, values, delta=0.5):
+    """The Hoelder quotient sup over every pair of t rows, one pair at a time."""
+    weight = xs ** -0.5 * (1.0 + np.log(xs)) ** delta
+    holder = 0.0
+    for i1 in range(len(ts)):
+        for i2 in range(i1 + 1, len(ts)):
+            dt = abs(ts[i2] - ts[i1])
+            if dt == 0.0:
+                continue
+            q = np.max(np.abs(values[i2] - values[i1]) / (dt ** delta * weight))
+            holder = max(holder, float(q))
+    return holder
+
+
+class TestArrayKernels:
+    # t = 0 (limit series), below and at T_SWITCH, up to T_MAX; x = 1, the
+    # slow near-one points 1.2 and 1.9, the seam and fast far points.
+    TS = np.array([0.0, 5e-4, 1e-3, 0.5, 3.0, 8.0, 16.0])
+    XS = np.array([1.0, 1.2, 1.9, 2.0, 2.5, 40.0, 1e4])
+
+    def test_grid_elements_equal_lone_elements(self):
+        value, resid = conical_values(self.TS[:, None], self.XS)
+        assert value.shape == resid.shape == (self.TS.size, self.XS.size)
+        for i, t in enumerate(self.TS):
+            for j, x in enumerate(self.XS):
+                v, r = conical_values(t, x)
+                assert v == value[i, j] and r == resid[i, j]
+
+    def test_elements_independent_across_blocks(self):
+        # More points than one pass through the series takes.
+        ts = np.linspace(0.0, 3.0, 41)
+        xs = np.geomspace(1.0, 1e4, 120)
+        value, _ = conical_values(ts[:, None], xs)
+        for i, j in ((0, 0), (7, 3), (20, 60), (33, 100), (40, 119)):
+            assert conical_values(ts[i], xs[j])[0] == value[i, j]
+
+    def test_hyp2f1_elements_independent(self):
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        z = rng.uniform(-0.85, 0.85, 30)
+        z[[4, 11]] = [0.0, 1e-9]
+        grid = hyp2f1(a, b, 1.5, z)
+        for k in range(30):
+            assert hyp2f1(a[k], b[k], 1.5, z[k]) == grid[k]
+
+    def test_scalar_wrappers_equal_grid(self):
+        value, resid = conical_values(self.TS[:, None], self.XS)
+        for i, t in enumerate(self.TS):
+            for j, x in enumerate(self.XS):
+                ev = conical_p(t, x)
+                assert ev.value == value[i, j] and ev.imag_residual == resid[i, j]
+        xs = np.linspace(1.2, 2.8, 9)
+        for t in (0.0, 5e-4, 2.0):
+            near = conical_p_near_one(t, xs)
+            far = conical_p_far_branch(t, xs)
+            for k, x in enumerate(xs):
+                assert conical_p_near_one(t, x).value == near.value[k]
+                assert conical_p_far_branch(t, x).value == far.value[k]
+
+    def test_scalar_in_scalar_out(self):
+        assert np.ndim(hyp2f1(1.0, 1.0, 2.0, 0.5)) == 0
+        assert np.ndim(complex_gamma(0.5 + 1j)) == 0
+        value, resid = conical_values(1.0, 3.0)
+        assert np.ndim(value) == 0 and np.ndim(resid) == 0
+
+    def test_zero_argument_elements_are_exactly_one(self):
+        val = hyp2f1([0.3 + 1j, 2.0, -1.5j], 1.5, 2.5, [0.0, 0.4, 0.0])
+        assert val[0] == 1.0 and val[2] == 1.0 and val[1] != 1.0
+
+    def test_one_bad_element_raises(self):
+        with pytest.raises(DomainError):
+            hyp2f1(1.0, 1.0, [2.0, 1.5, -3.0], 0.3)
+        with pytest.raises(DomainError):
+            hyp2f1(1.0, 1.0, 2.0, [0.1, 0.95, 0.2])
+        with pytest.raises(DomainError):
+            complex_gamma([1.5, 2.5 + 1j, -4.0])
+        with pytest.raises(DomainError):
+            conical_values([0.5, -1e-3], 2.0)
+        with pytest.raises(DomainError):
+            conical_values([0.5, 16.5], 2.0)
+        with pytest.raises(DomainError):
+            conical_values(1.0, [3.0, 0.999, 1e3])
+        with pytest.raises(DomainError):
+            conical_p_near_one(1.0, [1.5, 3.0])
+        with pytest.raises(DomainError):
+            conical_p_far_branch(1.0, [1.0, 2.0])
+
+    def test_nonconvergence_in_array_carries_last_term(self):
+        with pytest.raises(ConvergenceError) as err:
+            hyp2f1([1.0, 5000.0], [1.0, 2000.0], 1.5, [0.5, 0.9])
+        assert err.value.last_term > 0
+
+    def test_row_loop_holder_matches_pair_loop(self):
+        ts = np.linspace(0.0, 3.0, 30)
+        xs = np.geomspace(1.0, 1e4, 40)
+        values, _ = conical_values(ts[:, None], xs)
+        rep = check_conical_bounds(3.0, xs, n_t=30)
+        want = holder_sup_oracle(ts, xs, values)
+        assert abs(rep.holder_sup - want) <= 1e-14 * want
+        assert rep.uniform_sup == float(np.max(np.sqrt(xs) * np.abs(values)))
 
 
 class TestBoundReport:

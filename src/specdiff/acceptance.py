@@ -130,8 +130,8 @@ def criterion_5(seed: int = 0, reports=None) -> CriterionResult:
         if pairing.unpaired.size:
             worst_pairing = 1.0
     passed = worst_algebra <= 1e-12 and worst_pairing <= 1e-8
-    detail = (f"max ||D^2-(M+ + M-)||={worst_algebra:.3g} (tol 1e-12); "
-              f"max pairing error={worst_pairing:.3g} (tol 1e-8)")
+    detail = (f"max ||D^2-(M+ + M-)||={_observed(worst_algebra)} (tol 1e-12); "
+              f"max pairing error={_observed(worst_pairing)} (tol 1e-8)")
     return CriterionResult(5, "projection algebra", passed, detail,
                            time.perf_counter() - t0)
 
@@ -154,10 +154,10 @@ def criterion_6(seed: int = 0, reports=None) -> CriterionResult:
                                     abs(s_ode.matrix[0, 1]), abs(s_ode.matrix[1, 0]))
     passed = (worst_unit_ode <= 1e-8 and worst_unit_stat <= 1e-6
               and worst_cross <= 1e-3 and worst_reflect <= 1e-8)
-    detail = (f"unitarity ode={worst_unit_ode:.3g} (tol 1e-8), "
-              f"stationary={worst_unit_stat:.3g} (tol 1e-6); "
-              f"cross-method={worst_cross:.3g} (tol 1e-3); "
-              f"PT reflection={worst_reflect:.3g} (tol 1e-8)")
+    detail = (f"unitarity ode={_observed(worst_unit_ode)} (tol 1e-8), "
+              f"stationary={_observed(worst_unit_stat)} (tol 1e-6); "
+              f"cross-method={_observed(worst_cross)} (tol 1e-3); "
+              f"PT reflection={_observed(worst_reflect)} (tol 1e-8)")
     return CriterionResult(6, "scattering matrix two routes", passed, detail,
                            time.perf_counter() - t0)
 

@@ -39,7 +39,8 @@ pivoted band LU solves in O(n), on the same Nystrom matrix, without forming
 any n x n array.  The solve is exact algebra on that matrix, so Im T =
 pi Z* Z still holds and S stays unitary to rounding; one full-size solve
 also serves parity-even potentials, which need no sector split.  The
-Gauss-Legendre rule costs O(n^2) (tridiagonal eigenvalues plus one Newton
+Gauss-Legendre rule costs O(n^2 / 4) (the eigenvalues of a half-size
+tridiagonal, whose square roots are the positive nodes, plus one Newton
 step), and the condition guard uses the exact O(n) 1-norm of I + T J with
 a Hager-Higham estimate of the inverse's norm from the same band LU.
 
@@ -235,20 +236,29 @@ def s_matrix_ode(potential: Potential, lam: float, x_max: float | None = None,
 
 
 def _gauss_legendre(n: int):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] in O(n^2).
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
     The nodes are the eigenvalues of the Jacobi matrix (Golub-Welsch),
     polished by one Newton step on P_n; the weights are
-    2 / ((1 - x^2) P_n'(x)^2).  P_n and P_n' come from the three-term
-    recurrence, and P_n' is carried to the polished node with the Legendre
-    equation, so no second sweep is needed.  The rule is symmetric: only
-    the non-positive half is computed.
+    2 / ((1 - x^2) P_n'(x)^2).  The Jacobi matrix has a zero diagonal, so in
+    even/odd order it is [[0, B], [B^T, 0]] with B bidiagonal: its nonzero
+    eigenvalues are +-sqrt(eig(B^T B)), and B^T B is a tridiagonal of size
+    n // 2 whose eigenvalues cost O(n^2 / 4); odd n adds the centre node 0.
+    P_n and P_n' come from the three-term recurrence, and P_n' is carried
+    to the polished node with the Legendre equation, so no second sweep is
+    needed.  The rule is symmetric: only the non-positive half is computed.
     """
     k = np.arange(1.0, n)
-    x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0),
-                             lapack_driver="sterf")
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
     m = n // 2
-    lo = x[:n - m]
+    lo = np.zeros(n - m)
+    if m:
+        odd = np.zeros(m)
+        odd[:beta[1::2].size] = beta[1::2]
+        sq = eigvalsh_tridiagonal(beta[0::2] ** 2 + odd ** 2,
+                                  odd[:m - 1] * beta[2::2],
+                                  lapack_driver="sterf")
+        lo[:m] = -np.sqrt(sq[::-1])
     p_prev, p = np.ones_like(lo), lo.copy()
     for j in range(2, n + 1):
         p_prev, p = p, ((2 * j - 1) * lo * p - (j - 1) * p_prev) / j

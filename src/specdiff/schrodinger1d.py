@@ -20,8 +20,12 @@ Two computational paths coexist:
   D ~ +-sin theta + sign(j) 1_{|j|} and M+- ~ sin^2 theta + 1_{|j|}, the
   index part in M+ for j > 0 and in M- for j < 0.  The sines come from
   singular values, accurate at small angles where sqrt(1 - cos^2) cancels
-  (Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002).  The two paths
-  agree to rounding and are cross-checked in the tests.
+  (Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002).  The angles
+  depend on the subspace ran P only, so the tridiagonal path takes an
+  orthonormal basis of it (inverse iteration per group of eigenvalues and
+  one Cholesky QR, ``eigenpairs_below``), not reorthogonalized
+  eigenvectors, and one SVD per block gives the sines of both sides.  The
+  two paths agree to rounding and are cross-checked in the tests.
 
 When the sampled box is mirror-symmetric (max|d_i - d_{n-1-i}| <= 8 eps
 max|d| on the diagonal of H), ``band_spectra`` works in parity sectors.  The
@@ -29,10 +33,10 @@ reflection J: x -> -x commutes with H and H0, so P, P0 and D split into an
 even and an odd block; the principal angles of the pair are the union of
 the angles in each block and the index j is the sum of the blocks' indices.
 Each block has half of n and about half of rank P, which cuts the O(n k^2)
-cost of the eigenvectors and of the two sine SVDs about fourfold.  A box
-that fails the test stays one block on the same code path.  ``box_levels``
-counts in the same blocks: one eigenvalue window per block serves every
-energy of a range.
+cost of the Gram matrix, the Cholesky QR and the sine SVD about fourfold
+and halves the bisection.  A box that fails the test stays one block on the
+same code path.  ``box_levels`` counts in the same blocks: one eigenvalue
+window per block serves every energy of a range.
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf, dstein
 
 from .errors import ConvergenceError, DomainError, LevelCollisionError
 
@@ -403,9 +409,48 @@ def count_below(diag: np.ndarray, off: np.ndarray, level: float) -> int:
 
 
 def eigenpairs_below(diag: np.ndarray, off: np.ndarray, level: float):
-    """All eigenpairs of the tridiagonal below ``level``."""
+    """The eigenvalues of the tridiagonal below ``level`` (ascending) and an
+    orthonormal basis of their invariant subspace, as an n x k Fortran array.
+
+    The values come from bisection (LAPACK stebz).  The basis comes from
+    inverse iteration (LAPACK stein), called once per group of eigenvalues;
+    a group ends wherever consecutive eigenvalues lie at least
+    sqrt(eps) (max|d| + 2 max|e|) apart.  Vectors of different groups then
+    overlap by at most eps ||T|| / gap <= sqrt(eps), and that overlap lies
+    inside the subspace.  So U is orthonormal up to O(sqrt(eps)), and one
+    Cholesky QR (R = chol(U^T U), U <- U R^-1 in place), whose loss of
+    orthogonality is about eps cond(U)^2 (Fukaya et al., "CholeskyQR2",
+    2014), makes the columns orthonormal without leaving the subspace.  Only
+    the subspace is specified: a column is an eigenvector up to a mixing of
+    that order.  Inverse iteration that does not converge, or a Gram matrix
+    that is not numerically positive definite, raises ConvergenceError.
+    """
+    n = diag.size
     lower = float(diag.min() - 2.0 * np.abs(off).max() - 1.0)
-    return eigh_tridiagonal(diag, off, select="v", select_range=(lower, level))
+    values = eigvalsh_tridiagonal(diag, off, select="v",
+                                  select_range=(lower, level))
+    k = values.size
+    basis = np.empty((n, k), order="F")
+    if k == 0:
+        return values, basis
+    tol = math.sqrt(np.finfo(float).eps) * float(
+        np.abs(diag).max() + 2.0 * np.abs(off).max())
+    cuts = np.concatenate([[0], np.flatnonzero(np.diff(values) >= tol) + 1, [k]])
+    iblock = np.ones(n, dtype=np.int32)
+    isplit = np.zeros(n, dtype=np.int32)
+    isplit[0] = n
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        basis[:, a:b], info = dstein(diag, off, values[a:b], iblock, isplit)
+        if info > 0:
+            raise ConvergenceError(
+                f"inverse iteration left {info} of the eigenvectors "
+                f"{a}..{b - 1} unconverged", math.nan)
+    chol, info = dpotrf(basis.T @ basis)
+    if info > 0:
+        raise ConvergenceError(
+            f"Cholesky QR: the Gram matrix of the {k} inverse-iteration "
+            f"vectors is not positive definite at order {info}", math.nan)
+    return values, dtrsm(1.0, chol, basis, side=1, overwrite_b=1)
 
 
 def eigenvalues_by_index(diag: np.ndarray, off: np.ndarray, i_lo: int, i_hi: int):
@@ -591,14 +636,35 @@ def check_level_clear(box: BoxDiscretization, potential: Potential | None,
         fermi_level, rel_gap)
 
 
+def _sector_sines(u: np.ndarray, u0: np.ndarray):
+    """The sines s+ of (I-P0) U and s- of (I-P) U0 for orthonormal U, U0.
+
+    Off {0, 1} the two sides have the same singular values, and the side
+    with more columns has |j| = |rank P - rank P0| more values at 1.  So one
+    SVD, of that side, gives both: the other side is the same values without
+    the |j| largest.  The side is formed in place of U or U0.
+    """
+    c = u.T @ u0
+    j = u.shape[1] - u0.shape[1]
+    if j >= 0:
+        u -= u0 @ c.T
+        s = np.linalg.svd(u, compute_uv=False)
+        return s, s[j:]
+    u0 -= u @ c
+    s = np.linalg.svd(u0, compute_uv=False)
+    return s[-j:], s
+
+
 def band_spectra(box: BoxDiscretization, potential: Potential,
                  fermi_level: float) -> BandSpectra:
     """Spectra of D(lambda), M+, M- without forming any n x n matrix.
 
-    U (H eigenvectors below lambda) and U0 (closed-form H0 eigenvectors
-    below lambda) are orthonormal bases of ran P and ran P0.  The singular
-    values of (I-P0) U and (I-P) U0 are the principal-angle sines seen from
-    either side, the index values 1 included on the larger side.
+    U (``eigenpairs_below``) and U0 (closed-form H0 eigenvectors below
+    lambda) are orthonormal bases of ran P and ran P0; the principal angles
+    depend on the subspaces only, so U need not consist of eigenvectors.
+    The singular values of (I-P0) U and (I-P) U0 are the principal-angle
+    sines seen from either side, the index values 1 included on the larger
+    side; one SVD per sector gives both (``_sector_sines``).
 
     A mirror-symmetric box (max|d_i - d_{n-1-i}| <= 8 eps max|d|, see
     ``_mirror_sectors``) is reduced once per parity sector, each of half
@@ -616,9 +682,9 @@ def band_spectra(box: BoxDiscretization, potential: Potential,
         _, u = eigenpairs_below(sector.diag, sector.off, fermi_level)
         modes = np.arange(sector.first_mode, r0 + 1, len(sectors))
         u0 = sector.weight[:, None] * _sines(box.n, sector.diag.size, modes)
-        c = u.T @ u0
-        s_plus.append(np.linalg.svd(u - u0 @ c.T, compute_uv=False))
-        s_minus.append(np.linalg.svd(u0 - u @ c, compute_uv=False))
+        plus, minus = _sector_sines(u, u0)
+        s_plus.append(plus)
+        s_minus.append(minus)
         r += u.shape[1]
     s_plus, s_minus = np.concatenate(s_plus), np.concatenate(s_minus)
 

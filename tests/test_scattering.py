@@ -322,7 +322,7 @@ class TestStationaryDenseOracle:
 
 
 class TestGaussLegendre:
-    @pytest.mark.parametrize("n", [1, 2, 16, 200, 800])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 200, 201, 800])
     def test_matches_numpy_leggauss(self, n):
         from numpy.polynomial.legendre import leggauss
         x, w = _gauss_legendre(n)

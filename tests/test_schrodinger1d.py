@@ -3,8 +3,10 @@ algebra.
 
 Oracles: the closed-form Dirichlet Laplacian spectrum, the textbook
 square-well bound-state count (matching equations solved by bisection), the
-known reflectionless-potential ground state, and brute-force dense linear
-algebra cross-checking the rank-reduced band-spectra path.
+known reflectionless-potential ground state, brute-force dense linear
+algebra cross-checking the rank-reduced band-spectra path, and individually
+reorthogonalized eigenvectors (LAPACK stein) with one sine SVD per side
+cross-checking its invariant-subspace basis and one-SVD reduction.
 """
 
 import math
@@ -12,16 +14,17 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh_tridiagonal
 
 from specdiff import schrodinger1d
-from specdiff.errors import DomainError, LevelCollisionError
+from specdiff.errors import ConvergenceError, DomainError, LevelCollisionError
 from specdiff.schrodinger1d import (
     BoxDiscretization,
     GaussianBump,
     PoschlTeller,
     SquareWell,
     _mirror_sectors,
+    _sines,
     band_spectra,
     build_h,
     build_h0,
@@ -414,3 +417,101 @@ class TestMirrorSectors:
                                         for s in sectors]))
         want = eigvalsh_tridiagonal(diag, off)
         assert np.abs(union - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def eigenvectors_below(diag, off, level):
+    """Eigenvalues below ``level`` and their reorthogonalized eigenvectors
+    (LAPACK stebz and stein through eigh_tridiagonal)."""
+    lower = float(diag.min() - 2.0 * np.abs(off).max() - 1.0)
+    return eigh_tridiagonal(diag, off, select="v", select_range=(lower, level))
+
+
+def reorthogonalized_band_spectra(box, potential, lam):
+    """The box reduction on ``eigenvectors_below``, with one sine SVD per
+    side and sector: (rank P, rank P0, d_nonzero, m_plus, m_minus)."""
+    diag, off = hamiltonian_tridiagonal(box, potential)
+    r0 = int(np.sum(free_levels(box) < lam))
+    sectors = _mirror_sectors(diag, off)
+    r, s_plus, s_minus = 0, [], []
+    for sector in sectors:
+        _, u = eigenvectors_below(sector.diag, sector.off, lam)
+        modes = np.arange(sector.first_mode, r0 + 1, len(sectors))
+        u0 = sector.weight[:, None] * _sines(box.n, sector.diag.size, modes)
+        c = u.T @ u0
+        s_plus.append(np.linalg.svd(u - u0 @ c.T, compute_uv=False))
+        s_minus.append(np.linalg.svd(u0 - u @ c, compute_uv=False))
+        r += u.shape[1]
+    s_plus, s_minus = np.concatenate(s_plus), np.concatenate(s_minus)
+    return (r, r0, np.sort(np.concatenate([s_plus, -s_minus])),
+            np.sort(s_plus ** 2), np.sort(s_minus ** 2))
+
+
+def subspace_sines(u, v):
+    """Sines of the principal angles from ran u to ran v (both orthonormal)."""
+    return np.linalg.svd(u - v @ (v.T @ u), compute_uv=False)
+
+
+class TestInvariantSubspaceBasis:
+    @pytest.mark.parametrize("potential", [SquareWell(-2.0, 1.0),
+                                           PoschlTeller(1),
+                                           GaussianBump(-1.0, 1.0),
+                                           ShiftedWell(center=0.7)],
+                             ids=["square_well", "poschl_teller", "gaussian",
+                                  "shifted_well"])
+    @pytest.mark.parametrize("half_length", [50.0, 100.0])
+    def test_matches_reorthogonalized_eigenvectors(self, potential,
+                                                   half_length):
+        box = BoxDiscretization.from_spacing(half_length, 0.02)
+        spectra = band_spectra(box, potential, 1.0)
+        r, r0, d, mp, mm = reorthogonalized_band_spectra(box, potential, 1.0)
+        assert (spectra.rank_p, spectra.rank_p0) == (r, r0)
+        for got, want in ((spectra.d_nonzero, d), (spectra.m_plus, mp),
+                          (spectra.m_minus, mm)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
+
+        diag, off = hamiltonian_tridiagonal(box, potential)
+        for sector in _mirror_sectors(diag, off):
+            values, basis = eigenpairs_below(sector.diag, sector.off, 1.0)
+            want_values, vectors = eigenvectors_below(sector.diag, sector.off,
+                                                      1.0)
+            assert np.array_equal(values, want_values)
+            k = values.size
+            assert np.abs(basis.T @ basis - np.eye(k)).max() <= 1e-14
+            assert subspace_sines(basis, vectors).max() <= 1e-12
+
+    @pytest.mark.parametrize("coupling", [1e-14, 1e-10, 1e-6])
+    def test_numerically_equal_pairs(self, coupling):
+        # Two copies of one tridiagonal joined by a weak coupling: every
+        # eigenvalue comes as a pair closer than the grouping tolerance.
+        rng = np.random.default_rng(3)
+        d = rng.standard_normal(150)
+        e = rng.uniform(0.5, 1.5, 149)
+        diag = np.concatenate([d, d])
+        off = np.concatenate([e, [coupling], e])
+        single = eigvalsh_tridiagonal(d, e)
+        i = 40 + int(np.argmax(np.diff(single[40:80])))
+        level = 0.5 * (single[i] + single[i + 1])
+        values, basis = eigenpairs_below(diag, off, level)
+        assert values.size == 2 * (i + 1)
+        assert np.abs(basis.T @ basis - np.eye(values.size)).max() <= 1e-14
+        want_values, vectors = eigh(schrodinger1d._dense_from_tridiagonal(diag, off))
+        assert np.abs(values - want_values[:values.size]).max() <= 1e-13
+        assert subspace_sines(basis, vectors[:, :values.size]).max() <= 1e-12
+
+    def test_unconverged_inverse_iteration_raises_typed(self, monkeypatch):
+        monkeypatch.setattr(
+            schrodinger1d, "dstein",
+            lambda d, e, w, iblock, isplit: (np.zeros((d.size, w.size)), 1))
+        diag, off = hamiltonian_tridiagonal(BoxDiscretization(5.0, 99),
+                                            SquareWell(-2.0, 1.0))
+        with pytest.raises(ConvergenceError):
+            eigenpairs_below(diag, off, 1.0)
+
+    def test_singular_gram_matrix_raises_typed(self, monkeypatch):
+        monkeypatch.setattr(
+            schrodinger1d, "dstein",
+            lambda d, e, w, iblock, isplit: (np.ones((d.size, w.size)), 0))
+        box = BoxDiscretization(5.0, 99)
+        with pytest.raises(ConvergenceError):
+            band_spectra(box, SquareWell(-2.0, 1.0), 1.0)

@@ -352,7 +352,14 @@ def emit_report(report: ExperimentReport, fmt: str, path) -> None:
 
 def run_specfun_audit(config: ExperimentConfig) -> ExperimentReport:
     """Seam consistency of the two conical representations plus the empirical
-    decay/Hoelder bound audit under sample doubling."""
+    decay/Hoelder bound audit under sample doubling.
+
+    ``branch_realness`` takes the larger imaginary residual of the two forms
+    on the seam grid.  The two-branch form's residual is 0 by construction:
+    its branches come from conjugate inputs through conjugate-symmetric
+    arithmetic, so their imaginary parts cancel exactly.  The verdict
+    therefore only sees the near-one form.
+    """
     report = _new_report(config)
     g, tol = config.grids, config.tolerances
 

@@ -27,6 +27,18 @@ Two computational paths coexist:
   eigenvectors, and one SVD per block gives the sines of both sides.  The
   two paths agree to rounding and are cross-checked in the tests.
 
+The tridiagonal path's counts and eigenvalues come from Sturm (LDL^T)
+sweeps on a vector of shifts (``_SturmSweep``).  Outside the potential's
+floating-point support the rows of a box are bitwise those of the free
+Laplacian, so a sweep steps its leading and trailing constant runs in
+closed form (Chebyshev: inside the run's band the pivots are ratios of
+sines of a phase that advances by theta per row, below it ratios of sinh,
+above it they alternate in sign) and only the support row by row.  All
+wanted eigenvalues are solved at once: multisection on the count until each
+is isolated, then secant steps on a phase of the sweep, twisted (Parlett &
+Dhillon, LAA 267, 1997) at one end of the support, that is the integer j
+exactly at eigenvalue j.
+
 When the sampled box is mirror-symmetric (max|d_i - d_{n-1-i}| <= 8 eps
 max|d| on the diagonal of H), ``band_spectra`` works in parity sectors.  The
 reflection J: x -> -x commutes with H and H0, so P, P0 and D split into an
@@ -34,9 +46,9 @@ even and an odd block; the principal angles of the pair are the union of
 the angles in each block and the index j is the sum of the blocks' indices.
 Each block has half of n and about half of rank P, which cuts the O(n k^2)
 cost of the Gram matrix, the Cholesky QR and the sine SVD about fourfold
-and halves the bisection.  A box that fails the test stays one block on the
-same code path.  ``box_levels`` counts in the same blocks: one eigenvalue
-window per block serves every energy of a range.
+and halves the Sturm sweeps' support.  A box that fails the test stays
+one block on the same code path.  ``box_levels`` counts in the same blocks:
+one eigenvalue window per block serves every energy of a range.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigh
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dstein
 
@@ -285,10 +297,19 @@ def free_vectors(box: BoxDiscretization, count: int) -> np.ndarray:
     return _sines(box.n, box.n, np.arange(1, count + 1))
 
 
-def _sines(n: int, rows: int, modes: np.ndarray) -> np.ndarray:
-    """Rows i = 1..rows of the free modes k in ``modes`` on an n-point box."""
-    i = np.arange(1, rows + 1)
-    return math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(i, modes) * np.pi / (n + 1))
+def _sines(n: int, rows: int, modes: np.ndarray,
+           weight: np.ndarray | None = None) -> np.ndarray:
+    """Rows i = 1..rows of the free modes k in ``modes`` on an n-point box,
+    times ``weight[i - 1]`` if given, built in place in one buffer."""
+    out = np.multiply.outer(np.arange(1, rows + 1), modes,
+                            out=np.empty((rows, modes.size)))
+    out *= np.pi
+    out /= n + 1
+    np.sin(out, out=out)
+    out *= math.sqrt(2.0 / (n + 1))
+    if weight is not None:
+        out *= weight[:, None]
+    return out
 
 
 def eigendecompose(op: SymmetricOperator) -> EigenData:
@@ -393,28 +414,357 @@ def symmetry_pairing_report(diff, epsilon: float) -> PairingReport:
                          unpaired=unpaired)
 
 
+# --- Sturm sweeps with closed-form runs ------------------------------------
+
+# Support rows are stepped in blocks of this many rows; the signs of a
+# block's pivots are counted once per block.
+_BLOCK_ROWS = 64
+# Isolation: each interval gets at least _SECTIONS - 1 points per round and
+# the round about _SECTION_POINTS points in all.
+_SECTIONS = 8
+_SECTION_POINTS = 256
+# Intervals narrower than this many eps (max|d| + 2 max|e|) are multisected
+# evenly in s: the band coordinate's round trip is only good to about one.
+_AXIS_WIDTH = 1e4
+# Refinement: the secant estimate is probed at +- _PROBE * width first; the
+# relative probe distance is squared after every probe pair that brackets
+# the eigenvalue.
+_PROBE = 1.0 / 4096.0
+_MAX_ROUNDS = 100
+
+
+def _run_length(diag: np.ndarray, off: np.ndarray) -> int:
+    """The number of rows after row 0 whose (d_i, e_{i-1}) equal (d_0, e_0)
+    bit for bit: the rows a closed-form step can take from row 0's pivot."""
+    if off.size == 0 or off[0] == 0.0:
+        return 0
+    same = (diag[1:] == diag[0]) & (off == off[0])
+    return same.size if same.all() else int(np.argmin(same))
+
+
+def _band(shifts: np.ndarray, alpha: float, beta: float):
+    """(shift inside the band (alpha - 2|beta|, alpha + 2|beta|), theta,
+    u = (1 - c)/2, v = (1 + c)/2) per shift, with c = (alpha - s)/(2|beta|)
+    = cos theta inside the band.  u and v are each taken from the shift's
+    distance to one band edge, so theta keeps full relative accuracy at
+    both edges; outside the band u < 0 or v < 0 and theta is unused."""
+    b = abs(beta)
+    u = (shifts - (alpha - 2.0 * b)) / (4.0 * b)     # sin^2(theta/2)
+    v = ((alpha + 2.0 * b) - shifts) / (4.0 * b)     # cos^2(theta/2)
+    theta = 2.0 * np.arctan2(np.sqrt(np.abs(u)), np.sqrt(np.abs(v)))
+    return (u > 0.0) & (v > 0.0), theta, u, v
+
+
+def _run_step(t, shifts, alpha: float, beta: float, rows: int, band):
+    """``rows`` more pivots of t <- (alpha - s) - beta^2/t from the pivots
+    ``t``, in closed form: (#negative new pivots, last pivot) per shift.
+    ``band`` is ``_band(shifts, alpha, beta)``.
+
+    With b = |beta| and c = (alpha - s)/(2b), the pivots are b x_{k+1}/x_k
+    for a solution of x_{k+1} = 2c x_k - x_{k-1} (Chebyshev), so a negative
+    pivot is a sign change of x.  Inside the band (|c| < 1, c = cos theta)
+    x_k ~ sin(psi + (k-1) theta), where psi in [0, pi] is the phase of the
+    incoming pivot's numerator: the new pivots change sign once per
+    multiple of pi in [psi, psi + rows theta), and the last one is a ratio
+    of sines.  Below the band x_k combines e^{+-k mu} (c = cosh mu) and
+    changes sign at most once; above it (-1)^k x_k does.  A zero pivot
+    counts as positive and makes the next one -inf, as in the recurrence.
+    """
+    b = abs(beta)
+    inside, theta, u, v = band
+    count = np.empty(shifts.size, dtype=np.int64)
+    out = np.empty(shifts.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if inside.any():
+            i = np.flatnonzero(inside)
+            th = theta[i]
+            psi = np.arctan2(np.sin(th), np.cos(th) - b / t[i])
+            phase = psi + rows * th
+            turns = np.ceil(phase / math.pi)
+            count[i] = turns - (psi > 0.0)
+            last = np.clip(phase - (turns - 1.0) * math.pi, 0.0, math.pi)
+            out[i] = -b * np.sin(last) / np.sin(th - last)
+        if not inside.all():
+            i = np.flatnonzero(~inside)
+            above = v[i] <= 0.0
+            mu = 2.0 * np.arcsinh(np.sqrt(-np.where(above, v[i], u[i])))
+            # (x_0, x_1) ~ (b, t) scaled to the unit circle; above the band
+            # y_k = (-1)^k x_k follows the recurrence below it.
+            omega = np.arctan(t[i] / b)
+            x0 = np.cos(omega)
+            x1 = np.where(above, -1.0, 1.0) * np.sin(omega)
+            # sinh(k mu)/sinh(mu) e^{-(k-1) mu} for k = rows-1, rows, rows+1,
+            # which is k at mu = 0
+            k = np.arange(rows - 1, rows + 2, dtype=float)[:, None]
+            g = np.where(mu == 0.0, k,
+                         np.expm1(-2.0 * k * mu) / np.expm1(-2.0 * mu))
+            x0 = np.exp(-mu) * x0
+            x_new = g[2] * x1 - g[1] * x0
+            x_old = g[1] * x1 - g[0] * x0
+            crossed = x_new < 0.0
+            neg_in = t[i] < 0.0
+            count[i] = np.where(above, rows - (neg_in & crossed),
+                                ~neg_in & crossed)
+            out[i] = np.where(above, -b, b) * np.exp(mu) * x_new / x_old
+    # -0.0 + 0.0 is +0.0: a zero pivot is positive
+    return count, out + 0.0
+
+
+def _support_step(t, shifts, diag: np.ndarray, e2: np.ndarray):
+    """The pivots t <- (d_i - s) - e_i^2/t one row at a time:
+    (#negative pivots, last pivot) per shift.  A zero pivot makes the next
+    one -inf and the one after it finite again."""
+    neg = np.zeros(shifts.size, dtype=np.int64)
+    if not diag.size:
+        return neg, t
+    block = np.empty((min(diag.size, _BLOCK_ROWS), shifts.size))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, diag.size, _BLOCK_ROWS):
+            a = np.subtract.outer(diag[start:start + _BLOCK_ROWS], shifts)
+            a += 0.0   # -0.0 + 0.0 is +0.0: a zero pivot is positive
+            for row, a_row, sq in zip(block, a,
+                                      e2[start:start + _BLOCK_ROWS].tolist()):
+                if sq == 0.0:
+                    row[:] = a_row
+                else:
+                    np.divide(sq, t, out=row)
+                    np.subtract(a_row, row, out=row)
+                t = row
+            neg += np.count_nonzero(block[:a.shape[0]] < 0.0, axis=0)
+    return neg, t.copy()
+
+
+class _SturmSweep:
+    """Sturm counts and eigenvalues of one symmetric tridiagonal T.
+
+    The leading run (the rows after row 0 whose (d_i, e_{i-1}) equal row
+    0's bit for bit) and the trailing run (the same from the last row up)
+    are stepped in closed form (``_run_step``); only the support between
+    them is stepped row by row (``_support_step``).  A sweep is twisted
+    (Parlett & Dhillon, LAA 267, 1997) at one end of the support: forward
+    pivots t_i up to the twist row k, backward pivots s_i below it, and
+    gamma = t_k - e_k^2/s_{k+1}.  By Sylvester's law of inertia the number
+    of eigenvalues below s is #neg(t_0..t_{k-1}) + [gamma < 0] +
+    #neg(s_{k+1}..s_{n-1}).
+    """
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        n = diag.size
+        lead = _run_length(diag, off)
+        rest = n - 1 - lead
+        trail = (min(_run_length(diag[::-1], off[::-1]), rest - 1)
+                 if rest else 0)
+        k = n - 2 - trail                    # the last row of the support
+        self.n, self.lead, self.trail, self.rest = n, lead, trail, rest
+        self.first, self.last = float(diag[0]), float(diag[-1])
+        self.lead_entries = (self.first, float(off[0])) if lead else None
+        self.trail_entries = (self.last, float(off[-1])) if trail else None
+        self.forward = (diag[lead + 1:k + 1], off[lead:k] ** 2)
+        self.backward = (diag[k:lead:-1], off[k:lead:-1] ** 2)
+        self.links = (float(off[lead]), float(off[k])) if rest else (0.0, 0.0)
+        radius = np.zeros(n)
+        radius[:-1] += np.abs(off)
+        radius[1:] += np.abs(off)
+        self.bounds = (float((diag - radius).min()),
+                       float((diag + radius).max()))
+        self.tol = np.finfo(float).eps * float(
+            np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))
+        self.axis = self.lead_entries or self.trail_entries
+
+    def sweep(self, shifts, at_lead) -> tuple[np.ndarray, np.ndarray]:
+        """(count, phase) per shift, twisted per shift at the leading run's
+        last row (``at_lead`` True) or at the support's last row (False).
+
+        The phase lies in (count - 1, count] and is the integer j exactly
+        at eigenvalue j, where gamma = 0:
+        phase = #neg(t_0..t_k) + #neg(s_{k+2}..s_{n-1})
+        + (psi(t_k) - psi(e_k^2/s_{k+1}))/pi, with the map
+        psi(x) = atan2(sin theta, cos theta - b/x) onto [0, pi].  For a
+        shift inside the band of the run at its twist, (theta, b) are that
+        run's, and psi turns the run's recurrence into a rotation by theta:
+        the angle grows by theta per row of the run, so the phase is nearly
+        linear in s.  Elsewhere theta = pi/2 and b = |e_k|.  The runs are
+        stepped once for both twists.
+        """
+        shifts = np.asarray(shifts, dtype=float)
+        at_lead = np.broadcast_to(at_lead, shifts.shape)
+        links = np.where(at_lead, *self.links)
+        theta = np.full(shifts.size, 0.5 * math.pi)
+        scale = np.where(links != 0.0, np.abs(links), 1.0)
+        t = self.first - shifts + 0.0
+        fwd = (t < 0.0).astype(np.int64)
+        s = np.full(shifts.size, np.inf)      # no rows below the twist
+        bwd = np.zeros(shifts.size, dtype=np.int64)
+        if self.rest:
+            s = self.last - shifts + 0.0
+            bwd += s < 0.0
+        for entries, rows, pivots, negs, here in (
+                (self.lead_entries, self.lead, t, fwd, at_lead),
+                (self.trail_entries, self.trail, s, bwd, ~at_lead)):
+            if rows:
+                band = _band(shifts, *entries)
+                c, pivots[:] = _run_step(pivots, shifts, *entries, rows, band)
+                negs += c
+                mapped = here & band[0]
+                theta[mapped] = band[1][mapped]
+                scale[mapped] = abs(entries[1])
+        i, j = np.flatnonzero(at_lead), np.flatnonzero(~at_lead)
+        if i.size and self.rest:
+            c, s[i] = _support_step(s[i], shifts[i], *self.backward)
+            bwd[i] += c
+        if j.size:
+            c, t[j] = _support_step(t[j], shifts[j], *self.forward)
+            fwd[j] += c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = np.divide(links * links, s, out=np.zeros(shifts.size),
+                            where=links != 0.0) + 0.0
+            angles = np.arctan2(np.sin(theta), np.cos(theta) - scale / t)
+            angles -= np.arctan2(np.sin(theta), np.cos(theta) - scale / tau)
+        count = fwd - (t < 0.0) + (t - tau < 0.0) + bwd
+        return count, fwd + bwd - (s < 0.0) + angles / math.pi
+
+    def count(self, shifts) -> np.ndarray:
+        return self.sweep(shifts, True)[0]
+
+    def _to_axis(self, shifts):
+        """The multisection coordinate of shifts: theta/pi of the run's band
+        (leading run, else trailing), continued by asinh outside it; a run's
+        eigenvalues lie about evenly in it.  The shifts themselves when the
+        tridiagonal has no run."""
+        if self.axis is None:
+            return shifts
+        _, _, u, v = _band(shifts, *self.axis)
+        inside = (2.0 / math.pi) * np.arcsin(np.sqrt(np.clip(u, 0.0, 1.0)))
+        below = -(2.0 / math.pi) * np.arcsinh(np.sqrt(np.maximum(-u, 0.0)))
+        above = (2.0 / math.pi) * np.arcsinh(np.sqrt(np.maximum(-v, 0.0)))
+        return inside + below + above
+
+    def _from_axis(self, tau):
+        """The shifts at multisection coordinates tau (``_to_axis``)."""
+        if self.axis is None:
+            return tau
+        alpha, beta = self.axis
+        b = abs(beta)
+        half = 0.5 * math.pi * tau
+        above = 1.0 + np.sinh(half - 0.5 * math.pi) ** 2
+        u = np.where(tau < 0.0, -np.sinh(half) ** 2,
+                     np.where(tau > 1.0, above, np.sin(half) ** 2))
+        return (alpha - 2.0 * b) + 4.0 * b * u
+
+    def in_lead_band(self, shifts) -> np.ndarray:
+        if not self.lead:
+            return np.zeros(np.shape(shifts), dtype=bool)
+        return _band(np.asarray(shifts, dtype=float), *self.lead_entries)[0]
+
+    def eigenvalues(self, first: int, last: int) -> np.ndarray:
+        """The eigenvalues with 0-based indices first..last, ascending.
+
+        Every bracket starts as the Gershgorin interval.  Multisection on
+        the count isolates each eigenvalue; then each round probes the
+        secant estimate of phase = j at +-delta and keeps the tightest
+        bracket, squaring delta/width after every probe pair that brackets
+        the eigenvalue and multisecting again after a round that does not
+        halve the bracket.  A bracket ends at width eps (max|d| + 2 max|e|),
+        and its midpoint is returned.
+        """
+        want = np.arange(first, last + 1)
+        if not want.size:
+            return np.empty(0)
+        pad = 4.0 * self.tol + 1e-300
+        lo = np.full(want.size, self.bounds[0] - pad)
+        hi = np.full(want.size, self.bounds[1] + pad)
+        n_lo, n_hi = np.zeros_like(want), np.full_like(want, self.n)
+        f_lo, f_hi = -0.5 - want, self.n - 0.5 - want
+        rho = np.full(want.size, _PROBE)
+        section = np.zeros(want.size, dtype=bool)
+        for _ in range(_MAX_ROUNDS):
+            width = hi - lo
+            active = width > self.tol
+            if not active.any():
+                return np.sort(0.5 * (lo + hi))
+            isolated = (n_lo == want) & (n_hi == want + 1)
+            multi = active & (section | ~isolated)
+            # per group: (wanted indices, their points, twist of the points)
+            groups = []
+            ia = np.flatnonzero(multi)
+            if ia.size:
+                # multisection of the distinct intervals (wanted indices
+                # that share an interval share its ends), even in the run's
+                # band coordinate
+                ulo, head, inv = np.unique(lo[ia], return_index=True,
+                                           return_inverse=True)
+                uhi = hi[ia][head]
+                parts = max(_SECTIONS, _SECTION_POINTS // ulo.size)
+                frac = np.arange(1, parts) / parts
+                a, b = self._to_axis(ulo), self._to_axis(uhi)
+                grid = np.where(
+                    (uhi - ulo)[:, None] > _AXIS_WIDTH * self.tol,
+                    self._from_axis(a[:, None] + (b - a)[:, None] * frac),
+                    ulo[:, None] + (uhi - ulo)[:, None] * frac)
+                grid = np.clip(grid, ulo[:, None], uhi[:, None])
+                groups.append((ia, grid, inv,
+                               np.full(grid.size, self.lead > 0)))
+                section[ia] = False
+            ib = np.flatnonzero(active & ~multi)
+            if ib.size:
+                # probes around the secant estimate of phase = j
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    x = lo[ib] - f_lo[ib] * width[ib] / (f_hi[ib] - f_lo[ib])
+                inside = (x > lo[ib]) & (x < hi[ib])
+                x = np.where(inside, x, 0.5 * (lo[ib] + hi[ib]))
+                near = np.maximum(0.25 * self.tol, rho[ib] * width[ib])
+                far = np.maximum(2.0 * near, np.sqrt(rho[ib]) * width[ib])
+                probes = np.clip(
+                    np.stack([x - far, x - near, x + near, x + far], axis=1),
+                    lo[ib, None], hi[ib, None])
+                groups.append((ib, probes, None, np.repeat(
+                    self.in_lead_band(0.5 * (lo[ib] + hi[ib])), 4)))
+            c, f = self.sweep(np.concatenate([g[1].ravel() for g in groups]),
+                              np.concatenate([g[3] for g in groups]))
+            start = 0
+            for idx, p, inv, _ in groups:
+                cp = c[start:start + p.size].reshape(p.shape)
+                fp = f[start:start + p.size].reshape(p.shape)
+                start += p.size
+                if inv is not None:
+                    p, cp, fp = p[inv], cp[inv], fp[inv]
+                # the last point with count <= j and the first above it
+                below = np.count_nonzero(cp <= want[idx, None], axis=1)
+                r = np.flatnonzero(below > 0)
+                j, col = idx[r], below[r] - 1
+                lo[j], n_lo[j] = p[r, col], cp[r, col]
+                f_lo[j] = fp[r, col] - want[j]
+                r = np.flatnonzero(below < p.shape[1])
+                j, col = idx[r], below[r]
+                hi[j], n_hi[j] = p[r, col], cp[r, col]
+                f_hi[j] = fp[r, col] - want[j]
+            if ib.size:
+                span = hi[ib] - lo[ib]
+                hit = span <= 2.0 * near
+                rho[ib] = np.where(hit, np.maximum(rho[ib] ** 2, 1e-300),
+                                   _PROBE)
+                section[ib] = span > 0.5 * width[ib]
+        raise ConvergenceError(
+            f"eigenvalue brackets did not close in {_MAX_ROUNDS} rounds",
+            float((hi - lo).max()))
+
+
 def count_below(diag: np.ndarray, off: np.ndarray, level: float) -> int:
-    """Number of eigenvalues of the tridiagonal below ``level`` (Sturm count
-    via the LDL^T sign recurrence)."""
-    count = 0
-    t = diag[0] - level
-    if t < 0:
-        count += 1
-    for i in range(1, diag.size):
-        denom = t if abs(t) > 1e-300 else math.copysign(1e-300, t if t != 0 else -1.0)
-        t = (diag[i] - level) - off[i - 1] ** 2 / denom
-        if t < 0:
-            count += 1
-    return count
+    """Number of eigenvalues of the tridiagonal below ``level``: the
+    negative pivots of the LDL^T (Sturm) sweep of T - level, with the
+    tridiagonal's constant runs stepped in closed form (``_SturmSweep``).
+    A level that is an eigenvalue to the last bit may be counted."""
+    return int(_SturmSweep(diag, off).count([level])[0])
 
 
 def eigenpairs_below(diag: np.ndarray, off: np.ndarray, level: float):
     """The eigenvalues of the tridiagonal below ``level`` (ascending) and an
     orthonormal basis of their invariant subspace, as an n x k Fortran array.
 
-    The values come from bisection (LAPACK stebz).  The basis comes from
-    inverse iteration (LAPACK stein), called once per group of eigenvalues;
-    a group ends wherever consecutive eigenvalues lie at least
+    The values come from one vectorized solve on the Sturm sweep
+    (``_SturmSweep.eigenvalues``), to eps (max|d| + 2 max|e|).  The basis
+    comes from inverse iteration (LAPACK stein), called once per group of
+    eigenvalues; a group ends wherever consecutive eigenvalues lie at least
     sqrt(eps) (max|d| + 2 max|e|) apart.  Vectors of different groups then
     overlap by at most eps ||T|| / gap <= sqrt(eps), and that overlap lies
     inside the subspace.  So U is orthonormal up to O(sqrt(eps)), and one
@@ -426,9 +776,8 @@ def eigenpairs_below(diag: np.ndarray, off: np.ndarray, level: float):
     that is not numerically positive definite, raises ConvergenceError.
     """
     n = diag.size
-    lower = float(diag.min() - 2.0 * np.abs(off).max() - 1.0)
-    values = eigvalsh_tridiagonal(diag, off, select="v",
-                                  select_range=(lower, level))
+    sweep = _SturmSweep(diag, off)
+    values = sweep.eigenvalues(0, int(sweep.count([level])[0]) - 1)
     k = values.size
     basis = np.empty((n, k), order="F")
     if k == 0:
@@ -454,10 +803,11 @@ def eigenpairs_below(diag: np.ndarray, off: np.ndarray, level: float):
 
 
 def eigenvalues_by_index(diag: np.ndarray, off: np.ndarray, i_lo: int, i_hi: int):
-    """Eigenvalues with (0-based) indices i_lo..i_hi of the tridiagonal."""
+    """Eigenvalues with (0-based) indices i_lo..i_hi of the tridiagonal,
+    from one vectorized solve on the Sturm sweep (``_SturmSweep``)."""
     i_lo = max(i_lo, 0)
     i_hi = min(i_hi, diag.size - 1)
-    return eigvalsh_tridiagonal(diag, off, select="i", select_range=(i_lo, i_hi))
+    return _SturmSweep(diag, off).eigenvalues(i_lo, i_hi)
 
 
 @dataclass(frozen=True)
@@ -604,7 +954,8 @@ def box_levels(box: BoxDiscretization, potential: Potential | None,
     Per sector of ``_mirror_sectors`` (a box that is not mirror-symmetric is
     one sector), the Sturm counts a = #eig < lo and b = #eig < hi pick the
     indices a-1..b: the last eigenvalue below lo to the first at or above
-    hi, computed by one bisection.  The sector's H0 levels are its free
+    hi, computed by one vectorized solve on the sector's Sturm sweep
+    (``eigenvalues_by_index``).  The sector's H0 levels are its free
     modes in closed form.  A sector may end inside the window; its
     neighbours there are infinite.
     """
@@ -681,11 +1032,12 @@ def band_spectra(box: BoxDiscretization, potential: Potential,
     for sector in sectors:
         _, u = eigenpairs_below(sector.diag, sector.off, fermi_level)
         modes = np.arange(sector.first_mode, r0 + 1, len(sectors))
-        u0 = sector.weight[:, None] * _sines(box.n, sector.diag.size, modes)
+        u0 = _sines(box.n, sector.diag.size, modes, sector.weight)
         plus, minus = _sector_sines(u, u0)
         s_plus.append(plus)
         s_minus.append(minus)
         r += u.shape[1]
+        del u, u0  # free this sector's blocks before the next one's
     s_plus, s_minus = np.concatenate(s_plus), np.concatenate(s_minus)
 
     return BandSpectra(

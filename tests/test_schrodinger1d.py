@@ -6,7 +6,9 @@ square-well bound-state count (matching equations solved by bisection), the
 known reflectionless-potential ground state, brute-force dense linear
 algebra cross-checking the rank-reduced band-spectra path, and individually
 reorthogonalized eigenvectors (LAPACK stein) with one sine SVD per side
-cross-checking its invariant-subspace basis and one-SVD reduction.
+cross-checking its invariant-subspace basis and one-SVD reduction, and the
+row-by-row Sturm recurrence and LAPACK bisection (stebz) cross-checking the
+closed-form Sturm sweep's counts and eigenvalues.
 """
 
 import math
@@ -419,6 +421,13 @@ class TestMirrorSectors:
         assert np.abs(union - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def eigenvalue_tol(diag, off):
+    """Agreement bound between two backward-stable eigenvalue solvers:
+    4 eps (max|d| + 2 max|e|)."""
+    return 4.0 * np.finfo(float).eps * (np.abs(diag).max()
+                                        + 2.0 * np.abs(off).max())
+
+
 def eigenvectors_below(diag, off, level):
     """Eigenvalues below ``level`` and their reorthogonalized eigenvectors
     (LAPACK stebz and stein through eigh_tridiagonal)."""
@@ -446,6 +455,14 @@ def reorthogonalized_band_spectra(box, potential, lam):
             np.sort(s_plus ** 2), np.sort(s_minus ** 2))
 
 
+def invariant_residual(diag, off, u):
+    """||T U - U (U^T T U)||_2: how far ran U is from an invariant subspace."""
+    tu = diag[:, None] * u
+    tu[:-1] += off[:, None] * u[1:]
+    tu[1:] += off[:, None] * u[:-1]
+    return np.linalg.norm(tu - u @ (u.T @ tu), 2)
+
+
 def subspace_sines(u, v):
     """Sines of the principal angles from ran u to ran v (both orthonormal)."""
     return np.linalg.svd(u - v @ (v.T @ u), compute_uv=False)
@@ -462,23 +479,37 @@ class TestInvariantSubspaceBasis:
     def test_matches_reorthogonalized_eigenvectors(self, potential,
                                                    half_length):
         box = BoxDiscretization.from_spacing(half_length, 0.02)
+        diag, off = hamiltonian_tridiagonal(box, potential)
+        drift = 0.0
+        for sector in _mirror_sectors(diag, off):
+            values, basis = eigenpairs_below(sector.diag, sector.off, 1.0)
+            want_values, vectors = eigenvectors_below(sector.diag, sector.off,
+                                                      1.0)
+            assert values.shape == want_values.shape
+            assert np.abs(values - want_values).max() <= eigenvalue_tol(
+                sector.diag, sector.off)
+            k = values.size
+            assert np.abs(basis.T @ basis - np.eye(k)).max() <= 1e-14
+            # Both bases span invariant subspaces to their residuals, so
+            # they agree to the Davis-Kahan bound (r + r_ref) / gap.
+            r = invariant_residual(sector.diag, sector.off, basis)
+            r_ref = invariant_residual(sector.diag, sector.off, vectors)
+            assert r <= 2.0 * r_ref
+            gap = eigvalsh_tridiagonal(sector.diag, sector.off, select="i",
+                                       select_range=(k, k))[0] - values[-1]
+            sines = subspace_sines(basis, vectors).max()
+            assert sines <= (r + r_ref) / gap
+            drift = max(drift, sines)
+
+        # A principal-angle sine moves by at most the sine between the two
+        # bases of ran P, and its square by at most twice that.
         spectra = band_spectra(box, potential, 1.0)
         r, r0, d, mp, mm = reorthogonalized_band_spectra(box, potential, 1.0)
         assert (spectra.rank_p, spectra.rank_p0) == (r, r0)
         for got, want in ((spectra.d_nonzero, d), (spectra.m_plus, mp),
                           (spectra.m_minus, mm)):
             assert got.shape == want.shape
-            assert np.abs(got - want).max() <= 1e-12
-
-        diag, off = hamiltonian_tridiagonal(box, potential)
-        for sector in _mirror_sectors(diag, off):
-            values, basis = eigenpairs_below(sector.diag, sector.off, 1.0)
-            want_values, vectors = eigenvectors_below(sector.diag, sector.off,
-                                                      1.0)
-            assert np.array_equal(values, want_values)
-            k = values.size
-            assert np.abs(basis.T @ basis - np.eye(k)).max() <= 1e-14
-            assert subspace_sines(basis, vectors).max() <= 1e-12
+            assert np.abs(got - want).max() <= 2.0 * drift + 1e-14
 
     @pytest.mark.parametrize("coupling", [1e-14, 1e-10, 1e-6])
     def test_numerically_equal_pairs(self, coupling):
@@ -515,3 +546,194 @@ class TestInvariantSubspaceBasis:
         box = BoxDiscretization(5.0, 99)
         with pytest.raises(ConvergenceError):
             band_spectra(box, SquareWell(-2.0, 1.0), 1.0)
+
+
+def sturm_count_loop(diag, off, level):
+    """The LDL^T sign recurrence of T - level, row by row: the oracle for
+    ``count_below``.  Returns (#negative pivots, last pivot).
+
+    A pivot of magnitude at most 1e-300 divides as +-1e-300 of its own
+    sign, and a zero of either sign as +1e-300: a zero pivot is counted as
+    positive and the next one as negative, so the pair adds one negative
+    pivot, as the inertia of T - level requires.  (The row loop used before
+    the closed-form sweep divided by -1e-300 at an exact zero, which lost
+    that negative pivot: 19 instead of 20 for a 40-point free Laplacian at
+    its band centre.)
+    """
+    diag = [float(x) for x in diag]
+    off = [float(x) for x in off]
+    count = 0
+    t = diag[0] - level
+    if t < 0:
+        count += 1
+    for i in range(1, len(diag)):
+        if abs(t) > 1e-300:
+            denom = t
+        else:
+            denom = math.copysign(1e-300, t) if t else 1e-300
+        t = (diag[i] - level) - off[i - 1] ** 2 / denom
+        if t < 0:
+            count += 1
+    return count, t
+
+
+def run_shifts(diag, off):
+    """Shifts that probe each constant run's band (below, inside, exactly at
+    both edges, above) and zero pivots: s = d_0 makes the first pivot 0,
+    and s = alpha -+ b makes the second pivot of a run that starts its
+    matrix 0 (b - b^2/b)."""
+    sweep = schrodinger1d._SturmSweep(diag, off)
+    shifts = [diag[0], diag[-1]]
+    for entries in (sweep.lead_entries, sweep.trail_entries):
+        if entries is None:
+            continue
+        alpha, b = entries[0], abs(entries[1])
+        lo_edge, hi_edge = alpha - 2.0 * b, alpha + 2.0 * b
+        shifts += [lo_edge - 1.0, lo_edge, np.nextafter(lo_edge, -np.inf),
+                   np.nextafter(lo_edge, np.inf), lo_edge + 1e-9 * b,
+                   alpha - 1.5 * b, alpha - b, alpha, alpha + b,
+                   alpha + 0.3 * b, hi_edge, np.nextafter(hi_edge, np.inf),
+                   np.nextafter(hi_edge, -np.inf), hi_edge + 1.0]
+    return np.array(shifts, dtype=float)
+
+
+def with_runs(lead, trail, rng, support=7):
+    """A tridiagonal whose leading and trailing runs take ``lead`` and
+    ``trail`` rows after their first row, around a random support."""
+    diag = np.concatenate([np.full(lead + 1, 2.0), rng.normal(size=support),
+                           np.full(trail + 1, 2.5)])
+    off = np.concatenate([np.full(lead, -1.0),
+                          rng.uniform(-1.5, -0.5, support + 1),
+                          np.full(trail, 0.7)])
+    return diag, off
+
+
+def kernel_cases():
+    """(name, diag, off): box sectors of odd and even n, a box with two
+    runs, a random tridiagonal with no run, and runs of 0, 1 and 2 rows."""
+    cases = []
+    # Poschl-Teller's samples reach the diagonal's last bit out to |x| ~ 16
+    for potential, half_length, h in ((SquareWell(-2.0, 1.0), 6.0, 0.02),
+                                      (PoschlTeller(1), 20.0, 0.05),
+                                      (GaussianBump(-1.0, 1.0), 6.0, 0.02)):
+        for half_length in (half_length, half_length + h / 2):
+            box = BoxDiscretization.from_spacing(half_length, h)
+            for k, sector in enumerate(_mirror_sectors(
+                    *hamiltonian_tridiagonal(box, potential))):
+                cases.append((f"{potential.kind}-n{box.n}-sector{k}",
+                              sector.diag, sector.off))
+    box = BoxDiscretization.from_spacing(6.0, 0.02)
+    cases.append(("shifted_well", *hamiltonian_tridiagonal(
+        box, ShiftedWell(center=0.7))))
+    rng = np.random.default_rng(5)
+    cases.append(("no_run", rng.normal(size=60), rng.uniform(0.5, 1.5, 59)))
+    for lead in (0, 1, 2):
+        for trail in (0, 1, 2):
+            cases.append((f"runs_{lead}_{trail}",
+                          *with_runs(lead, trail, rng)))
+    return cases
+
+
+KERNEL_CASES = kernel_cases()
+PHASE_CASES = KERNEL_CASES[:6] + KERNEL_CASES[-3:]
+
+
+class TestSturmKernel:
+    """The closed-form sweep against the row-by-row recurrence and against
+    LAPACK bisection (stebz, through ``eigvalsh_tridiagonal`` with a
+    selection)."""
+
+    def test_runs_are_found(self):
+        names = {name: schrodinger1d._SturmSweep(d, e)
+                 for name, d, e in KERNEL_CASES}
+        for lead in (0, 1, 2):
+            for trail in (0, 1, 2):
+                sweep = names[f"runs_{lead}_{trail}"]
+                assert (sweep.lead, sweep.trail) == (lead, trail)
+        assert (names["no_run"].lead, names["no_run"].trail) == (0, 0)
+        shifted = names["shifted_well"]
+        assert shifted.lead > 200 and shifted.trail > 200
+        assert all(sweep.lead > 20 for name, sweep in names.items()
+                   if "sector" in name)
+
+    @pytest.mark.parametrize("name, diag, off", KERNEL_CASES,
+                             ids=[c[0] for c in KERNEL_CASES])
+    def test_counts_match_row_recurrence(self, name, diag, off):
+        rng = np.random.default_rng(11)
+        shifts = np.concatenate([
+            run_shifts(diag, off),
+            rng.uniform(diag.min() - 3.0, diag.max() + 3.0, 25),
+            rng.uniform(-3.0, 4.0, 25)])
+        checked = 0
+        for s in shifts:
+            want, last = sturm_count_loop(diag, off, s)
+            if last == 0.0:
+                continue   # s is an eigenvalue to the last bit
+            assert count_below(diag, off, s) == want, s
+            checked += 1
+        assert checked >= shifts.size - 2
+
+    def test_zero_pivot_counts_the_inertia(self):
+        # The free Laplacian at its band centre: the first pivot is 0 and
+        # half of the spectrum lies below.
+        diag, off = np.full(40, 2.0), np.full(39, -1.0)
+        assert sturm_count_loop(diag, off, 2.0)[0] == 20
+        assert count_below(diag, off, 2.0) == 20
+        assert np.count_nonzero(eigvalsh_tridiagonal(diag, off) < 2.0) == 20
+
+    @pytest.mark.parametrize("name, diag, off", KERNEL_CASES,
+                             ids=[c[0] for c in KERNEL_CASES])
+    def test_eigenvalues_match_bisection(self, name, diag, off):
+        n = diag.size
+        tol = eigenvalue_tol(diag, off)
+        for i_lo, i_hi in ((0, min(n, 40) - 1),
+                           (n // 3, min(n // 3 + 9, n - 1)), (n - 5, n - 1)):
+            got = schrodinger1d.eigenvalues_by_index(diag, off, i_lo, i_hi)
+            want = eigvalsh_tridiagonal(diag, off, select="i",
+                                        select_range=(i_lo, i_hi))
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= tol
+        level = float(eigvalsh_tridiagonal(diag, off, select="i",
+                                           select_range=(n // 4, n // 4))[0])
+        level += 1e-6 * (abs(level) + 1.0)
+        values, _ = eigenpairs_below(diag, off, level)
+        lower = float(diag.min() - 2.0 * np.abs(off).max() - 1.0)
+        want = eigvalsh_tridiagonal(diag, off, select="v",
+                                    select_range=(lower, level))
+        assert values.shape == want.shape
+        assert np.abs(values - want).max() <= tol
+
+    @pytest.mark.parametrize("name, diag, off", PHASE_CASES,
+                             ids=[c[0] for c in PHASE_CASES])
+    def test_phase_lies_below_the_count(self, name, diag, off):
+        sweep = schrodinger1d._SturmSweep(diag, off)
+        rng = np.random.default_rng(2)
+        shifts = np.concatenate([rng.uniform(-3.0, 5.0, 200),
+                                 rng.uniform(*sweep.bounds, 100)])
+        for at_lead in (sweep.in_lead_band(shifts),
+                        np.zeros(shifts.size, dtype=bool)):
+            count, phase = sweep.sweep(shifts, at_lead)
+            assert np.array_equal(count, sweep.count(shifts))
+            assert np.all((phase > count - 1) & (phase <= count))
+
+    def test_double_eigenvalues(self):
+        # Two equal free chains joined by a zero coupling: every eigenvalue
+        # is exactly double, so no count isolates one.
+        diag = np.full(40, 2.0)
+        off = np.concatenate([np.full(19, -1.0), [0.0], np.full(19, -1.0)])
+        got = schrodinger1d.eigenvalues_by_index(diag, off, 0, 39)
+        want = eigvalsh_tridiagonal(diag, off, select="i",
+                                    select_range=(0, 39))
+        assert np.abs(got - want).max() <= eigenvalue_tol(diag, off)
+
+    def test_unclosed_brackets_raise_typed(self, monkeypatch):
+        monkeypatch.setattr(schrodinger1d, "_MAX_ROUNDS", 2)
+        diag, off = KERNEL_CASES[0][1:]
+        with pytest.raises(ConvergenceError):
+            schrodinger1d.eigenvalues_by_index(diag, off, 0, 9)
+
+    def test_scattering_keeps_count_below(self):
+        # perfbench's selftest reads this import by name
+        from specdiff import scattering
+        assert scattering.count_below is schrodinger1d.count_below
+

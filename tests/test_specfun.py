@@ -201,6 +201,16 @@ class TestConical:
                 worst = max(worst, conical_p(t, x).imag_residual)
         assert worst <= 1e-10
 
+    def test_far_branch_imag_residual_is_zero_on_seam_grid(self):
+        # The two branches come from conjugate inputs through
+        # conjugate-symmetric arithmetic, so their imaginary parts cancel
+        # exactly: SpecfunAudit's branch_realness verdict only sees the
+        # near-one form.
+        ts = np.linspace(0.0, 16.0, 161)
+        xs = np.linspace(1.2, 2.8, 50)
+        far = conical_p_far_branch(ts[:, None], xs)
+        assert np.array_equal(far.imag_residual, np.zeros((ts.size, xs.size)))
+
     def test_small_t_path_accuracy(self):
         # Below the switch the value is interpolated in t^2; check it against
         # the quadrature oracle, which knows nothing of the branch split.

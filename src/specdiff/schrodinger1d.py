@@ -34,10 +34,8 @@ Laplacian, so a sweep steps its leading and trailing constant runs in
 closed form (Chebyshev: inside the run's band the pivots are ratios of
 sines of a phase that advances by theta per row, below it ratios of sinh,
 above it they alternate in sign) and only the support row by row.  All
-wanted eigenvalues are solved at once: multisection on the count until each
-is isolated, then secant steps on a phase of the sweep, twisted (Parlett &
-Dhillon, LAA 267, 1997) at one end of the support, that is the integer j
-exactly at eigenvalue j.
+wanted eigenvalues are solved at once, by multisection on the count: each
+round evaluates one vector of shifts spread over every open bracket.
 
 When the sampled box is mirror-symmetric (max|d_i - d_{n-1-i}| <= 8 eps
 max|d| on the diagonal of H), ``band_spectra`` works in parity sectors.  The
@@ -419,17 +417,16 @@ def symmetry_pairing_report(diff, epsilon: float) -> PairingReport:
 # Support rows are stepped in blocks of this many rows; the signs of a
 # block's pivots are counted once per block.
 _BLOCK_ROWS = 64
-# Isolation: each interval gets at least _SECTIONS - 1 points per round and
-# the round about _SECTION_POINTS points in all.
+# A constant run shorter than this many rows is stepped row by row with the
+# support: for 64 to 1024 shifts its closed-form step costs about as much.
+_MIN_RUN = 48
+# Multisection: each bracket gets at least _SECTIONS - 1 points per round
+# and the round about _SECTION_POINTS points in all.
 _SECTIONS = 8
 _SECTION_POINTS = 256
-# Intervals narrower than this many eps (max|d| + 2 max|e|) are multisected
-# evenly in s: the band coordinate's round trip is only good to about one.
-_AXIS_WIDTH = 1e4
-# Refinement: the secant estimate is probed at +- _PROBE * width first; the
-# relative probe distance is squared after every probe pair that brackets
-# the eigenvalue.
-_PROBE = 1.0 / 4096.0
+# A bracket closes at eps (max|d| + 2 max|e|) / _NARROWING, below the
+# rounding of the shifted diagonal d_i - s (half an ulp of max|d|).
+_NARROWING = 64.0
 _MAX_ROUNDS = 100
 
 
@@ -481,8 +478,13 @@ def _run_step(t, shifts, alpha: float, beta: float, rows: int, band):
             psi = np.arctan2(np.sin(th), np.cos(th) - b / t[i])
             phase = psi + rows * th
             turns = np.ceil(phase / math.pi)
+            last = phase - (turns - 1.0) * math.pi
+            # Rounding can put last at or below 0: then that multiple of
+            # pi is the next row's, and the last pivot is a positive zero.
+            low = last <= 0.0
+            turns -= low
             count[i] = turns - (psi > 0.0)
-            last = np.clip(phase - (turns - 1.0) * math.pi, 0.0, math.pi)
+            last = np.clip(np.where(low, last + math.pi, last), 0.0, math.pi)
             out[i] = -b * np.sin(last) / np.sin(th - last)
         if not inside.all():
             i = np.flatnonzero(~inside)
@@ -517,6 +519,15 @@ def _support_step(t, shifts, diag: np.ndarray, e2: np.ndarray):
     neg = np.zeros(shifts.size, dtype=np.int64)
     if not diag.size:
         return neg, t
+    if shifts.size == 1:
+        # One shift: Python floats cost less per row than two numpy calls.
+        s, x, count = float(shifts[0]), float(t[0]), 0
+        for d, sq in zip(diag.tolist(), e2.tolist()):
+            a = (d - s) + 0.0
+            x = a - (sq / x if x else math.copysign(math.inf, x)) if sq else a
+            count += x < 0.0
+        neg[0] = count
+        return neg, np.array([x])
     block = np.empty((min(diag.size, _BLOCK_ROWS), shifts.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, diag.size, _BLOCK_ROWS):
@@ -537,31 +548,28 @@ def _support_step(t, shifts, diag: np.ndarray, e2: np.ndarray):
 class _SturmSweep:
     """Sturm counts and eigenvalues of one symmetric tridiagonal T.
 
-    The leading run (the rows after row 0 whose (d_i, e_{i-1}) equal row
-    0's bit for bit) and the trailing run (the same from the last row up)
-    are stepped in closed form (``_run_step``); only the support between
-    them is stepped row by row (``_support_step``).  A sweep is twisted
-    (Parlett & Dhillon, LAA 267, 1997) at one end of the support: forward
-    pivots t_i up to the twist row k, backward pivots s_i below it, and
-    gamma = t_k - e_k^2/s_{k+1}.  By Sylvester's law of inertia the number
-    of eigenvalues below s is #neg(t_0..t_{k-1}) + [gamma < 0] +
-    #neg(s_{k+1}..s_{n-1}).
+    The forward LDL^T sweep of T - s takes the leading run (the rows after
+    row 0 whose (d_i, e_{i-1}) equal row 0's bit for bit) and the trailing
+    run (the rows before the last whose (d_i, e_i) equal the last row's)
+    in closed form (``_run_step``) and only the support between them row by
+    row (``_support_step``).  A run shorter than ``min_run`` rows joins the
+    support.  By Sylvester's law of inertia the number of negative pivots
+    is the number of eigenvalues below s.
     """
 
-    def __init__(self, diag: np.ndarray, off: np.ndarray):
+    def __init__(self, diag: np.ndarray, off: np.ndarray,
+                 min_run: int = _MIN_RUN):
         n = diag.size
         lead = _run_length(diag, off)
-        rest = n - 1 - lead
-        trail = (min(_run_length(diag[::-1], off[::-1]), rest - 1)
-                 if rest else 0)
-        k = n - 2 - trail                    # the last row of the support
-        self.n, self.lead, self.trail, self.rest = n, lead, trail, rest
-        self.first, self.last = float(diag[0]), float(diag[-1])
+        lead = lead if lead >= min_run else 0
+        trail = min(_run_length(diag[::-1], off[::-1]), n - 1 - lead)
+        trail = trail if trail >= min_run else 0
+        self.n, self.lead, self.trail = n, lead, trail
+        self.first = float(diag[0])
         self.lead_entries = (self.first, float(off[0])) if lead else None
-        self.trail_entries = (self.last, float(off[-1])) if trail else None
-        self.forward = (diag[lead + 1:k + 1], off[lead:k] ** 2)
-        self.backward = (diag[k:lead:-1], off[k:lead:-1] ** 2)
-        self.links = (float(off[lead]), float(off[k])) if rest else (0.0, 0.0)
+        self.trail_entries = ((float(diag[-1]), float(off[-1])) if trail
+                              else None)
+        self.support = (diag[lead + 1:n - trail], off[lead:n - 1 - trail] ** 2)
         radius = np.zeros(n)
         radius[:-1] += np.abs(off)
         radius[1:] += np.abs(off)
@@ -569,181 +577,58 @@ class _SturmSweep:
                        float((diag + radius).max()))
         self.tol = np.finfo(float).eps * float(
             np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))
-        self.axis = self.lead_entries or self.trail_entries
-
-    def sweep(self, shifts, at_lead) -> tuple[np.ndarray, np.ndarray]:
-        """(count, phase) per shift, twisted per shift at the leading run's
-        last row (``at_lead`` True) or at the support's last row (False).
-
-        The phase lies in (count - 1, count] and is the integer j exactly
-        at eigenvalue j, where gamma = 0:
-        phase = #neg(t_0..t_k) + #neg(s_{k+2}..s_{n-1})
-        + (psi(t_k) - psi(e_k^2/s_{k+1}))/pi, with the map
-        psi(x) = atan2(sin theta, cos theta - b/x) onto [0, pi].  For a
-        shift inside the band of the run at its twist, (theta, b) are that
-        run's, and psi turns the run's recurrence into a rotation by theta:
-        the angle grows by theta per row of the run, so the phase is nearly
-        linear in s.  Elsewhere theta = pi/2 and b = |e_k|.  The runs are
-        stepped once for both twists.
-        """
-        shifts = np.asarray(shifts, dtype=float)
-        at_lead = np.broadcast_to(at_lead, shifts.shape)
-        links = np.where(at_lead, *self.links)
-        theta = np.full(shifts.size, 0.5 * math.pi)
-        scale = np.where(links != 0.0, np.abs(links), 1.0)
-        t = self.first - shifts + 0.0
-        fwd = (t < 0.0).astype(np.int64)
-        s = np.full(shifts.size, np.inf)      # no rows below the twist
-        bwd = np.zeros(shifts.size, dtype=np.int64)
-        if self.rest:
-            s = self.last - shifts + 0.0
-            bwd += s < 0.0
-        for entries, rows, pivots, negs, here in (
-                (self.lead_entries, self.lead, t, fwd, at_lead),
-                (self.trail_entries, self.trail, s, bwd, ~at_lead)):
-            if rows:
-                band = _band(shifts, *entries)
-                c, pivots[:] = _run_step(pivots, shifts, *entries, rows, band)
-                negs += c
-                mapped = here & band[0]
-                theta[mapped] = band[1][mapped]
-                scale[mapped] = abs(entries[1])
-        i, j = np.flatnonzero(at_lead), np.flatnonzero(~at_lead)
-        if i.size and self.rest:
-            c, s[i] = _support_step(s[i], shifts[i], *self.backward)
-            bwd[i] += c
-        if j.size:
-            c, t[j] = _support_step(t[j], shifts[j], *self.forward)
-            fwd[j] += c
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = np.divide(links * links, s, out=np.zeros(shifts.size),
-                            where=links != 0.0) + 0.0
-            angles = np.arctan2(np.sin(theta), np.cos(theta) - scale / t)
-            angles -= np.arctan2(np.sin(theta), np.cos(theta) - scale / tau)
-        count = fwd - (t < 0.0) + (t - tau < 0.0) + bwd
-        return count, fwd + bwd - (s < 0.0) + angles / math.pi
 
     def count(self, shifts) -> np.ndarray:
-        return self.sweep(shifts, True)[0]
-
-    def _to_axis(self, shifts):
-        """The multisection coordinate of shifts: theta/pi of the run's band
-        (leading run, else trailing), continued by asinh outside it; a run's
-        eigenvalues lie about evenly in it.  The shifts themselves when the
-        tridiagonal has no run."""
-        if self.axis is None:
-            return shifts
-        _, _, u, v = _band(shifts, *self.axis)
-        inside = (2.0 / math.pi) * np.arcsin(np.sqrt(np.clip(u, 0.0, 1.0)))
-        below = -(2.0 / math.pi) * np.arcsinh(np.sqrt(np.maximum(-u, 0.0)))
-        above = (2.0 / math.pi) * np.arcsinh(np.sqrt(np.maximum(-v, 0.0)))
-        return inside + below + above
-
-    def _from_axis(self, tau):
-        """The shifts at multisection coordinates tau (``_to_axis``)."""
-        if self.axis is None:
-            return tau
-        alpha, beta = self.axis
-        b = abs(beta)
-        half = 0.5 * math.pi * tau
-        above = 1.0 + np.sinh(half - 0.5 * math.pi) ** 2
-        u = np.where(tau < 0.0, -np.sinh(half) ** 2,
-                     np.where(tau > 1.0, above, np.sin(half) ** 2))
-        return (alpha - 2.0 * b) + 4.0 * b * u
-
-    def in_lead_band(self, shifts) -> np.ndarray:
-        if not self.lead:
-            return np.zeros(np.shape(shifts), dtype=bool)
-        return _band(np.asarray(shifts, dtype=float), *self.lead_entries)[0]
+        """The number of eigenvalues below each shift."""
+        shifts = np.asarray(shifts, dtype=float)
+        t = self.first - shifts + 0.0      # a zero pivot is +0.0: positive
+        neg = (t < 0.0).astype(np.int64)
+        if self.lead:
+            c, t = _run_step(t, shifts, *self.lead_entries, self.lead,
+                             _band(shifts, *self.lead_entries))
+            neg += c
+        c, t = _support_step(t, shifts, *self.support)
+        neg += c
+        if self.trail:
+            c, _ = _run_step(t, shifts, *self.trail_entries, self.trail,
+                             _band(shifts, *self.trail_entries))
+            neg += c
+        return neg
 
     def eigenvalues(self, first: int, last: int) -> np.ndarray:
         """The eigenvalues with 0-based indices first..last, ascending.
 
-        Every bracket starts as the Gershgorin interval.  Multisection on
-        the count isolates each eigenvalue; then each round probes the
-        secant estimate of phase = j at +-delta and keeps the tightest
-        bracket, squaring delta/width after every probe pair that brackets
-        the eigenvalue and multisecting again after a round that does not
-        halve the bracket.  A bracket ends at width eps (max|d| + 2 max|e|),
-        and its midpoint is returned.
+        Every bracket starts as the Gershgorin interval.  Each round
+        multisects the distinct brackets (wanted indices that are not yet
+        isolated share theirs) and keeps, per index j, the last point with
+        count <= j and the first with count > j.  A bracket closes at
+        eps (max|d| + 2 max|e|) / _NARROWING, or at 4 eps times its ends'
+        magnitude if that is wider, and its midpoint is returned.
         """
         want = np.arange(first, last + 1)
-        if not want.size:
-            return np.empty(0)
         pad = 4.0 * self.tol + 1e-300
         lo = np.full(want.size, self.bounds[0] - pad)
         hi = np.full(want.size, self.bounds[1] + pad)
-        n_lo, n_hi = np.zeros_like(want), np.full_like(want, self.n)
-        f_lo, f_hi = -0.5 - want, self.n - 0.5 - want
-        rho = np.full(want.size, _PROBE)
-        section = np.zeros(want.size, dtype=bool)
+        eps = np.finfo(float).eps
         for _ in range(_MAX_ROUNDS):
-            width = hi - lo
-            active = width > self.tol
-            if not active.any():
+            active = np.flatnonzero(hi - lo > np.maximum(
+                self.tol / _NARROWING,
+                4.0 * eps * np.maximum(np.abs(lo), np.abs(hi))))
+            if not active.size:
                 return np.sort(0.5 * (lo + hi))
-            isolated = (n_lo == want) & (n_hi == want + 1)
-            multi = active & (section | ~isolated)
-            # per group: (wanted indices, their points, twist of the points)
-            groups = []
-            ia = np.flatnonzero(multi)
-            if ia.size:
-                # multisection of the distinct intervals (wanted indices
-                # that share an interval share its ends), even in the run's
-                # band coordinate
-                ulo, head, inv = np.unique(lo[ia], return_index=True,
-                                           return_inverse=True)
-                uhi = hi[ia][head]
-                parts = max(_SECTIONS, _SECTION_POINTS // ulo.size)
-                frac = np.arange(1, parts) / parts
-                a, b = self._to_axis(ulo), self._to_axis(uhi)
-                grid = np.where(
-                    (uhi - ulo)[:, None] > _AXIS_WIDTH * self.tol,
-                    self._from_axis(a[:, None] + (b - a)[:, None] * frac),
-                    ulo[:, None] + (uhi - ulo)[:, None] * frac)
-                grid = np.clip(grid, ulo[:, None], uhi[:, None])
-                groups.append((ia, grid, inv,
-                               np.full(grid.size, self.lead > 0)))
-                section[ia] = False
-            ib = np.flatnonzero(active & ~multi)
-            if ib.size:
-                # probes around the secant estimate of phase = j
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    x = lo[ib] - f_lo[ib] * width[ib] / (f_hi[ib] - f_lo[ib])
-                inside = (x > lo[ib]) & (x < hi[ib])
-                x = np.where(inside, x, 0.5 * (lo[ib] + hi[ib]))
-                near = np.maximum(0.25 * self.tol, rho[ib] * width[ib])
-                far = np.maximum(2.0 * near, np.sqrt(rho[ib]) * width[ib])
-                probes = np.clip(
-                    np.stack([x - far, x - near, x + near, x + far], axis=1),
-                    lo[ib, None], hi[ib, None])
-                groups.append((ib, probes, None, np.repeat(
-                    self.in_lead_band(0.5 * (lo[ib] + hi[ib])), 4)))
-            c, f = self.sweep(np.concatenate([g[1].ravel() for g in groups]),
-                              np.concatenate([g[3] for g in groups]))
-            start = 0
-            for idx, p, inv, _ in groups:
-                cp = c[start:start + p.size].reshape(p.shape)
-                fp = f[start:start + p.size].reshape(p.shape)
-                start += p.size
-                if inv is not None:
-                    p, cp, fp = p[inv], cp[inv], fp[inv]
-                # the last point with count <= j and the first above it
-                below = np.count_nonzero(cp <= want[idx, None], axis=1)
-                r = np.flatnonzero(below > 0)
-                j, col = idx[r], below[r] - 1
-                lo[j], n_lo[j] = p[r, col], cp[r, col]
-                f_lo[j] = fp[r, col] - want[j]
-                r = np.flatnonzero(below < p.shape[1])
-                j, col = idx[r], below[r]
-                hi[j], n_hi[j] = p[r, col], cp[r, col]
-                f_hi[j] = fp[r, col] - want[j]
-            if ib.size:
-                span = hi[ib] - lo[ib]
-                hit = span <= 2.0 * near
-                rho[ib] = np.where(hit, np.maximum(rho[ib] ** 2, 1e-300),
-                                   _PROBE)
-                section[ib] = span > 0.5 * width[ib]
+            ulo, head, inv = np.unique(lo[active], return_index=True,
+                                       return_inverse=True)
+            uhi = hi[active][head]
+            parts = max(_SECTIONS, _SECTION_POINTS // ulo.size)
+            grid = ulo[:, None] + (uhi - ulo)[:, None] * (
+                np.arange(1, parts) / parts)
+            counts = self.count(grid.ravel()).reshape(grid.shape)[inv]
+            grid = grid[inv]
+            below = np.count_nonzero(counts <= want[active, None], axis=1)
+            r = np.flatnonzero(below > 0)
+            lo[active[r]] = grid[r, below[r] - 1]
+            r = np.flatnonzero(below < grid.shape[1])
+            hi[active[r]] = grid[r, below[r]]
         raise ConvergenceError(
             f"eigenvalue brackets did not close in {_MAX_ROUNDS} rounds",
             float((hi - lo).max()))
@@ -753,7 +638,12 @@ def count_below(diag: np.ndarray, off: np.ndarray, level: float) -> int:
     """Number of eigenvalues of the tridiagonal below ``level``: the
     negative pivots of the LDL^T (Sturm) sweep of T - level, with the
     tridiagonal's constant runs stepped in closed form (``_SturmSweep``).
-    A level that is an eigenvalue to the last bit may be counted."""
+
+    The count is that of T - level perturbed by rounding of about
+    eps (max|d| + 2 max|e|), so a level that close to an eigenvalue may
+    count it on either side; the level guard (``check_level_clear``) keeps
+    levels 1e-9 of the spectral scale away from the box's eigenvalues.
+    """
     return int(_SturmSweep(diag, off).count([level])[0])
 
 
@@ -762,9 +652,9 @@ def eigenpairs_below(diag: np.ndarray, off: np.ndarray, level: float):
     orthonormal basis of their invariant subspace, as an n x k Fortran array.
 
     The values come from one vectorized solve on the Sturm sweep
-    (``_SturmSweep.eigenvalues``), to eps (max|d| + 2 max|e|).  The basis
-    comes from inverse iteration (LAPACK stein), called once per group of
-    eigenvalues; a group ends wherever consecutive eigenvalues lie at least
+    (``_SturmSweep.eigenvalues``), to eps (max|d| + 2 max|e|) / 64.  The
+    basis comes from inverse iteration (LAPACK stein), called once per group
+    of eigenvalues; a group ends wherever consecutive eigenvalues lie at least
     sqrt(eps) (max|d| + 2 max|e|) apart.  Vectors of different groups then
     overlap by at most eps ||T|| / gap <= sqrt(eps), and that overlap lies
     inside the subspace.  So U is orthonormal up to O(sqrt(eps)), and one

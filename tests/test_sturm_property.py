@@ -1,12 +1,14 @@
 """Property test of the closed-form Sturm sweep: on random constant runs
-around a random support, ``count_below`` equals the row-by-row recurrence
-(the oracle ``sturm_count_loop``) at shifts inside, outside and exactly at
-the edges of both runs' bands.  Derandomized, so the run is reproducible."""
+around a random support, the sweep's count equals the row-by-row
+recurrence (the oracle ``sturm_count_loop``) at shifts inside, outside and
+exactly at the edges of both runs' bands, with every run stepped in closed
+form and with ``count_below``'s default.  Derandomized, so the run is
+reproducible."""
 
 import numpy as np
 import pytest
 
-from specdiff.schrodinger1d import count_below
+from specdiff.schrodinger1d import _SturmSweep, count_below
 
 from test_schrodinger1d import sturm_count_loop
 
@@ -36,4 +38,6 @@ def test_count_matches_row_recurrence(alpha, beta, sign, lead, trail,
              diag[lead + 1])                                # a zero pivot
     want, last = sturm_count_loop(diag, off, shift[pick])
     if last != 0.0:    # otherwise the shift is an eigenvalue to the last bit
+        every_run = _SturmSweep(diag, off, min_run=1)
+        assert every_run.count([shift[pick]])[0] == want
         assert count_below(diag, off, shift[pick]) == want

@@ -737,6 +737,33 @@ class TestSturmKernel:
         assert values.shape == want.shape
         assert np.abs(values - want).max() <= tol
 
+    @pytest.mark.parametrize("name, diag, off", KERNEL_CASES[:4],
+                             ids=[c[0] for c in KERNEL_CASES[:4]])
+    def test_eigenvalues_match_long_double_bisection(self, name, diag, off):
+        # The same matrix bisected with long-double pivots: the sweep's
+        # values sit well inside the eps (max|d| + 2 max|e|) that stebz's
+        # default tolerance leaves.
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("long double is no wider than double here")
+        d, e2 = diag.astype(np.longdouble), off.astype(np.longdouble) ** 2
+        want = np.arange(12)
+        radius = 2.0 * np.abs(off).max()
+        lo = np.full(want.size, np.longdouble(diag.min() - radius))
+        hi = np.full(want.size, np.longdouble(diag.max() + radius))
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            t = d[0] - mid
+            count = (t < 0).astype(int)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for d_i, sq in zip(d[1:], e2):
+                    t = (d_i - mid) - sq / t
+                    count += t < 0
+            above = count > want
+            lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+        got = schrodinger1d.eigenvalues_by_index(diag, off, 0, want.size - 1)
+        exact = (0.5 * (lo + hi)).astype(float)
+        assert np.abs(got - exact).max() <= eigenvalue_tol(diag, off) / 16
+
     def test_double_eigenvalues(self):
         # Two equal free chains joined by a zero coupling: every eigenvalue
         # is exactly double, so no count isolates one.

@@ -452,10 +452,9 @@ def _band(shifts: np.ndarray, alpha: float, beta: float):
     return (u > 0.0) & (v > 0.0), theta, u, v
 
 
-def _run_step(t, shifts, alpha: float, beta: float, rows: int, band):
+def _run_step(t, shifts, alpha: float, beta: float, rows: int):
     """``rows`` more pivots of t <- (alpha - s) - beta^2/t from the pivots
     ``t``, in closed form: (#negative new pivots, last pivot) per shift.
-    ``band`` is ``_band(shifts, alpha, beta)``.
 
     With b = |beta| and c = (alpha - s)/(2b), the pivots are b x_{k+1}/x_k
     for a solution of x_{k+1} = 2c x_k - x_{k-1} (Chebyshev), so a negative
@@ -468,7 +467,7 @@ def _run_step(t, shifts, alpha: float, beta: float, rows: int, band):
     counts as positive and makes the next one -inf, as in the recurrence.
     """
     b = abs(beta)
-    inside, theta, u, v = band
+    inside, theta, u, v = _band(shifts, alpha, beta)
     count = np.empty(shifts.size, dtype=np.int64)
     out = np.empty(shifts.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -564,7 +563,7 @@ class _SturmSweep:
         lead = lead if lead >= min_run else 0
         trail = min(_run_length(diag[::-1], off[::-1]), n - 1 - lead)
         trail = trail if trail >= min_run else 0
-        self.n, self.lead, self.trail = n, lead, trail
+        self.lead, self.trail = lead, trail
         self.first = float(diag[0])
         self.lead_entries = (self.first, float(off[0])) if lead else None
         self.trail_entries = ((float(diag[-1]), float(off[-1])) if trail
@@ -584,14 +583,12 @@ class _SturmSweep:
         t = self.first - shifts + 0.0      # a zero pivot is +0.0: positive
         neg = (t < 0.0).astype(np.int64)
         if self.lead:
-            c, t = _run_step(t, shifts, *self.lead_entries, self.lead,
-                             _band(shifts, *self.lead_entries))
+            c, t = _run_step(t, shifts, *self.lead_entries, self.lead)
             neg += c
         c, t = _support_step(t, shifts, *self.support)
         neg += c
         if self.trail:
-            c, _ = _run_step(t, shifts, *self.trail_entries, self.trail,
-                             _band(shifts, *self.trail_entries))
+            c, _ = _run_step(t, shifts, *self.trail_entries, self.trail)
             neg += c
         return neg
 

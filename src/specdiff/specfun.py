@@ -289,43 +289,38 @@ def _far_t_zero(x: np.ndarray) -> np.ndarray:
     return (2.0 / math.pi) * (2.0 * x) ** -0.5 * (f0 * np.log(8.0 * x) - s)
 
 
-def _far(t: np.ndarray, x: np.ndarray, prefs) -> tuple[np.ndarray, np.ndarray]:
-    """The two-branch form at 1-D points (t, x), given G(+-t) per point in
-    ``prefs``; below T_SWITCH, the even-in-t interpolation through the exact
+def _far(t: np.ndarray, x: np.ndarray, pref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two-branch form at 1-D points (t, x), given G(t) per point in
+    ``pref``; below T_SWITCH, the even-in-t interpolation through the exact
     t = 0 limit.
 
-    Both conjugate branches are evaluated independently; the imaginary
-    leftover measures genuine rounding asymmetry and is reported.
+    For real t and x the -t branch is the complex conjugate of the +t branch
+    (its inputs are the conjugates, and the arithmetic is conjugate
+    symmetric to the last bit), so only the +t branch is evaluated and the
+    value is twice its real part.  The imaginary residual is 0.
     """
     value = np.zeros(t.size)
-    resid = np.zeros(t.size)
     direct = t > 0.0
     s = np.maximum(t[direct], T_SWITCH)
     xd = x[direct]
     log2x = np.log(2.0 * xd)
-    z = xd ** -2.0
-    val = 0.0
-    for sign, pref in zip((1.0, -1.0), prefs):
-        st = sign * s
-        power = np.exp(-0.5 * log2x - 1j * st * log2x)     # (2x)^(-1/2-i st)
-        series = hyp2f1(0.25 + 0.5j * st, 0.75 + 0.5j * st, 1.0 + 1j * st, z)
-        val = val + pref[direct] * power * series
-    value[direct] = val.real
-    resid[direct] = np.abs(val.imag)
+    power = np.exp(-0.5 * log2x - 1j * s * log2x)         # (2x)^(-1/2-is)
+    series = hyp2f1(0.25 + 0.5j * s, 0.75 + 0.5j * s, 1.0 + 1j * s, xd ** -2.0)
+    value[direct] = 2.0 * (pref[direct] * power * series).real
 
     small = t < T_SWITCH
     if np.any(small):
         # At t = 0 no direct value was taken: p0 + 0 * (0 - p0) is p0.
         p0 = _far_t_zero(x[small])
         value[small] = p0 + (t[small] / T_SWITCH) ** 2 * (value[small] - p0)
-    return value, resid
+    return value, np.zeros(t.size)
 
 
 def _conical(t: np.ndarray, x: np.ndarray, near: np.ndarray):
     """Values and imaginary residuals on the broadcast of t and x: the
     near-one form where ``near``, the two-branch form elsewhere.
 
-    G(+-t) is evaluated once per entry of t as given.  The points go through
+    G(t) is evaluated once per entry of t as given.  The points go through
     the series in blocks of at most _BLOCK, so the working arrays stay small
     whatever the grid; since every element is computed on its own, the
     blocking does not change a bit of the result.
@@ -341,13 +336,11 @@ def _conical(t: np.ndarray, x: np.ndarray, near: np.ndarray):
         value.flat[block], resid.flat[block] = _near(tb.flat[block], xb.flat[block])
     idx = np.flatnonzero(~near)
     if idx.size:
-        t_direct = np.maximum(t, T_SWITCH)
-        prefs = [np.broadcast_to(_prefactor(sign * t_direct), shape)
-                 for sign in (1.0, -1.0)]
+        pref = np.broadcast_to(_prefactor(np.maximum(t, T_SWITCH)), shape)
         for start in range(0, idx.size, _BLOCK):
             block = idx[start:start + _BLOCK]
             value.flat[block], resid.flat[block] = _far(
-                tb.flat[block], xb.flat[block], [p.flat[block] for p in prefs])
+                tb.flat[block], xb.flat[block], pref.flat[block])
     return value, resid
 
 
@@ -357,7 +350,7 @@ def conical_values(t, x):
 
     Representation per point: the near-one form for x below the seam at
     x = 2 (x = 1 gives exactly 1), the two-branch form at and above it.
-    G(+-t) is evaluated once per entry of t as given, so pass a grid as
+    G(t) is evaluated once per entry of t as given, so pass a grid as
     ``conical_values(ts[:, None], xs)``.  Scalars in, scalars out.
     """
     t = np.asarray(t, dtype=float)

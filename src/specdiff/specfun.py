@@ -1,5 +1,5 @@
-"""Conical Legendre functions P_{-1/2+it}(x) and the complex special
-functions backing them.
+"""Conical Legendre functions P_{-1/2+it}(x) and the hypergeometric series
+behind them.
 
 Two representations are used, each valid on part of the half-line x >= 1:
 
@@ -11,14 +11,16 @@ Two representations are used, each valid on part of the half-line x >= 1:
 
 * Away from 1 (``FarBranch``): the sum of two conjugate branches
 
-      P_{-1/2+it}(x) = G(t) (2x)^(-1/2-it) 2F1(1/4+it/2, 3/4+it/2; 1+it; x^-2)
-                       + conj-branch,
+      P_{-1/2+it}(x) = 2 Re[ G(t) (2x)^(-1/2-it)
+                             * 2F1(1/4+it/2, 3/4+it/2; 1+it; x^-2) ],
       G(t) = Gamma(-it) / (sqrt(pi) Gamma(1/2-it)),
 
-  valid for all x > 1, with series argument x^-2.
+  valid for all x > 1, with series argument x^-2.  For real t and x the
+  -t branch is the complex conjugate of the +t branch, so only the +t
+  branch is evaluated; G(t) takes its Gamma values from scipy.special.
 
 Both produce a real value for real t and x >= 1.  The two-branch form is
-singular term-by-term at t = 0 (Gamma(+-it) poles) although its sum has a
+singular term-by-term at t = 0 (Gamma(-it) pole) although its sum has a
 finite limit; the limit is evaluated from the explicit formula
 
       P_{-1/2}(x) = (2/pi) (2x)^(-1/2) [ F0(z) log(8x) - S(z) ],  z = x^-2,
@@ -29,13 +31,13 @@ s_n = (1/2) sum_{k<n} [1/(k+1/4) + 1/(k+3/4)], H_n the harmonic number.
 For 0 < t below a small switch point the value is interpolated in t^2
 between this limit and a direct evaluation (the function is even in t).
 
-Array API.  ``hyp2f1``, ``complex_gamma`` and ``conical_values`` take numpy
-arrays and broadcast them; a scalar input gives a scalar output.  The series
-run on all elements at once with masked convergence: each element stops on
-its own rule (three consecutive terms below ``SERIES_RTOL`` times its
-running sum) and leaves the active set, so every element gets, bit for bit,
-the value it gets when evaluated alone.  ``conical_values(t, x)`` picks the
-representation per point and evaluates G(+-t) on ``t`` as given, before
+Array API.  ``hyp2f1`` and ``conical_values`` take numpy arrays and
+broadcast them; a scalar input gives a scalar output.  The series run on
+all elements at once with masked convergence: each element stops on its own
+rule (three consecutive terms below ``SERIES_RTOL`` times its running sum)
+and leaves the active set, so every element gets, bit for bit, the value it
+gets when evaluated alone.  ``conical_values(t, x)`` picks the
+representation per point and evaluates G(t) on ``t`` as given, before
 broadcasting: on a grid ``conical_values(ts[:, None], xs)`` that is one
 Gamma pair per t, not per point.  ``conical_p`` (scalars) and the forced
 representations ``conical_p_near_one`` and ``conical_p_far_branch`` (scalars
@@ -57,7 +59,6 @@ __all__ = [
     "ConicalEval",
     "ConicalBoundReport",
     "hyp2f1",
-    "complex_gamma",
     "conical_values",
     "conical_p",
     "conical_p_near_one",
@@ -90,22 +91,6 @@ T_MAX = 16.0
 _BLOCK = 4096
 
 _SQRT_PI = math.sqrt(math.pi)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Lanczos approximation, g = 7, 9 terms; relative accuracy ~1e-13 on the
-# moderate strip once paired with reflection for Re z < 1/2.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 
 class Representation(Enum):
@@ -208,37 +193,6 @@ def hyp2f1(a, b, c, z):
     return out[()]
 
 
-def _sinpi(z: np.ndarray) -> np.ndarray:
-    # sin(pi z) with argument reduction so accuracy survives near integers.
-    n = np.round(z.real)
-    s = np.sin(math.pi * (z - n))
-    return np.where(n % 2 == 1, -s, s)
-
-
-def complex_gamma(z):
-    """Gamma function for complex argument (Lanczos, reflection for Re z < 1/2),
-    elementwise over an array.
-
-    Relative accuracy ~1e-13 on the strip |Re z| <= 10, |Im z| <= 10, away
-    from the poles at the non-positive integers (guarded to 1e-12).
-    """
-    shape = np.shape(z)
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if np.any(_near_nonpositive_integer(z)):
-        raise DomainError("complex_gamma: argument within 1e-12 of a pole")
-    reflect = z.real < 0.5
-    # Gamma(w + 1) by Lanczos, w = z - 1 (or -z under reflection).
-    w = np.where(reflect, 1.0 - z, z) - 1.0
-    acc = np.full(z.size, _LANCZOS[0], dtype=complex)
-    for i in range(1, len(_LANCZOS)):
-        acc = acc + _LANCZOS[i] / (w + i)
-    s = w + _LANCZOS_G + 0.5
-    gamma = _SQRT_2PI * np.exp((w + 0.5) * np.log(s) - s) * acc
-    # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-    gamma[reflect] = math.pi / (_sinpi(z[reflect]) * gamma[reflect])
-    return gamma.reshape(shape)[()]
-
-
 def _check_t(t: np.ndarray) -> None:
     if not np.all(t >= 0.0):
         raise DomainError("conical function: t must be >= 0")
@@ -253,7 +207,11 @@ def _near(t, x):
 
 
 def _prefactor(t: np.ndarray) -> np.ndarray:
-    return complex_gamma(-1j * t) / (_SQRT_PI * complex_gamma(0.5 - 1j * t))
+    """G(t) = Gamma(-it) / (sqrt(pi) Gamma(1/2-it)) for t > 0."""
+    # Imported here: scipy.special costs tens of ms to load and a run that
+    # evaluates no conical function has no use for it.
+    from scipy.special import gamma
+    return gamma(-1j * t) / (_SQRT_PI * gamma(0.5 - 1j * t))
 
 
 def _far_t_zero(x: np.ndarray) -> np.ndarray:

@@ -1,17 +1,16 @@
 """Tests for the special-function layer.
 
 Oracles used here are independent of the implementation paths they check:
-a plain fixed-length series loop for the hypergeometric function, the Gauss
-product limit for the gamma function, scipy's complex gamma as a second
-opinion, and quadrature of the Mehler-Dirichlet integral and mpmath's
-Legendre function for the conical function.
+a plain fixed-length series loop for the hypergeometric function, mpmath's
+gamma function for the two-branch prefactor, and quadrature of the
+Mehler-Dirichlet integral and mpmath's Legendre function for the conical
+function.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy import special as sps
 from scipy.integrate import quad
 
 from specdiff.errors import ConvergenceError, DomainError
@@ -19,12 +18,12 @@ from specdiff.specfun import (
     ConicalEval,
     Representation,
     check_conical_bounds,
-    complex_gamma,
     conical_p,
     conical_p_far_branch,
     conical_p_near_one,
     conical_values,
     hyp2f1,
+    _prefactor,
 )
 
 LOG2 = math.log(2.0)
@@ -38,14 +37,6 @@ def series_oracle(a, b, c, z, terms=200):
         total += term
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
     return total
-
-
-def gamma_product_oracle(z, n=1_000_000):
-    """Gauss product limit n! n^z / (z (z+1) ... (z+n)), evaluated in logs."""
-    k = np.arange(1, n + 1, dtype=float)
-    log_fact = np.sum(np.log(k))
-    log_denom = np.sum(np.log(z + np.arange(0, n + 1, dtype=complex)))
-    return np.exp(log_fact + z * np.log(n) - log_denom)
 
 
 class TestHyp2f1:
@@ -101,53 +92,6 @@ class TestHyp2f1:
         # a = -3 terminates; closed form (1-z)^3 at b = c.
         z = 0.4
         assert abs(hyp2f1(-3.0, 2.5, 2.5, z) - (1 - z) ** 3) < 1e-14
-
-
-class TestComplexGamma:
-    def test_classical_values(self):
-        assert abs(complex_gamma(1.0) - 1.0) < 1e-14
-        assert abs(complex_gamma(0.5) - math.sqrt(math.pi)) < 1e-13
-
-    def test_product_limit_oracle(self):
-        z = 1.0 + 1.0j
-        want_coarse = gamma_product_oracle(z, n=100_000)
-        want = gamma_product_oracle(z, n=1_000_000)
-        got = complex_gamma(z)
-        # The oracle itself converges at O(1/n); check that and then the value.
-        assert abs(want_coarse - got) / abs(got) > abs(want - got) / abs(got)
-        assert abs(got - want) <= 5e-6 * abs(got)
-
-    def test_strip_against_scipy(self):
-        res = np.linspace(-9.7, 9.8, 14)
-        ims = np.linspace(-10.0, 10.0, 9)
-        worst = 0.0
-        for re in res:
-            for im in ims:
-                z = complex(re, im)
-                want = sps.gamma(z)
-                got = complex_gamma(z)
-                worst = max(worst, abs(got - want) / abs(want))
-        assert worst <= 1e-12
-
-    def test_near_pole_reflection_accuracy(self):
-        z = -5.0 + 1e-7j
-        want = sps.gamma(z)
-        assert abs(complex_gamma(z) - want) <= 1e-12 * abs(want)
-
-    def test_pole_guard(self):
-        for z in (0.0, -1.0, -7.0, -3.0 + 1e-13j):
-            with pytest.raises(DomainError):
-                complex_gamma(z)
-
-    def test_functional_equation(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            z = complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
-            if abs(z - round(z.real)) < 0.1 or abs(z + 1 - round(z.real + 1)) < 0.1:
-                continue
-            lhs = complex_gamma(z + 1)
-            rhs = z * complex_gamma(z)
-            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 def mehler_dirichlet_oracle(t, x):
@@ -274,6 +218,21 @@ def mpmath_weighted_error(ts, xs):
 
 
 class TestConicalMpmath:
+    def test_prefactor(self):
+        # G(t) = Gamma(-it) / (sqrt(pi) Gamma(1/2 - it)) on the t range the
+        # two-branch form evaluates it, T_SWITCH to T_MAX.
+        mpmath = pytest.importorskip("mpmath")
+        ts = np.union1d(np.geomspace(1e-3, 16.0, 60), np.linspace(0.25, 16.0, 64))
+        got = _prefactor(ts)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for t, g in zip(ts, got):
+                it = 1j * mpmath.mpf(float(t))
+                want = mpmath.gamma(-it) / (mpmath.sqrt(mpmath.pi)
+                                            * mpmath.gamma(0.5 - it))
+                worst = max(worst, float(abs(mpmath.mpc(g) - want) / abs(want)))
+        assert worst <= 1e-13
+
     def test_campaign_domain(self):
         xs = np.union1d(np.linspace(1.0, 3.0, 41), np.geomspace(3.0, 1e4, 40))
         assert mpmath_weighted_error(np.linspace(0.0, 3.0, 13), xs) <= 1e-12
@@ -362,7 +321,6 @@ class TestArrayKernels:
 
     def test_scalar_in_scalar_out(self):
         assert np.ndim(hyp2f1(1.0, 1.0, 2.0, 0.5)) == 0
-        assert np.ndim(complex_gamma(0.5 + 1j)) == 0
         value, resid = conical_values(1.0, 3.0)
         assert np.ndim(value) == 0 and np.ndim(resid) == 0
 
@@ -375,8 +333,6 @@ class TestArrayKernels:
             hyp2f1(1.0, 1.0, [2.0, 1.5, -3.0], 0.3)
         with pytest.raises(DomainError):
             hyp2f1(1.0, 1.0, 2.0, [0.1, 0.95, 0.2])
-        with pytest.raises(DomainError):
-            complex_gamma([1.5, 2.5 + 1j, -4.0])
         with pytest.raises(DomainError):
             conical_values([0.5, -1e-3], 2.0)
         with pytest.raises(DomainError):

@@ -355,10 +355,9 @@ def run_specfun_audit(config: ExperimentConfig) -> ExperimentReport:
     decay/Hoelder bound audit under sample doubling.
 
     ``branch_realness`` takes the larger imaginary residual of the two forms
-    on the seam grid.  The two-branch form's residual is 0 by construction:
-    its branches come from conjugate inputs through conjugate-symmetric
-    arithmetic, so their imaginary parts cancel exactly.  The verdict
-    therefore only sees the near-one form.
+    on the seam grid.  The two-branch form's residual is 0 by construction
+    (it takes twice the real part of one of its two conjugate branches), so
+    the verdict only sees the near-one form.
     """
     report = _new_report(config)
     g, tol = config.grids, config.tolerances
@@ -368,11 +367,10 @@ def run_specfun_audit(config: ExperimentConfig) -> ExperimentReport:
     worst = 0.0
     worst_imag = 0.0
     for t in g["seam_t"]:
-        near = specfun.conical_p_near_one(t, xs)
-        far = specfun.conical_p_far_branch(t, xs)
-        diff_t = float(np.max(np.abs(near.value - far.value)))
-        imag_t = float(max(np.max(near.imag_residual),
-                           np.max(far.imag_residual)))
+        near, near_imag = specfun.conical_p_near_one(t, xs)
+        far, far_imag = specfun.conical_p_far_branch(t, xs)
+        diff_t = float(np.max(np.abs(near - far)))
+        imag_t = float(max(np.max(near_imag), np.max(far_imag)))
         worst = max(worst, diff_t)
         worst_imag = max(worst_imag, imag_t)
         report.records.append({
@@ -390,7 +388,6 @@ def run_specfun_audit(config: ExperimentConfig) -> ExperimentReport:
 
     t_start = time.perf_counter()
     n_x = int(g["bound_samples"])
-    growth = []
     sups = []
     for factor in (1, 2):
         xs = np.geomspace(1.0, g["bound_x_max"], n_x * factor)

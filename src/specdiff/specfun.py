@@ -39,28 +39,24 @@ and leaves the active set, so every element gets, bit for bit, the value it
 gets when evaluated alone.  ``conical_values(t, x)`` picks the
 representation per point and evaluates G(t) on ``t`` as given, before
 broadcasting: on a grid ``conical_values(ts[:, None], xs)`` that is one
-Gamma pair per t, not per point.  ``conical_p`` (scalars) and the forced
-representations ``conical_p_near_one`` and ``conical_p_far_branch`` (scalars
-or arrays) wrap the same kernels.
+Gamma pair per t, not per point.  The forced representations
+``conical_p_near_one`` and ``conical_p_far_branch`` run the same kernels on
+every point and return the same ``(value, imag_residual)`` pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "Representation",
-    "ConicalEval",
     "ConicalBoundReport",
     "hyp2f1",
     "conical_values",
-    "conical_p",
     "conical_p_near_one",
     "conical_p_far_branch",
     "check_conical_bounds",
@@ -91,28 +87,6 @@ T_MAX = 16.0
 _BLOCK = 4096
 
 _SQRT_PI = math.sqrt(math.pi)
-
-
-class Representation(Enum):
-    NEAR_ONE = "NearOne"
-    FAR_BRANCH = "FarBranch"
-
-
-@dataclass(frozen=True)
-class ConicalEval:
-    """One evaluation of P_{-1/2+it}(x) with representation provenance.
-
-    ``imag_residual`` is the magnitude of the imaginary part produced by the
-    representation before it was discarded; it must stay below 1e-10.  The
-    forced-representation functions given arrays return the broadcast
-    arrays in ``t``, ``x``, ``value`` and ``imag_residual``.
-    """
-
-    t: float
-    x: float
-    value: float
-    representation: Representation
-    imag_residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -321,28 +295,10 @@ def conical_values(t, x):
     return value[()], resid[()]
 
 
-def conical_p(t: float, x: float) -> ConicalEval:
-    """Evaluate the conical function P_{-1/2+it}(x) for t >= 0, x >= 1.
-
-    Representation: the hypergeometric near-one form for x below the seam at
-    x = 2, the two-branch form at and above it.  The imaginary part produced
-    by either formula is recorded and discarded.
-    """
-    t = float(t)
-    x = float(x)
-    value, resid = conical_values(t, x)
-    rep = Representation.NEAR_ONE if x < SEAM_X else Representation.FAR_BRANCH
-    return ConicalEval(t, x, float(value), rep, float(resid))
-
-
-def _forced(t, x, value, resid, rep: Representation) -> ConicalEval:
-    t, x = np.broadcast_arrays(t, x)
-    return ConicalEval(t[()], x[()], value[()], rep, resid[()])
-
-
-def conical_p_near_one(t, x) -> ConicalEval:
+def conical_p_near_one(t, x):
     """Force the near-one representation (valid for 1 <= x < 3), elementwise
-    over the broadcast of t and x."""
+    over the broadcast of t and x; returns (value, imag_residual) like
+    :func:`conical_values`."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     _check_t(t)
@@ -350,12 +306,13 @@ def conical_p_near_one(t, x) -> ConicalEval:
         raise DomainError("near-one representation needs 1 <= x < 3")
     near = np.ones(np.broadcast_shapes(t.shape, x.shape), dtype=bool)
     value, resid = _conical(t, x, near)
-    return _forced(t, x, value, resid, Representation.NEAR_ONE)
+    return value[()], resid[()]
 
 
-def conical_p_far_branch(t, x) -> ConicalEval:
+def conical_p_far_branch(t, x):
     """Force the two-branch representation (valid for x > 1), elementwise
-    over the broadcast of t and x."""
+    over the broadcast of t and x; returns (value, imag_residual) like
+    :func:`conical_values`."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     _check_t(t)
@@ -363,7 +320,7 @@ def conical_p_far_branch(t, x) -> ConicalEval:
         raise DomainError("two-branch representation needs x > 1")
     near = np.zeros(np.broadcast_shapes(t.shape, x.shape), dtype=bool)
     value, resid = _conical(t, x, near)
-    return _forced(t, x, value, resid, Representation.FAR_BRANCH)
+    return value[()], resid[()]
 
 
 def check_conical_bounds(t_max: float, x_samples, n_t: int = 9) -> ConicalBoundReport:

@@ -140,8 +140,8 @@ class TestMehler:
     def test_value_at_right_endpoint_formula(self):
         # f_t(a) = P(1)/a = 1/a; realized through the same evaluation path.
         a = 2.0
-        from specdiff.specfun import conical_p
-        assert conical_p(1.0, a / a).value / a == 1.0 / a
+        from specdiff.specfun import conical_values
+        assert conical_values(1.0, a / a)[0] / a == 1.0 / a
 
     def test_eigenvalue_decays_in_t(self):
         assert 1.0 / math.cosh(math.pi * 4.0) <= 1e-5

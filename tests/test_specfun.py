@@ -8,17 +8,18 @@ function.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import specdiff
 from specdiff.errors import ConvergenceError, DomainError
 from specdiff.specfun import (
-    ConicalEval,
-    Representation,
     check_conical_bounds,
-    conical_p,
     conical_p_far_branch,
     conical_p_near_one,
     conical_values,
@@ -111,55 +112,54 @@ def mehler_dirichlet_oracle(t, x):
 class TestConical:
     def test_equals_one_at_argument_one(self):
         for t in (0.0, 0.5, 1.0, 4.0, 16.0):
-            ev = conical_p(t, 1.0)
-            assert ev.value == 1.0
-            assert ev.representation is Representation.NEAR_ONE
+            value, _ = conical_values(t, 1.0)
+            assert value == 1.0
+            assert value == conical_p_near_one(t, 1.0)[0]
 
     def test_mehler_dirichlet_oracle_t0(self):
-        got = conical_p(0.0, 3.0)
-        assert got.representation is Representation.FAR_BRANCH
-        assert abs(got.value - mehler_dirichlet_oracle(0.0, 3.0)) <= 1e-9
+        got, _ = conical_values(0.0, 3.0)
+        assert got == conical_p_far_branch(0.0, 3.0)[0]
+        assert abs(got - mehler_dirichlet_oracle(0.0, 3.0)) <= 1e-9
 
     def test_mehler_dirichlet_oracle_positive_t(self):
         for t, x in ((0.5, 2.5), (1.0, 4.0), (2.0, 1.5)):
-            got = conical_p(t, x).value
+            got, _ = conical_values(t, x)
             assert abs(got - mehler_dirichlet_oracle(t, x)) <= 1e-9
 
     def test_representation_pair_on_overlap(self):
-        near = conical_p_near_one(1.0, 2.0)
-        far = conical_p_far_branch(1.0, 2.0)
-        assert abs(near.value - far.value) <= 1e-8
+        near, _ = conical_p_near_one(1.0, 2.0)
+        far, _ = conical_p_far_branch(1.0, 2.0)
+        assert abs(near - far) <= 1e-8
 
     def test_seam_grid_consistency(self):
         worst = 0.0
         for t in (0.0, 0.5, 1.0, 2.0):
             for x in np.linspace(1.2, 2.8, 17):
-                worst = max(worst, abs(conical_p_near_one(t, x).value
-                                       - conical_p_far_branch(t, x).value))
+                worst = max(worst, abs(conical_p_near_one(t, x)[0]
+                                       - conical_p_far_branch(t, x)[0]))
         assert worst <= 1e-8
 
     def test_branch_imag_residual_small(self):
         worst = 0.0
         for t in (0.0, 0.3, 1.0, 2.0, 8.0):
             for x in (2.0, 3.0, 10.0, 1e3):
-                worst = max(worst, conical_p(t, x).imag_residual)
+                worst = max(worst, conical_values(t, x)[1])
         assert worst <= 1e-10
 
     def test_far_branch_imag_residual_is_zero_on_seam_grid(self):
-        # The two branches come from conjugate inputs through
-        # conjugate-symmetric arithmetic, so their imaginary parts cancel
-        # exactly: SpecfunAudit's branch_realness verdict only sees the
-        # near-one form.
+        # The two-branch form takes twice the real part of one of its two
+        # conjugate branches, so it has no imaginary part to report:
+        # SpecfunAudit's branch_realness verdict only sees the near-one form.
         ts = np.linspace(0.0, 16.0, 161)
         xs = np.linspace(1.2, 2.8, 50)
-        far = conical_p_far_branch(ts[:, None], xs)
-        assert np.array_equal(far.imag_residual, np.zeros((ts.size, xs.size)))
+        _, far_imag = conical_p_far_branch(ts[:, None], xs)
+        assert np.array_equal(far_imag, np.zeros((ts.size, xs.size)))
 
     def test_small_t_path_accuracy(self):
         # Below the switch the value is interpolated in t^2; check it against
         # the quadrature oracle, which knows nothing of the branch split.
         for t, x in ((5e-4, 2.5), (1e-4, 2.0), (8e-4, 6.0)):
-            got = conical_p(t, x).value
+            got, _ = conical_values(t, x)
             assert abs(got - mehler_dirichlet_oracle(t, x)) <= 1e-9
 
     def test_decay_ratio_small_t(self):
@@ -167,7 +167,7 @@ class TestConical:
         # x halves it up to a slowly-decaying log correction (within 20%
         # multiplicatively from x around 150 on).
         for x in (200.0, 400.0, 1600.0):
-            ratio = conical_p(0.0, 4.0 * x).value / conical_p(0.0, x).value
+            ratio = conical_values(0.0, 4.0 * x)[0] / conical_values(0.0, x)[0]
             assert 0.8 * 0.5 <= ratio <= 1.2 * 0.5
 
     def test_decay_envelope_oscillatory_t(self):
@@ -176,7 +176,7 @@ class TestConical:
         for t in (0.5, 1.0, 2.0):
             def envelope(x_lo, x_hi):
                 xs = np.geomspace(x_lo, x_hi, 48)
-                return max(math.sqrt(x) * abs(conical_p(t, x).value) for x in xs)
+                return max(math.sqrt(x) * abs(conical_values(t, x)[0]) for x in xs)
 
             e1 = envelope(1e2, 1e4)
             e2 = envelope(1e4, 1e6)
@@ -184,20 +184,20 @@ class TestConical:
 
     def test_domain_guards(self):
         with pytest.raises(DomainError):
-            conical_p(-0.1, 2.0)
+            conical_values(-0.1, 2.0)
         with pytest.raises(DomainError):
-            conical_p(17.0, 2.0)
+            conical_values(17.0, 2.0)
         with pytest.raises(DomainError):
-            conical_p(1.0, 0.99)
+            conical_values(1.0, 0.99)
         with pytest.raises(DomainError):
             conical_p_near_one(1.0, 3.5)
         with pytest.raises(DomainError):
             conical_p_far_branch(1.0, 1.0)
 
     def test_high_t_branches_agree(self):
-        near = conical_p_near_one(16.0, 1.5)
-        far = conical_p_far_branch(16.0, 1.5)
-        assert abs(near.value - far.value) <= 1e-8
+        near, _ = conical_p_near_one(16.0, 1.5)
+        far, _ = conical_p_far_branch(16.0, 1.5)
+        assert abs(near - far) <= 1e-8
 
 
 def mpmath_weighted_error(ts, xs):
@@ -305,19 +305,28 @@ class TestArrayKernels:
         for k in range(30):
             assert hyp2f1(a[k], b[k], 1.5, z[k]) == grid[k]
 
-    def test_scalar_wrappers_equal_grid(self):
-        value, resid = conical_values(self.TS[:, None], self.XS)
-        for i, t in enumerate(self.TS):
-            for j, x in enumerate(self.XS):
-                ev = conical_p(t, x)
-                assert ev.value == value[i, j] and ev.imag_residual == resid[i, j]
-        xs = np.linspace(1.2, 2.8, 9)
-        for t in (0.0, 5e-4, 2.0):
-            near = conical_p_near_one(t, xs)
-            far = conical_p_far_branch(t, xs)
-            for k, x in enumerate(xs):
-                assert conical_p_near_one(t, x).value == near.value[k]
-                assert conical_p_far_branch(t, x).value == far.value[k]
+    def test_forced_forms_equal_conical_values(self):
+        # A grid on both sides of the seam at x = 2: each forced form gives
+        # the bits conical_values gives where it picks that form, and each
+        # element of a forced grid call the bits of its lone call.
+        ts = np.array([0.0, 5e-4, 1e-3, 0.5, 2.0, 16.0])
+        xs = np.array([1.0, 1.2, 1.9, 2.0, 2.5, 2.8])
+        value, resid = conical_values(ts[:, None], xs)
+        near, near_imag = conical_p_near_one(ts[:, None], xs)
+        far, far_imag = conical_p_far_branch(ts[:, None], xs[1:])
+        below = xs < 2.0
+        assert np.array_equal(near[:, below], value[:, below])
+        assert np.array_equal(near_imag[:, below], resid[:, below])
+        assert np.array_equal(far[:, ~below[1:]], value[:, ~below])
+        assert np.array_equal(far_imag[:, ~below[1:]], resid[:, ~below])
+        for i, t in enumerate(ts):
+            for j, x in enumerate(xs):
+                v, r = conical_p_near_one(t, x)
+                assert np.ndim(v) == 0 and v == near[i, j] and r == near_imag[i, j]
+                if x > 1.0:
+                    v, r = conical_p_far_branch(t, x)
+                    assert np.ndim(v) == 0
+                    assert v == far[i, j - 1] and r == far_imag[i, j - 1]
 
     def test_scalar_in_scalar_out(self):
         assert np.ndim(hyp2f1(1.0, 1.0, 2.0, 0.5)) == 0
@@ -381,3 +390,15 @@ class TestBoundReport:
     def test_samples_below_one_rejected(self):
         with pytest.raises(DomainError):
             check_conical_bounds(1.0, [0.5, 2.0])
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # _prefactor imports scipy.special itself; loading the package must not.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specdiff.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, specdiff, specdiff.acceptance; "
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

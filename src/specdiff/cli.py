@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (campaign defaults if omitted)")
         p.add_argument("--out", help="report output path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
 
@@ -91,7 +90,7 @@ def _load_config(args, campaign: str) -> experiments.ExperimentConfig:
 def _run_campaign(args) -> int:
     campaign = _CAMPAIGN_BY_COMMAND[args.command]
     cfg = _load_config(args, campaign)
-    report = experiments.run_experiment(cfg, jobs=max(1, args.jobs))
+    report = experiments.run_experiment(cfg)
     if args.out:
         experiments.emit_report(report, args.format, args.out)
         if not args.quiet:

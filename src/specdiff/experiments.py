@@ -44,7 +44,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -569,20 +568,15 @@ def _with_level_nudge(fn, box, lam: float, record: dict):
     return fn(lam)
 
 
-def _run_cases(fn, cases, jobs: int, seconds: list) -> list:
-    """``fn`` over ``cases`` in order, on ``jobs`` threads when jobs > 1;
-    appends each case's own wall time to ``seconds`` either way."""
-    def timed(case):
+def _run_cases(fn, cases, seconds: list) -> list:
+    """``fn`` over ``cases`` in order; appends each case's own wall time to
+    ``seconds``."""
+    out = []
+    for case in cases:
         t_case = time.perf_counter()
-        out = fn(case)
-        return out, time.perf_counter() - t_case
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(timed, cases))
-    else:
-        done = [timed(case) for case in cases]
-    seconds.extend(dt for _, dt in done)
-    return [out for out, _ in done]
+        out.append(fn(case))
+        seconds.append(time.perf_counter() - t_case)
+    return out
 
 
 # An eigenvalue of D or M+- counts as pinned at +-1 within this distance.
@@ -654,7 +648,7 @@ def _band_case(pot, lam, L, n, kappas, tol):
     return rec, _confinement(spectra, kappa_max, margin)
 
 
-def run_band_filling(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
+def run_band_filling(config: ExperimentConfig) -> ExperimentReport:
     """Band statistics of D(lambda) and of the compressions M+- across a
     growing sequence of boxes, judged against the scattering-matrix bands.
 
@@ -681,7 +675,7 @@ def run_band_filling(config: ExperimentConfig, jobs: int = 1) -> ExperimentRepor
 
     boxes = _run_cases(
         lambda Ln: _band_case(pot, lam, Ln[0], Ln[1], kappas, tol),
-        config.box_sequence, jobs, report.per_case_seconds)
+        config.box_sequence, report.per_case_seconds)
     recs = [rec for rec, _ in boxes]
     confined = [conf for _, conf in boxes]
     report.records.extend(recs)
@@ -707,7 +701,7 @@ def run_band_filling(config: ExperimentConfig, jobs: int = 1) -> ExperimentRepor
     return report
 
 
-def run_birman_krein(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
+def run_birman_krein(config: ExperimentConfig) -> ExperimentReport:
     """Scattering-determinant versus smeared-counting comparison over an
     energy grid, with branch tracking for the continuity check."""
     report = _new_report(config)
@@ -733,7 +727,7 @@ def run_birman_krein(config: ExperimentConfig, jobs: int = 1) -> ExperimentRepor
                                                  levels=levels)
         return _with_level_nudge(attempt, box, lam, note)
 
-    vals = _run_cases(one, zip(lams, nudges), jobs, report.per_case_seconds)
+    vals = _run_cases(one, zip(lams, nudges), report.per_case_seconds)
 
     # Branch tracking: shift each value by an integer to follow its
     # predecessor, so jumps measure genuine discontinuity, not mod-1 wraps.
@@ -767,8 +761,5 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    runner = _RUNNERS[config.experiment]
-    if config.experiment in ("BandFilling", "BirmanKrein"):
-        return runner(config, jobs=jobs)
-    return runner(config)
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    return _RUNNERS[config.experiment](config)

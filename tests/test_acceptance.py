@@ -120,7 +120,7 @@ class _CampaignRuns(collections.Counter):
 
     stamp = False
 
-    def run(self, config, jobs=1):
+    def run(self, config):
         self[config.experiment] += 1
         report = ExperimentReport(config.experiment, config.as_dict())
         for name in _BAND_VERDICTS:

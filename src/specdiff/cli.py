@@ -11,7 +11,8 @@ Subcommands map to the experiment campaigns plus ad-hoc evaluation:
     bk        Birman-Krein identity campaign
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 configuration or
-usage error, 3 numerical failure (non-convergence, singular system).
+usage error (a report that cannot be written included), 3 numerical failure
+(non-convergence, singular system).
 """
 
 from __future__ import annotations
@@ -171,6 +172,10 @@ def main(argv=None) -> int:
         return _run_campaign(args)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # A config that cannot be read or a report that cannot be written.
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -117,7 +118,35 @@ class ExperimentConfig:
         }
 
 
+def _number(value, key: str) -> float:
+    """A JSON number (not a boolean) as a float, else a ConfigError naming
+    the key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not float(value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number_list(value, key: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return [_number(v, f"{key}[{i}]") for i, v in enumerate(value)]
+
+
+def _mapping(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
 def potential_from_dict(d: dict) -> schrodinger1d.Potential:
+    _mapping(d, "potential")
     if "kind" not in d:
         raise ConfigError("potential config needs a 'kind' field")
     kind = d["kind"]
@@ -127,13 +156,15 @@ def potential_from_dict(d: dict) -> schrodinger1d.Potential:
     unknown = set(d) - _POTENTIAL_KEYS[kind]
     if unknown:
         raise ConfigError(f"unknown potential keys {sorted(unknown)} for kind {kind!r}")
+    def arg(key, default, kind=_number):
+        return kind(d.get(key, default), f"potential {key!r}")
     if kind == "square_well":
-        return schrodinger1d.SquareWell(depth=float(d.get("depth", -2.0)),
-                                        half_width=float(d.get("half_width", 1.0)))
+        return schrodinger1d.SquareWell(depth=arg("depth", -2.0),
+                                        half_width=arg("half_width", 1.0))
     if kind == "poschl_teller":
-        return schrodinger1d.PoschlTeller(strength=int(d.get("strength", 1)))
-    return schrodinger1d.GaussianBump(amplitude=float(d.get("amplitude", -1.0)),
-                                      width=float(d.get("width", 1.0)))
+        return schrodinger1d.PoschlTeller(strength=arg("strength", 1, _integer))
+    return schrodinger1d.GaussianBump(amplitude=arg("amplitude", -1.0),
+                                      width=arg("width", 1.0))
 
 
 def _boxes_for(half_lengths, h: float = 0.02):
@@ -196,7 +227,8 @@ def default_config(experiment: str) -> ExperimentConfig:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from a JSON-style dict.  Unknown keys are a hard error
     (misspellings must not silently fall back to defaults); missing keys take
-    the campaign defaults."""
+    the campaign defaults.  A value of the wrong JSON type is a ConfigError
+    that names its key."""
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}; "
@@ -208,26 +240,37 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if pot is not None:
         potential_from_dict(pot)  # validate keys eagerly
     grids = dict(base.grids)
-    for key, val in raw.get("grids", {}).items():
+    for key, val in _mapping(raw.get("grids", {}), "grids").items():
         if key not in base.grids:
             raise ConfigError(f"unknown grids key {key!r} for {base.experiment}; "
                               f"allowed: {sorted(base.grids)}")
+        # A grid entry keeps the JSON type of its default: a list of numbers
+        # or a number.
+        if isinstance(base.grids[key], list):
+            _number_list(val, f"grids {key!r}")
+        else:
+            _number(val, f"grids {key!r}")
         grids[key] = val
     tolerances = dict(base.tolerances)
-    for key, val in raw.get("tolerances", {}).items():
+    for key, val in _mapping(raw.get("tolerances", {}), "tolerances").items():
         if key not in base.tolerances:
             raise ConfigError(f"unknown tolerance {key!r} for {base.experiment}; "
                               f"allowed: {sorted(base.tolerances)}")
-        tolerances[key] = float(val)
+        tolerances[key] = _number(val, f"tolerance {key!r}")
+    boxes = raw.get("box_sequence", base.box_sequence)
+    if not isinstance(boxes, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in boxes):
+        raise ConfigError(f"box_sequence must be a list of [L, n] pairs, got {boxes!r}")
     return ExperimentConfig(
         experiment=raw["experiment"],
         potential=pot,
-        lambda_grid=tuple(float(x) for x in raw.get("lambda_grid", base.lambda_grid)),
-        box_sequence=tuple((float(L), int(n)) for L, n in
-                           raw.get("box_sequence", base.box_sequence)),
+        lambda_grid=tuple(_number_list(raw.get("lambda_grid", base.lambda_grid),
+                                       "lambda_grid")),
+        box_sequence=tuple((_number(L, "box_sequence L"),
+                            _integer(n, "box_sequence n")) for L, n in boxes),
         grids=grids,
         tolerances=tolerances,
-        seed=int(raw.get("seed", base.seed)),
+        seed=_integer(raw.get("seed", base.seed), "seed"),
     )
 
 

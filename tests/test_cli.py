@@ -21,6 +21,28 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "lamda_grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, key", [
+    ({"tolerances": {"bk_residual": "abc"}}, "bk_residual"),
+    ({"box_sequence": [[200]]}, "box_sequence"),
+    ({"lambda_grid": "0.5"}, "lambda_grid"),
+    ({"potential": {"kind": "square_well", "depth": "deep"}}, "depth"),
+])
+def test_malformed_config_value_exits_2(tmp_path, capsys, entry, key):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"experiment": "BirmanKrein", **entry}))
+    code = main(["bk", "--config", str(p)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+def test_unwritable_report_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "x.json"
+    code = main(["model", "--out", str(out), "--quiet"])
+    assert code == EXIT_CONFIG
+    assert str(out) in capsys.readouterr().err
+
+
 def test_config_for_wrong_campaign_exits_2(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"experiment": "BirmanKrein"}))

@@ -67,6 +67,23 @@ class TestConfig:
             config_from_dict({"experiment": "BirmanKrein",
                               "tolerances": {"bk_residual": 0.0}})
 
+    @pytest.mark.parametrize("entry, key", [
+        ({"potential": 3}, "potential"),
+        ({"potential": {"kind": "poschl_teller", "strength": 1.5}}, "strength"),
+        ({"grids": [1.0]}, "grids"),
+        ({"grids": {"seam_points": "50"}}, "seam_points"),
+        ({"grids": {"seam_t": 0.5}}, "seam_t"),
+        ({"tolerances": "tight"}, "tolerances"),
+        ({"tolerances": {"imag_residual": True}}, "imag_residual"),
+        ({"lambda_grid": [0.5, "1"]}, "lambda_grid[1]"),
+        ({"box_sequence": [[50, "4999"]]}, "box_sequence n"),
+        ({"seed": "0"}, "seed"),
+    ])
+    def test_wrong_json_type_names_the_key(self, entry, key):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"experiment": "SpecfunAudit", **entry})
+        assert key in str(err.value)
+
     def test_missing_keys_take_defaults(self):
         cfg = config_from_dict({"experiment": "BirmanKrein", "seed": 9})
         assert cfg.seed == 9

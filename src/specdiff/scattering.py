@@ -82,7 +82,6 @@ __all__ = [
     "s_matrix_ode",
     "s_matrix_stationary",
     "eigenphases",
-    "spectral_shift_count",
     "smeared_spectral_shift",
     "birman_krein_value",
 ]
@@ -438,14 +437,6 @@ def eigenphases(s: ScatteringMatrix, phase_tol: float = 1e-6) -> EigenphaseSet:
     kappas = np.abs(np.exp(1j * thetas) - 1.0) / 2.0
     order = np.argsort(kappas)[::-1]
     return EigenphaseSet(thetas=thetas[order], kappas=kappas[order])
-
-
-def spectral_shift_count(potential: Potential, lam: float,
-                         box: BoxDiscretization) -> int:
-    """Integer spectral-shift estimate -(#eig(H) < lam) + (#eig(H0) < lam);
-    equals -trace(D) for the same box by construction."""
-    levels = box_levels(box, potential, lam, lam)
-    return -sum(h[0] - h0[0] for h, h0 in levels.at(lam))
 
 
 def _interp_count(levels_below: int, e_lo: float, e_hi: float, lam: float) -> float:

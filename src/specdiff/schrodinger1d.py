@@ -82,7 +82,6 @@ __all__ = [
     "symmetry_pairing_report",
     "hamiltonian_tridiagonal",
     "free_levels",
-    "free_vectors",
     "count_below",
     "BoxLevels",
     "box_levels",
@@ -288,11 +287,6 @@ def free_levels(box: BoxDiscretization) -> np.ndarray:
     h = box.spacing
     k = np.arange(1, box.n + 1)
     return (2.0 / h ** 2) * (1.0 - np.cos(k * np.pi / (box.n + 1)))
-
-
-def free_vectors(box: BoxDiscretization, count: int) -> np.ndarray:
-    """First ``count`` H0 eigenvectors sqrt(2/(n+1)) sin(k pi i/(n+1))."""
-    return _sines(box.n, box.n, np.arange(1, count + 1))
 
 
 def _sines(n: int, rows: int, modes: np.ndarray,

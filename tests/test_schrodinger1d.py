@@ -36,7 +36,6 @@ from specdiff.schrodinger1d import (
     eigendecompose,
     eigenpairs_below,
     free_levels,
-    free_vectors,
     hamiltonian_tridiagonal,
     m_plus_minus,
     projection_difference,
@@ -308,14 +307,14 @@ class TestTridiagonalPath:
         with pytest.raises(LevelCollisionError):
             check_level_clear(box, well, float(free_levels(box)[5]))
 
-    def test_free_vectors_are_eigenvectors(self):
+    def test_free_sines_are_eigenvectors(self):
         box = BoxDiscretization(8.0, 200)
         diag, off = hamiltonian_tridiagonal(box)
         h = np.diag(diag)
         idx = np.arange(box.n - 1)
         h[idx, idx + 1] = off
         h[idx + 1, idx] = off
-        u = free_vectors(box, 7)
+        u = _sines(box.n, box.n, np.arange(1, 8))
         levels = free_levels(box)[:7]
         resid = np.linalg.norm(h @ u - u * levels[None, :])
         assert resid <= 1e-9 * np.abs(diag).max()

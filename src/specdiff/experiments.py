@@ -127,8 +127,7 @@ def _number(value, key: str) -> float:
 
 
 def _integer(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not float(value).is_integer():
+    if not _number(value, key).is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 

@@ -88,12 +88,21 @@ def _load_config(args, campaign: str) -> experiments.ExperimentConfig:
     return cfg
 
 
+def _emit(report, args) -> None:
+    """Write ``report`` to ``args.out``; a path that cannot be written is a
+    usage error (exit 2), not a failed verdict."""
+    try:
+        experiments.emit_report(report, args.format, args.out)
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _run_campaign(args) -> int:
     campaign = _CAMPAIGN_BY_COMMAND[args.command]
     cfg = _load_config(args, campaign)
     report = experiments.run_experiment(cfg)
     if args.out:
-        experiments.emit_report(report, args.format, args.out)
+        _emit(report, args)
         if not args.quiet:
             print(f"report written to {args.out}")
     if not args.quiet:
@@ -152,7 +161,7 @@ def _run_verify(args) -> int:
             verdicts=[v for r in results for v in r.verdicts],
             per_case_seconds=[r.elapsed for r in results],
         )
-        experiments.emit_report(report, args.format, args.out)
+        _emit(report, args)
         if not args.quiet:
             print(f"aggregate report written to {args.out}")
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERDICT
@@ -172,10 +181,6 @@ def main(argv=None) -> int:
         return _run_campaign(args)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        # A config that cannot be read or a report that cannot be written.
-        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -40,6 +40,12 @@ _CAMPAIGN_BY_COMMAND = {
 }
 
 
+def _potential_flags() -> dict:
+    """Every potential parameter, name -> int or float."""
+    return {name: kind for pot in experiments.POTENTIALS
+            for name, kind in experiments.potential_parameters(pot).items()}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specdiff",
@@ -58,12 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("scatter", help="ad-hoc scattering matrix evaluation")
     sc.add_argument("--potential", default="square_well",
-                    choices=("square_well", "poschl_teller", "gaussian"))
-    sc.add_argument("--depth", type=float, default=-2.0)
-    sc.add_argument("--half-width", type=float, default=1.0)
-    sc.add_argument("--strength", type=int, default=1)
-    sc.add_argument("--amplitude", type=float, default=-1.0)
-    sc.add_argument("--width", type=float, default=1.0)
+                    choices=tuple(experiments.POTENTIALS))
+    # One flag per potential parameter; a flag left out takes the
+    # potential class's default.
+    for name, kind in _potential_flags().items():
+        sc.add_argument("--" + name.replace("_", "-"), type=kind)
     sc.add_argument("--energy", type=float, required=True)
     sc.add_argument("--quiet", action="store_true")
 
@@ -114,12 +119,10 @@ def _run_campaign(args) -> int:
 
 
 def _potential_from_args(args) -> dict:
-    if args.potential == "square_well":
-        return {"kind": "square_well", "depth": args.depth,
-                "half_width": args.half_width}
-    if args.potential == "poschl_teller":
-        return {"kind": "poschl_teller", "strength": args.strength}
-    return {"kind": "gaussian", "amplitude": args.amplitude, "width": args.width}
+    """The potential of ``scatter``: its kind and the parameter flags set."""
+    return {"kind": args.potential,
+            **{name: getattr(args, name) for name in _potential_flags()
+               if getattr(args, name) is not None}}
 
 
 def _run_scatter(args) -> int:

@@ -41,10 +41,12 @@ column order is the record key order of the campaign:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
 import time
+import typing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -60,6 +62,8 @@ __all__ = [
     "default_config",
     "config_from_dict",
     "config_from_json",
+    "POTENTIALS",
+    "potential_parameters",
     "potential_from_dict",
     "run_experiment",
     "run_specfun_audit",
@@ -78,11 +82,6 @@ FORMAT_VERSION = 1
 
 _CONFIG_KEYS = {"experiment", "potential", "lambda_grid", "box_sequence",
                 "grids", "tolerances", "seed"}
-_POTENTIAL_KEYS = {
-    "square_well": {"kind", "depth", "half_width"},
-    "poschl_teller": {"kind", "strength"},
-    "gaussian": {"kind", "amplitude", "width"},
-}
 
 
 @dataclass(frozen=True)
@@ -144,26 +143,40 @@ def _mapping(value, key: str) -> dict:
     return value
 
 
+# The potential kinds of a config.  A kind's keys, their types and their
+# defaults are the dataclass fields of its class.
+POTENTIALS = {
+    "square_well": schrodinger1d.SquareWell,
+    "poschl_teller": schrodinger1d.PoschlTeller,
+    "gaussian": schrodinger1d.GaussianBump,
+}
+
+
+def potential_parameters(kind: str) -> dict:
+    """The parameters of a potential kind, name -> int or float."""
+    cls = POTENTIALS[kind]
+    types = typing.get_type_hints(cls)
+    return {f.name: types[f.name] for f in dataclasses.fields(cls)}
+
+
 def potential_from_dict(d: dict) -> schrodinger1d.Potential:
+    """The potential a config names: its ``kind`` and any of the kind's
+    parameters; a parameter left out takes the class default."""
     _mapping(d, "potential")
     if "kind" not in d:
         raise ConfigError("potential config needs a 'kind' field")
     kind = d["kind"]
-    if kind not in _POTENTIAL_KEYS:
+    if not isinstance(kind, str) or kind not in POTENTIALS:
         raise ConfigError(f"unknown potential kind {kind!r}; "
-                          f"choose one of {sorted(_POTENTIAL_KEYS)}")
-    unknown = set(d) - _POTENTIAL_KEYS[kind]
+                          f"choose one of {sorted(POTENTIALS)}")
+    params = potential_parameters(kind)
+    unknown = set(d) - set(params) - {"kind"}
     if unknown:
         raise ConfigError(f"unknown potential keys {sorted(unknown)} for kind {kind!r}")
-    def arg(key, default, kind=_number):
-        return kind(d.get(key, default), f"potential {key!r}")
-    if kind == "square_well":
-        return schrodinger1d.SquareWell(depth=arg("depth", -2.0),
-                                        half_width=arg("half_width", 1.0))
-    if kind == "poschl_teller":
-        return schrodinger1d.PoschlTeller(strength=arg("strength", 1, _integer))
-    return schrodinger1d.GaussianBump(amplitude=arg("amplitude", -1.0),
-                                      width=arg("width", 1.0))
+    return POTENTIALS[kind](**{
+        key: (_integer if params[key] is int else _number)(
+            value, f"potential {key!r}")
+        for key, value in d.items() if key != "kind"})
 
 
 def _boxes_for(half_lengths, h: float = 0.02):

@@ -64,6 +64,25 @@ def test_scatter_square_well(capsys):
     assert "unitarity defect" in out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--potential", "square_well", "--depth", "-2", "--half-width", "1"],
+    ["--potential", "poschl_teller", "--strength", "1"],
+    ["--potential", "gaussian", "--amplitude", "-1", "--width", "1"],
+])
+def test_scatter_parameter_flags_default_to_the_class(capsys, flags):
+    assert main(["scatter", *flags[:2], "--energy", "0.7"]) == EXIT_OK
+    bare = capsys.readouterr().out
+    assert main(["scatter", *flags, "--energy", "0.7"]) == EXIT_OK
+    assert capsys.readouterr().out == bare
+
+
+def test_scatter_flag_of_another_kind_exits_2(capsys):
+    code = main(["scatter", "--potential", "gaussian", "--depth", "-2",
+                 "--energy", "1.0"])
+    assert code == EXIT_CONFIG
+    assert "depth" in capsys.readouterr().err
+
+
 def test_specfun_campaign_writes_report(tmp_path, capsys):
     out = tmp_path / "audit.json"
     cfg = tmp_path / "cfg.json"

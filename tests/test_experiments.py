@@ -8,6 +8,7 @@ import pytest
 
 from specdiff.errors import ConfigError, DomainError, LevelCollisionError
 from specdiff.experiments import (
+    POTENTIALS,
     ExperimentReport,
     config_from_dict,
     config_from_json,
@@ -94,6 +95,10 @@ class TestConfig:
         assert pot.strength == 2
         with pytest.raises(ConfigError):
             potential_from_dict({"kind": "delta_comb"})
+
+    @pytest.mark.parametrize("kind", sorted(POTENTIALS))
+    def test_potential_keys_left_out_take_class_defaults(self, kind):
+        assert potential_from_dict({"kind": kind}) == POTENTIALS[kind]()
 
     def test_config_from_json_file(self, tmp_path):
         p = tmp_path / "cfg.json"

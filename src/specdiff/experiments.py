@@ -312,12 +312,14 @@ class ExperimentReport:
     def passed(self) -> bool:
         return all(v["passed"] for v in self.verdicts)
 
-    def add_verdict(self, name: str, tolerance_name: str, tolerance: float,
-                    observed: float, passed: bool):
+    def add_verdict(self, name: str, tolerance_name: str, observed: float,
+                    passed: bool):
+        """Record a verdict judged against the config's tolerance
+        ``tolerance_name``, whose value the verdict cites."""
         self.verdicts.append({
             "name": name, "tolerance_name": tolerance_name,
-            "tolerance": float(tolerance), "observed": float(observed),
-            "passed": bool(passed),
+            "tolerance": float(self.config["tolerances"][tolerance_name]),
+            "observed": float(observed), "passed": bool(passed),
         })
 
 
@@ -433,11 +435,9 @@ def run_specfun_audit(config: ExperimentConfig) -> ExperimentReport:
             "max_branch_diff": diff_t, "max_imag_residual": imag_t,
         })
     report.per_case_seconds.append(time.perf_counter() - t_start)
-    report.add_verdict("seam_consistency", "seam_consistency",
-                       tol["seam_consistency"], worst,
+    report.add_verdict("seam_consistency", "seam_consistency", worst,
                        worst <= tol["seam_consistency"])
-    report.add_verdict("branch_realness", "imag_residual",
-                       tol["imag_residual"], worst_imag,
+    report.add_verdict("branch_realness", "imag_residual", worst_imag,
                        worst_imag <= tol["imag_residual"])
 
     t_start = time.perf_counter()
@@ -456,8 +456,7 @@ def run_specfun_audit(config: ExperimentConfig) -> ExperimentReport:
     for name, a, b in (("uniform", sups[0].uniform_sup, sups[1].uniform_sup),
                        ("holder", sups[0].holder_sup, sups[1].holder_sup)):
         growth = abs(b - a) / a
-        report.add_verdict(f"bound_stability_{name}", "bound_growth",
-                           tol["bound_growth"], growth,
+        report.add_verdict(f"bound_stability_{name}", "bound_growth", growth,
                            growth <= tol["bound_growth"])
     report.per_case_seconds.append(time.perf_counter() - t_start)
     return report
@@ -486,15 +485,13 @@ def run_carleman_mehler(config: ExperimentConfig) -> ExperimentReport:
     })
     report.per_case_seconds.append(time.perf_counter() - t_start)
     margin = tol["spectrum_margin"]
-    report.add_verdict("spectrum_lower", "spectrum_margin", margin,
+    report.add_verdict("spectrum_lower", "spectrum_margin",
                        float(-ev[0]), ev[0] >= -margin)
-    report.add_verdict("spectrum_upper", "spectrum_margin", margin,
+    report.add_verdict("spectrum_upper", "spectrum_margin",
                        float(ev[-1] - 1.0), ev[-1] <= 1.0 + margin)
-    report.add_verdict("top_eigenvalue", "top_eigenvalue_min",
-                       tol["top_eigenvalue_min"], float(ev[-1]),
+    report.add_verdict("top_eigenvalue", "top_eigenvalue_min", float(ev[-1]),
                        ev[-1] >= tol["top_eigenvalue_min"])
-    report.add_verdict("scaling_invariance", "scaling_agreement",
-                       tol["scaling_agreement"], scaling,
+    report.add_verdict("scaling_invariance", "scaling_agreement", scaling,
                        scaling <= tol["scaling_agreement"])
 
     window = g["window"]
@@ -518,12 +515,10 @@ def run_carleman_mehler(config: ExperimentConfig) -> ExperimentReport:
         all_monotone = all_monotone and monotone
         worst_final = max(worst_final, resids[-1])
         report.per_case_seconds.append(time.perf_counter() - t_start)
-    report.add_verdict("mehler_residual", "mehler_residual",
-                       tol["mehler_residual"], worst_final,
+    report.add_verdict("mehler_residual", "mehler_residual", worst_final,
                        worst_final <= tol["mehler_residual"])
     report.add_verdict("mehler_refinement_monotone", "refinement_noise",
-                       tol["refinement_noise"], 0.0 if all_monotone else 1.0,
-                       all_monotone)
+                       0.0 if all_monotone else 1.0, all_monotone)
     return report
 
 
@@ -571,8 +566,7 @@ def run_model_spectrum(config: ExperimentConfig) -> ExperimentReport:
         "fill_gap": _fill_gap_statistic(model.eigenvalues(), top),
     })
     report.per_case_seconds.append(time.perf_counter() - t_start)
-    report.add_verdict("product_identity_synthetic", "product_identity",
-                       tol["product_identity"], err,
+    report.add_verdict("product_identity_synthetic", "product_identity", err,
                        err <= tol["product_identity"])
 
     if config.potential is not None:
@@ -595,11 +589,9 @@ def run_model_spectrum(config: ExperimentConfig) -> ExperimentReport:
             "fill_gap": _fill_gap_statistic(model.eigenvalues(), top),
         })
         report.per_case_seconds.append(time.perf_counter() - t_start)
-        report.add_verdict("product_identity_computed", "product_identity",
-                           tol["product_identity"], err,
+        report.add_verdict("product_identity_computed", "product_identity", err,
                            err <= tol["product_identity"])
-        report.add_verdict("kappa_sq_identity", "product_identity",
-                           tol["product_identity"], kappa_match,
+        report.add_verdict("kappa_sq_identity", "product_identity", kappa_match,
                            kappa_match <= tol["product_identity"])
     return report
 
@@ -723,8 +715,7 @@ def run_band_filling(config: ExperimentConfig) -> ExperimentReport:
     if kappas.size == 0:
         report.records.append({"case": "trivial", "lambda": lam,
                                "kappa_max": 0.0})
-        report.add_verdict("edge_overflow", "edge_margin", tol["edge_margin"],
-                           0.0, True)
+        report.add_verdict("edge_overflow", "edge_margin", 0.0, True)
         return report
     kappa_max = float(kappas.max())
 
@@ -737,21 +728,21 @@ def run_band_filling(config: ExperimentConfig) -> ExperimentReport:
 
     overflow_total = sum(r["edge_overflow_count"] + r["m_plus_overflow"]
                          + r["m_minus_overflow"] for r in recs)
-    report.add_verdict("edge_overflow", "edge_margin", tol["edge_margin"],
+    report.add_verdict("edge_overflow", "edge_margin",
                        overflow_total, overflow_total == 0)
     deficit = kappa_max - confined[-1]["d_max"]
-    report.add_verdict("edge_deficit", "edge_deficit", tol["edge_deficit"],
+    report.add_verdict("edge_deficit", "edge_deficit",
                        deficit, abs(deficit) <= tol["edge_deficit"])
     noise = 1.0 + tol["gap_noise"]
     gaps = [r["coverage_gap"] for r in recs]
     monotone = all(gaps[i + 1] <= gaps[i] * noise for i in range(len(gaps) - 1))
-    report.add_verdict("coverage_gap_monotone", "gap_noise", tol["gap_noise"],
+    report.add_verdict("coverage_gap_monotone", "gap_noise",
                        0.0 if monotone else 1.0, monotone)
     sq_deficit = kappa_max ** 2 - confined[-1]["m_max"]
-    report.add_verdict("m_pm_top_deficit", "edge_deficit", tol["edge_deficit"],
+    report.add_verdict("m_pm_top_deficit", "edge_deficit",
                        sq_deficit, abs(sq_deficit) <= tol["edge_deficit"])
     unexplained = sum(conf["unexplained"] for conf in confined)
-    report.add_verdict("bulk_confinement", "edge_margin", tol["edge_margin"],
+    report.add_verdict("bulk_confinement", "edge_margin",
                        unexplained, unexplained == 0)
     return report
 
@@ -799,10 +790,10 @@ def run_birman_krein(config: ExperimentConfig) -> ExperimentReport:
             "L": float(L), "n": int(n), "bk_value": val, "residual": res,
         })
     worst = max(residuals)
-    report.add_verdict("bk_residual", "bk_residual", tol["bk_residual"],
+    report.add_verdict("bk_residual", "bk_residual",
                        worst, worst <= tol["bk_residual"])
     worst_jump = max(jumps) if jumps else 0.0
-    report.add_verdict("bk_continuity", "bk_continuity", tol["bk_continuity"],
+    report.add_verdict("bk_continuity", "bk_continuity",
                        worst_jump, worst_jump <= tol["bk_continuity"])
     return report
 

@@ -108,6 +108,15 @@ def test_criterion_10_report_determinism(reports):
     assert result.passed, result.detail
 
 
+@pytest.mark.parametrize("campaign", CAMPAIGNS)
+def test_verdicts_cite_their_config_tolerance(reports, campaign):
+    report = reports.get(campaign)
+    assert report.verdicts
+    for verdict in report.verdicts:
+        assert verdict["tolerance"] == \
+            report.config["tolerances"][verdict["tolerance_name"]]
+
+
 # --- campaign runs per run_all call --------------------------------------------
 
 _BAND_VERDICTS = ("edge_overflow", "edge_deficit", "coverage_gap_monotone",
@@ -123,8 +132,9 @@ class _CampaignRuns(collections.Counter):
     def run(self, config):
         self[config.experiment] += 1
         report = ExperimentReport(config.experiment, config.as_dict())
+        tolerance = next(iter(config.tolerances))
         for name in _BAND_VERDICTS:
-            report.add_verdict(name, name, 1.0, 0.0, True)
+            report.add_verdict(name, tolerance, 0.0, True)
         if self.stamp:
             report.records.append({"run": self[config.experiment]})
         return report

@@ -85,7 +85,6 @@ __all__ = [
     "count_below",
     "BoxLevels",
     "box_levels",
-    "check_level_clear",
     "eigenpairs_below",
     "band_spectra",
 ]
@@ -632,7 +631,7 @@ def count_below(diag: np.ndarray, off: np.ndarray, level: float) -> int:
 
     The count is that of T - level perturbed by rounding of about
     eps (max|d| + 2 max|e|), so a level that close to an eigenvalue may
-    count it on either side; the level guard (``check_level_clear``) keeps
+    count it on either side; the level guard (``BoxLevels.at``) keeps
     levels 1e-9 of the spectral scale away from the box's eigenvalues.
     """
     return int(_SturmSweep(diag, off).count([level])[0])
@@ -777,6 +776,7 @@ class _SectorLevels(NamedTuple):
     eigenvalues with sector indices first, first + 1, ..., and all the
     sector's closed-form H0 levels."""
 
+    sector: _Sector
     first: int
     values: np.ndarray
     free: np.ndarray
@@ -851,21 +851,9 @@ def box_levels(box: BoxDiscretization, potential: Potential | None,
         b = a if hi == lo else count_below(sector.diag, sector.off, hi)
         first = max(a - 1, 0)
         levels.append(_SectorLevels(
-            first, eigenvalues_by_index(sector.diag, sector.off, first, b),
+            sector, first, eigenvalues_by_index(sector.diag, sector.off, first, b),
             free[sector.first_mode - 1::len(sectors)]))
     return BoxLevels(lo, hi, float(free[-1]), tuple(levels))
-
-
-def check_level_clear(box: BoxDiscretization, potential: Potential | None,
-                      fermi_level: float, rel_gap: float = 1e-9) -> int:
-    """Reject a Fermi level sitting within rel_gap of either box spectrum
-    (relative to the spectral scale); counting would be ambiguous there.
-
-    Returns the Sturm count #eig(H) < fermi_level.  This is the lo = hi
-    case of ``box_levels``.
-    """
-    return box_levels(box, potential, fermi_level, fermi_level).count(
-        fermi_level, rel_gap)
 
 
 def _sector_sines(u: np.ndarray, u0: np.ndarray):
@@ -903,21 +891,24 @@ def band_spectra(box: BoxDiscretization, potential: Potential,
     the size: the reflection commutes with H and H0, so P, P0 and D are
     block diagonal, the principal angles are the union of the sectors'
     angles, and the ranks and the index add.  The odd free modes k are
-    even, the even ones odd.  The level guard reads the same sectors.
+    even, the even ones odd.
+
+    The sectors come from the level window [lambda, lambda] of
+    ``box_levels``, whose guard rejects a level on either box spectrum and
+    whose H0 counts give each sector's free modes below lambda.
     """
-    check_level_clear(box, potential, fermi_level)
-    diag, off = hamiltonian_tridiagonal(box, potential)
-    r0 = int(np.sum(free_levels(box) < fermi_level))
-    sectors = _mirror_sectors(diag, off)
-    r, s_plus, s_minus = 0, [], []
-    for sector in sectors:
+    levels = box_levels(box, potential, fermi_level, fermi_level)
+    step = len(levels.sectors)
+    r, r0, s_plus, s_minus = 0, 0, [], []
+    for window, (_, (k0, _, _)) in zip(levels.sectors, levels.at(fermi_level)):
+        sector = window.sector
         _, u = eigenpairs_below(sector.diag, sector.off, fermi_level)
-        modes = np.arange(sector.first_mode, r0 + 1, len(sectors))
+        modes = sector.first_mode + step * np.arange(k0)
         u0 = _sines(box.n, sector.diag.size, modes, sector.weight)
         plus, minus = _sector_sines(u, u0)
         s_plus.append(plus)
         s_minus.append(minus)
-        r += u.shape[1]
+        r, r0 = r + u.shape[1], r0 + k0
         del u, u0  # free this sector's blocks before the next one's
     s_plus, s_minus = np.concatenate(s_plus), np.concatenate(s_minus)
 

@@ -31,7 +31,7 @@ from specdiff.schrodinger1d import (
     band_spectra,
     build_h,
     build_h0,
-    check_level_clear,
+    box_levels,
     count_below,
     eigendecompose,
     eigenpairs_below,
@@ -303,9 +303,11 @@ class TestTridiagonalPath:
         well = SquareWell(-2.0, 1.0)
         diag, off = hamiltonian_tridiagonal(box, well)
         lam = 3.3
-        assert check_level_clear(box, well, lam) == count_below(diag, off, lam)
+        assert box_levels(box, well, lam, lam).count(lam) == \
+            count_below(diag, off, lam)
+        collision = float(free_levels(box)[5])
         with pytest.raises(LevelCollisionError):
-            check_level_clear(box, well, float(free_levels(box)[5]))
+            box_levels(box, well, collision, collision).count(collision)
 
     def test_free_sines_are_eigenvectors(self):
         box = BoxDiscretization(8.0, 200)

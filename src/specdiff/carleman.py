@@ -84,16 +84,14 @@ def gauss_legendre_grid(a: float, n: int) -> QuadratureGrid:
     return QuadratureGrid(a, a * (xi + 1.0) / 2.0, a * w / 2.0, Scheme.GAUSS_LEGENDRE)
 
 
-def composite_graded_grid(a: float, panels: int = 20, order: int = 10,
-                          ratio: float = 0.5) -> QuadratureGrid:
+def composite_graded_grid(a: float, panels: int = 20,
+                          order: int = 10) -> QuadratureGrid:
     """Geometrically graded composite Gauss mesh with the finest panels
-    accumulating at 0; the closing panel [0, a ratio^(panels-1)] absorbs the
-    endpoint singularity."""
+    accumulating at 0: panel edges a 2^-j, and the closing panel
+    [0, a 2^-(panels-1)] absorbs the endpoint singularity."""
     if panels < 2 or order < 2:
         raise DomainError("graded grid needs panels >= 2 and order >= 2")
-    if not (0.0 < ratio < 1.0):
-        raise DomainError("grading ratio must lie in (0, 1)")
-    edges = [0.0] + [a * ratio ** j for j in range(panels - 1, -1, -1)]
+    edges = [0.0] + [a * 0.5 ** j for j in range(panels - 1, -1, -1)]
     xi, w = leggauss(order)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -179,8 +179,11 @@ def potential_from_dict(d: dict) -> schrodinger1d.Potential:
         for key, value in d.items() if key != "kind"})
 
 
-def _boxes_for(half_lengths, h: float = 0.02):
-    return tuple((float(L), int(round(2 * L / h)) - 1) for L in half_lengths)
+def _boxes_for(half_lengths):
+    """The (L, n) pairs of the boxes (-L, L) with grid spacing 0.02."""
+    boxes = (schrodinger1d.BoxDiscretization.from_spacing(L, 0.02)
+             for L in half_lengths)
+    return tuple((float(box.half_length), box.n) for box in boxes)
 
 
 def default_config(experiment: str) -> ExperimentConfig:

@@ -89,6 +89,14 @@ __all__ = [
 UNITARITY_TOL_ODE = 1e-8
 UNITARITY_TOL_STATIONARY = 1e-6
 COND_GUARD = 1e12
+# Without an explicit node count the stationary route starts at N_START
+# nodes and doubles them until S moves by less than REFINE_TARGET, at most
+# up to N_CAP nodes.
+REFINE_TARGET = 1e-4
+N_START = 200
+N_CAP = 6400
+# Eigenphases within this distance of zero (eigenvalue 1 of S) carry no band.
+PHASE_TOL = 1e-6
 _SAFMIN = np.finfo(float).tiny
 
 
@@ -388,13 +396,12 @@ def _stationary_once(potential: Potential, lam: float, x_max: float, n: int):
 
 def s_matrix_stationary(potential: Potential, lam: float,
                         n_nodes: int | None = None,
-                        refine_target: float = 1e-4,
-                        n_start: int = 200, n_cap: int = 6400,
                         return_operators: bool = False):
     """Scattering matrix from the on-shell stationary formula.
 
     Without an explicit node count the Gauss rule over the potential's
-    support is doubled until S moves by less than ``refine_target``.
+    support is doubled from ``N_START`` nodes until S moves by less than
+    ``REFINE_TARGET``; beyond ``N_CAP`` nodes it raises ConvergenceError.
     """
     if lam <= 0:
         raise DomainError(f"scattering energy must be positive, got {lam}")
@@ -406,18 +413,18 @@ def s_matrix_stationary(potential: Potential, lam: float,
     if n_nodes is not None:
         s, ops = _stationary_once(potential, lam, x_max, n_nodes)
     else:
-        n = n_start
+        n = N_START
         s, ops = _stationary_once(potential, lam, x_max, n)
         delta = math.inf
         while True:
             n *= 2
-            if n > n_cap:
+            if n > N_CAP:
                 raise ConvergenceError(
                     "stationary route did not settle within the node cap", delta)
             s_new, ops_new = _stationary_once(potential, lam, x_max, n)
             delta = float(np.linalg.norm(s_new - s))
             s, ops = s_new, ops_new
-            if delta < refine_target:
+            if delta < REFINE_TARGET:
                 break
 
     defect = float(np.linalg.norm(s.conj().T @ s - np.eye(2)))
@@ -425,14 +432,14 @@ def s_matrix_stationary(potential: Potential, lam: float,
     return (sm, ops) if return_operators else sm
 
 
-def eigenphases(s: ScatteringMatrix, phase_tol: float = 1e-6) -> EigenphaseSet:
-    """Eigenphases of the unitary S, discarding phases within ``phase_tol``
+def eigenphases(s: ScatteringMatrix) -> EigenphaseSet:
+    """Eigenphases of the unitary S, discarding phases within ``PHASE_TOL``
     of zero (eigenvalue 1 carries no band)."""
     if s.unitarity_defect > max(UNITARITY_TOL_ODE, UNITARITY_TOL_STATIONARY):
         raise DomainError("eigenphases: scattering matrix violates unitarity")
     ev = np.linalg.eigvals(s.matrix)
     thetas = np.angle(ev)
-    keep = np.abs(thetas) >= phase_tol
+    keep = np.abs(thetas) >= PHASE_TOL
     thetas = thetas[keep]
     kappas = np.abs(np.exp(1j * thetas) - 1.0) / 2.0
     order = np.argsort(kappas)[::-1]

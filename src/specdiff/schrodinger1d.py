@@ -318,18 +318,22 @@ def eigendecompose(op: SymmetricOperator) -> EigenData:
     return eig
 
 
-def spectral_projection(eig: EigenData, fermi_level: float,
-                        rel_gap: float = 1e-9) -> np.ndarray:
+# A level closer than this times the spectral scale to an eigenvalue is a
+# level collision: counting there would be numerically ambiguous.
+LEVEL_GAP = 1e-9
+
+
+def spectral_projection(eig: EigenData, fermi_level: float) -> np.ndarray:
     """Orthogonal projection onto the eigenvectors below the Fermi level.
 
-    The level must keep a relative distance of at least ``rel_gap`` times the
-    spectral scale from every eigenvalue, otherwise membership would be
+    The level must keep a relative distance of at least ``LEVEL_GAP`` times
+    the spectral scale from every eigenvalue, otherwise membership would be
     numerically ambiguous.
     """
     scale = float(np.abs(eig.values).max())
     gap = np.abs(eig.values - fermi_level)
     j = int(np.argmin(gap))
-    if gap[j] < rel_gap * scale:
+    if gap[j] < LEVEL_GAP * scale:
         raise LevelCollisionError(
             f"fermi level {fermi_level} is within {gap[j]:.3e} of eigenvalue "
             f"{eig.values[j]:.12g}; nudge it by at least half the local spacing")
@@ -632,7 +636,8 @@ def count_below(diag: np.ndarray, off: np.ndarray, level: float) -> int:
     The count is that of T - level perturbed by rounding of about
     eps (max|d| + 2 max|e|), so a level that close to an eigenvalue may
     count it on either side; the level guard (``BoxLevels.at``) keeps
-    levels 1e-9 of the spectral scale away from the box's eigenvalues.
+    levels ``LEVEL_GAP`` of the spectral scale away from the box's
+    eigenvalues.
     """
     return int(_SturmSweep(diag, off).count([level])[0])
 
@@ -803,11 +808,11 @@ class BoxLevels:
     scale: float
     sectors: tuple
 
-    def at(self, lam: float, rel_gap: float = 1e-9) -> list:
+    def at(self, lam: float) -> list:
         """Per sector, the ``_neighbours`` triples of H and of H0 at lam.
 
         Raises DomainError outside [lo, hi], where the window could miscount,
-        and LevelCollisionError within rel_gap * scale of a level of either
+        and LevelCollisionError within LEVEL_GAP * scale of a level of either
         box spectrum, where counting would be ambiguous.
         """
         if not self.lo <= lam <= self.hi:
@@ -816,15 +821,15 @@ class BoxLevels:
         out = [(_neighbours(s.values, s.first, lam), _neighbours(s.free, 0, lam))
                for s in self.sectors]
         dist = min(abs(x - lam) for h, h0 in out for x in h[1:] + h0[1:])
-        if dist < rel_gap * self.scale:
+        if dist < LEVEL_GAP * self.scale:
             raise LevelCollisionError(
                 f"level collision: lambda={lam} is within {dist:.3e} of a "
                 "box eigenvalue; nudge lambda by half the local spacing")
         return out
 
-    def count(self, lam: float, rel_gap: float = 1e-9) -> int:
+    def count(self, lam: float) -> int:
         """The Sturm count #eig(H) < lam, after the level guard."""
-        return sum(h[0] for h, _ in self.at(lam, rel_gap))
+        return sum(h[0] for h, _ in self.at(lam))
 
 
 def box_levels(box: BoxDiscretization, potential: Potential | None,

@@ -366,7 +366,7 @@ class TestEigenphases:
         s = ScatteringMatrix(1.0, 1.0,
                              np.diag([cmath.exp(1j * math.pi / 2), 1.0]),
                              Method.STATIONARY, 0.0)
-        phases = eigenphases(s, phase_tol=1e-6)
+        phases = eigenphases(s)
         assert phases.thetas.size == 1
         assert abs(phases.thetas[0] - math.pi / 2) <= 1e-14
         assert abs(phases.kappas[0] - math.sin(math.pi / 4)) <= 1e-14

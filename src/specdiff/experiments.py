@@ -118,10 +118,12 @@ class ExperimentConfig:
 
 
 def _number(value, key: str) -> float:
-    """A JSON number (not a boolean) as a float, else a ConfigError naming
-    the key."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+    """A finite JSON number (not a boolean) as a float, else a ConfigError
+    naming the key.  Python's json reads NaN and Infinity; they are refused
+    here."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -131,9 +133,17 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
-def _number_list(value, key: str) -> list:
+def _nonempty(value, default, key: str) -> None:
+    """Refuse an empty list where the campaign's ``default`` list is not:
+    a campaign judged over no case would crash or pass vacuously."""
+    if default and not value:
+        raise ConfigError(f"{key} must not be empty")
+
+
+def _number_list(value, key: str, default=()) -> list:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    _nonempty(value, default, key)
     return [_number(v, f"{key}[{i}]") for i, v in enumerate(value)]
 
 
@@ -242,8 +252,10 @@ def default_config(experiment: str) -> ExperimentConfig:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from a JSON-style dict.  Unknown keys are a hard error
     (misspellings must not silently fall back to defaults); missing keys take
-    the campaign defaults.  A value of the wrong JSON type is a ConfigError
-    that names its key."""
+    the campaign defaults.  A value of the wrong JSON type, a number that is
+    not finite, an empty list where the campaign's default list is not, and
+    a ``window`` that is not a pair are each a ConfigError that names the
+    key."""
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}; "
@@ -262,7 +274,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         # A grid entry keeps the JSON type of its default: a list of numbers
         # or a number.
         if isinstance(base.grids[key], list):
-            _number_list(val, f"grids {key!r}")
+            _number_list(val, f"grids {key!r}", base.grids[key])
+            if key == "window" and len(val) != 2:
+                raise ConfigError(f"grids 'window' must be a pair [lo, hi], "
+                                  f"got {val!r}")
         else:
             _number(val, f"grids {key!r}")
         grids[key] = val
@@ -276,11 +291,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(boxes, (list, tuple)) or not all(
             isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in boxes):
         raise ConfigError(f"box_sequence must be a list of [L, n] pairs, got {boxes!r}")
+    _nonempty(boxes, base.box_sequence, "box_sequence")
     return ExperimentConfig(
         experiment=raw["experiment"],
         potential=pot,
         lambda_grid=tuple(_number_list(raw.get("lambda_grid", base.lambda_grid),
-                                       "lambda_grid")),
+                                       "lambda_grid", base.lambda_grid)),
         box_sequence=tuple((_number(L, "box_sequence L"),
                             _integer(n, "box_sequence n")) for L, n in boxes),
         grids=grids,

@@ -36,6 +36,40 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, entry, key):
     assert key in err and "Traceback" not in err
 
 
+# Each of these configs used to crash with a traceback (exit 1) or pass
+# vacuously (exit 0).  Python's json reads NaN and Infinity.
+@pytest.mark.parametrize("command, config, key", [
+    ("dspec", '{"experiment": "BandFilling", "lambda_grid": []}', "lambda_grid"),
+    ("bk", '{"experiment": "BirmanKrein", "lambda_grid": []}', "lambda_grid"),
+    ("model", '{"experiment": "ModelSpectrum", "lambda_grid": []}', "lambda_grid"),
+    ("dspec", '{"experiment": "BandFilling", "box_sequence": []}', "box_sequence"),
+    ("bk", '{"experiment": "BirmanKrein", "box_sequence": []}', "box_sequence"),
+    ("carleman", '{"experiment": "CarlemanMehler", '
+     '"grids": {"mehler_panels": []}}', "mehler_panels"),
+    ("carleman", '{"experiment": "CarlemanMehler", "grids": {"window": [0.2]}}',
+     "window"),
+    ("model", '{"experiment": "ModelSpectrum", '
+     '"grids": {"synthetic_phases": []}}', "synthetic_phases"),
+    ("specfun", '{"experiment": "SpecfunAudit", "grids": {"seam_t": []}}',
+     "seam_t"),
+    ("carleman", '{"experiment": "CarlemanMehler", "grids": {"mehler_t": []}}',
+     "mehler_t"),
+    ("dspec", '{"experiment": "BandFilling", "lambda_grid": [NaN]}',
+     "lambda_grid"),
+    ("carleman", '{"experiment": "CarlemanMehler", "grids": {"a": NaN}}', "'a'"),
+    ("bk", '{"experiment": "BirmanKrein", "box_sequence": [[Infinity, 19999]]}',
+     "box_sequence"),
+])
+def test_empty_or_non_finite_config_value_exits_2(tmp_path, capsys, command,
+                                                  config, key):
+    p = tmp_path / "cfg.json"
+    p.write_text(config)
+    code = main([command, "--config", str(p), "--quiet"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
 def test_unwritable_report_path_exits_2(tmp_path, capsys):
     out = tmp_path / "no_such_dir" / "x.json"
     code = main(["model", "--out", str(out), "--quiet"])

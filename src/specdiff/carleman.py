@@ -43,7 +43,6 @@ __all__ = [
     "composite_graded_grid",
     "half_carleman",
     "carleman_squared",
-    "mehler_eigenfunction",
     "mehler_residual",
     "gamma_matrix",
     "model_operator",
@@ -62,7 +61,6 @@ class QuadratureGrid:
     a: float
     nodes: np.ndarray
     weights: np.ndarray
-    scheme: Scheme
 
     def __post_init__(self):
         if self.a <= 0:
@@ -81,7 +79,7 @@ class QuadratureGrid:
 
 def gauss_legendre_grid(a: float, n: int) -> QuadratureGrid:
     xi, w = leggauss(n)
-    return QuadratureGrid(a, a * (xi + 1.0) / 2.0, a * w / 2.0, Scheme.GAUSS_LEGENDRE)
+    return QuadratureGrid(a, a * (xi + 1.0) / 2.0, a * w / 2.0)
 
 
 def composite_graded_grid(a: float, panels: int = 20,
@@ -98,8 +96,7 @@ def composite_graded_grid(a: float, panels: int = 20,
         half = (hi - lo) / 2.0
         nodes.append(half * (xi + 1.0) + lo)
         weights.append(half * w)
-    return QuadratureGrid(a, np.concatenate(nodes), np.concatenate(weights),
-                          Scheme.COMPOSITE_GRADED)
+    return QuadratureGrid(a, np.concatenate(nodes), np.concatenate(weights))
 
 
 class KernelKind(Enum):
@@ -115,7 +112,6 @@ class KernelOperator:
     grid: QuadratureGrid
     matrix: np.ndarray
     kind: KernelKind
-    params: tuple = ()
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -181,15 +177,11 @@ def carleman_squared(a: float, n: int, scheme: Scheme = Scheme.GAUSS_LEGENDRE,
 
 
 def _mehler_samples(a: float, t: float, u: np.ndarray) -> np.ndarray:
-    if not (0.0 < t <= 16.0):
-        raise DomainError(f"mehler_eigenfunction: t={t} outside (0, 16]")
-    return conical_values(t, a / u)[0] / u
-
-
-def mehler_eigenfunction(a: float, t: float, grid: QuadratureGrid) -> np.ndarray:
     """Samples of f_t(u) = P_{-1/2+it}(a/u)/u, the generalized eigenfunction
     of the half-Carleman operator on (0, a) with eigenvalue 1/cosh(pi t)."""
-    return _mehler_samples(a, t, grid.nodes)
+    if not (0.0 < t <= 16.0):
+        raise DomainError(f"Mehler eigenfunction: t={t} outside (0, 16]")
+    return conical_values(t, a / u)[0] / u
 
 
 def mehler_residual(a: float, t: float, grid: QuadratureGrid,
@@ -245,5 +237,5 @@ def model_operator(csq: KernelOperator, gamma: GammaMatrix) -> KernelOperator:
     if csq.kind is not KernelKind.CARLEMAN_SQUARED:
         raise ContractViolationError("model_operator expects a CarlemanSquared factor")
     return KernelOperator(csq.grid, np.kron(csq.matrix, gamma.matrix),
-                          KernelKind.MODEL, params=(gamma.dim,))
+                          KernelKind.MODEL)
 

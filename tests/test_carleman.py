@@ -19,7 +19,6 @@ from specdiff.carleman import (
     gamma_matrix,
     gauss_legendre_grid,
     half_carleman,
-    mehler_eigenfunction,
     mehler_residual,
     model_operator,
 )
@@ -165,10 +164,11 @@ class TestMehler:
 
     def test_t_domain_guard(self):
         grid = composite_graded_grid(1.0, panels=10, order=4)
+        xs = np.linspace(0.2, 0.8, 3)
         with pytest.raises(DomainError):
-            mehler_eigenfunction(1.0, 0.0, grid)
+            mehler_residual(1.0, 0.0, grid, xs)
         with pytest.raises(DomainError):
-            mehler_eigenfunction(1.0, 17.0, grid)
+            mehler_residual(1.0, 17.0, grid, xs)
 
 
 class TestGammaMatrix:

@@ -416,11 +416,8 @@ def emit_report(report: ExperimentReport, fmt: str, path) -> None:
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown report format {fmt!r}; use json or csv")
     text = report_json(report) if fmt == "json" else report_csv(report)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 # --- campaigns ---------------------------------------------------------------

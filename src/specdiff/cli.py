@@ -41,7 +41,8 @@ _CAMPAIGN_BY_COMMAND = {
 
 
 def _potential_flags() -> dict:
-    """Every potential parameter, name -> int or float."""
+    """Every potential parameter, name -> int or float: one ``scatter``
+    flag each, which takes the potential class's default when left out."""
     return {name: kind for pot in experiments.POTENTIALS
             for name, kind in experiments.potential_parameters(pot).items()}
 
@@ -65,8 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scatter", help="ad-hoc scattering matrix evaluation")
     sc.add_argument("--potential", default="square_well",
                     choices=tuple(experiments.POTENTIALS))
-    # One flag per potential parameter; a flag left out takes the
-    # potential class's default.
     for name, kind in _potential_flags().items():
         sc.add_argument("--" + name.replace("_", "-"), type=kind)
     sc.add_argument("--energy", type=float, required=True)
@@ -119,7 +118,6 @@ def _run_campaign(args) -> int:
 
 
 def _potential_from_args(args) -> dict:
-    """The potential of ``scatter``: its kind and the parameter flags set."""
     return {"kind": args.potential,
             **{name: getattr(args, name) for name in _potential_flags()
                if getattr(args, name) is not None}}

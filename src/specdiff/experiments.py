@@ -118,9 +118,8 @@ class ExperimentConfig:
 
 
 def _number(value, key: str) -> float:
-    """A finite JSON number (not a boolean) as a float, else a ConfigError
-    naming the key.  Python's json reads NaN and Infinity; they are refused
-    here."""
+    """A finite JSON number (not a boolean; json reads NaN and Infinity) as
+    a float, else a ConfigError naming the key."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
@@ -133,17 +132,12 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
-def _nonempty(value, default, key: str) -> None:
-    """Refuse an empty list where the campaign's ``default`` list is not:
-    a campaign judged over no case would crash or pass vacuously."""
-    if default and not value:
-        raise ConfigError(f"{key} must not be empty")
-
-
-def _number_list(value, key: str, default=()) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
-    _nonempty(value, default, key)
+def _number_list(value, key: str, default) -> list:
+    """A list of numbers, empty only where the ``default`` list is: a
+    campaign judged over no case would crash or pass vacuously."""
+    if not isinstance(value, (list, tuple)) or (default and not value):
+        raise ConfigError(f"{key} must be a list of numbers"
+                          f"{', not empty' if default else ''}, got {value!r}")
     return [_number(v, f"{key}[{i}]") for i, v in enumerate(value)]
 
 
@@ -190,16 +184,15 @@ def potential_from_dict(d: dict) -> schrodinger1d.Potential:
 
 
 def _boxes_for(half_lengths):
-    """The (L, n) pairs of the boxes (-L, L) with grid spacing 0.02."""
-    boxes = (schrodinger1d.BoxDiscretization.from_spacing(L, 0.02)
-             for L in half_lengths)
-    return tuple((float(box.half_length), box.n) for box in boxes)
+    """(L, n) of the boxes (-L, L) with grid spacing 0.02."""
+    return tuple((float(L), schrodinger1d.BoxDiscretization.from_spacing(
+        L, 0.02).n) for L in half_lengths)
 
 
 def default_config(experiment: str) -> ExperimentConfig:
     """The benchmark configuration of each campaign (square well of depth -2
     and half-width 1 wherever a potential is involved)."""
-    well = {"kind": "square_well", "depth": -2.0, "half_width": 1.0}
+    well = {"kind": "square_well", **dataclasses.asdict(schrodinger1d.SquareWell())}
     if experiment == "SpecfunAudit":
         return ExperimentConfig(
             experiment=experiment, potential=None, lambda_grid=(),
@@ -291,7 +284,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(boxes, (list, tuple)) or not all(
             isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in boxes):
         raise ConfigError(f"box_sequence must be a list of [L, n] pairs, got {boxes!r}")
-    _nonempty(boxes, base.box_sequence, "box_sequence")
+    if base.box_sequence and not boxes:
+        raise ConfigError("box_sequence must not be empty")
     return ExperimentConfig(
         experiment=raw["experiment"],
         potential=pot,

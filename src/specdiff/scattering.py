@@ -89,14 +89,8 @@ __all__ = [
 UNITARITY_TOL_ODE = 1e-8
 UNITARITY_TOL_STATIONARY = 1e-6
 COND_GUARD = 1e12
-# Without an explicit node count the stationary route starts at N_START
-# nodes and doubles them until S moves by less than REFINE_TARGET, at most
-# up to N_CAP nodes.
-REFINE_TARGET = 1e-4
-N_START = 200
-N_CAP = 6400
-# Eigenphases within this distance of zero (eigenvalue 1 of S) carry no band.
-PHASE_TOL = 1e-6
+REFINE_TARGET, N_START, N_CAP = 1e-4, 200, 6400   # see s_matrix_stationary
+PHASE_TOL = 1e-6                                  # see eigenphases
 _SAFMIN = np.finfo(float).tiny
 
 

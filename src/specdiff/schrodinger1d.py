@@ -318,9 +318,7 @@ def eigendecompose(op: SymmetricOperator) -> EigenData:
     return eig
 
 
-# A level closer than this times the spectral scale to an eigenvalue is a
-# level collision: counting there would be numerically ambiguous.
-LEVEL_GAP = 1e-9
+LEVEL_GAP = 1e-9   # the level guard's distance, relative to the spectral scale
 
 
 def spectral_projection(eig: EigenData, fermi_level: float) -> np.ndarray:
@@ -898,9 +896,8 @@ def band_spectra(box: BoxDiscretization, potential: Potential,
     angles, and the ranks and the index add.  The odd free modes k are
     even, the even ones odd.
 
-    The sectors come from the level window [lambda, lambda] of
-    ``box_levels``, whose guard rejects a level on either box spectrum and
-    whose H0 counts give each sector's free modes below lambda.
+    The window [lambda, lambda] of ``box_levels`` gives the level guard,
+    the sectors and each sector's number of free modes below lambda.
     """
     levels = box_levels(box, potential, fermi_level, fermi_level)
     step = len(levels.sectors)

@@ -45,6 +45,7 @@ import dataclasses
 import json
 import math
 import numbers
+import sys
 import time
 import typing
 from dataclasses import dataclass, field
@@ -119,9 +120,10 @@ class ExperimentConfig:
 
 def _number(value, key: str) -> float:
     """A finite JSON number (not a boolean; json reads NaN and Infinity) as
-    a float, else a ConfigError naming the key."""
+    a float, else a ConfigError naming the key.  The range test is exact
+    for integers beyond the float range too."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 

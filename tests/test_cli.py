@@ -26,6 +26,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     ({"box_sequence": [[200]]}, "box_sequence"),
     ({"lambda_grid": "0.5"}, "lambda_grid"),
     ({"potential": {"kind": "square_well", "depth": "deep"}}, "depth"),
+    ({"potential": {"kind": ["square_well"]}}, "kind"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, entry, key):
     p = tmp_path / "cfg.json"
@@ -59,6 +60,7 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, entry, key):
     ("carleman", '{"experiment": "CarlemanMehler", "grids": {"a": NaN}}', "'a'"),
     ("bk", '{"experiment": "BirmanKrein", "box_sequence": [[Infinity, 19999]]}',
      "box_sequence"),
+    ("bk", '{"experiment": "BirmanKrein", "seed": 1' + '0' * 400 + '}', "seed"),
 ])
 def test_empty_or_non_finite_config_value_exits_2(tmp_path, capsys, command,
                                                   config, key):

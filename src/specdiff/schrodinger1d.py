@@ -706,8 +706,6 @@ class BandSpectra:
     whose ranks add up to ``rank_p`` and ``rank_p0``.
     """
 
-    fermi_level: float
-    box: BoxDiscretization
     rank_p: int
     rank_p0: int
     d_nonzero: np.ndarray
@@ -775,9 +773,9 @@ def _mirror_sectors(diag: np.ndarray, off: np.ndarray) -> list[_Sector]:
 
 
 class _SectorLevels(NamedTuple):
-    """The levels of one parity sector that a window needs: the H
-    eigenvalues with sector indices first, first + 1, ..., and all the
-    sector's closed-form H0 levels."""
+    """One parity sector with the levels a window needs: the H eigenvalues
+    with sector indices first, first + 1, ..., and all the sector's
+    closed-form H0 levels."""
 
     sector: _Sector
     first: int
@@ -915,7 +913,7 @@ def band_spectra(box: BoxDiscretization, potential: Potential,
     s_plus, s_minus = np.concatenate(s_plus), np.concatenate(s_minus)
 
     return BandSpectra(
-        fermi_level=fermi_level, box=box, rank_p=r, rank_p0=r0,
+        rank_p=r, rank_p0=r0,
         d_nonzero=np.sort(np.concatenate([s_plus, -s_minus])),
         m_plus=np.sort(s_plus ** 2), m_minus=np.sort(s_minus ** 2),
         zero_multiplicity=box.n - r - r0,

@@ -324,7 +324,7 @@ class TestBulkConfinement:
 
         def fake_band_spectra(box, potential, level):
             return schrodinger1d.BandSpectra(
-                fermi_level=level, box=box, rank_p=rank_p, rank_p0=rank_p0,
+                rank_p=rank_p, rank_p0=rank_p0,
                 d_nonzero=np.array(d, dtype=float),
                 m_plus=np.array(m_plus, dtype=float),
                 m_minus=np.array(m_minus, dtype=float), zero_multiplicity=3)

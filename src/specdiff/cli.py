@@ -43,8 +43,8 @@ _CAMPAIGN_BY_COMMAND = {
 def _potential_flags() -> dict:
     """Every potential parameter, name -> int or float: one ``scatter``
     flag each, which takes the potential class's default when left out."""
-    return {name: kind for pot in experiments.POTENTIALS
-            for name, kind in experiments.potential_parameters(pot).items()}
+    return {name: typ for kind in experiments.POTENTIALS
+            for name, typ in experiments.potential_parameters(kind).items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scatter", help="ad-hoc scattering matrix evaluation")
     sc.add_argument("--potential", default="square_well",
                     choices=tuple(experiments.POTENTIALS))
-    for name, kind in _potential_flags().items():
-        sc.add_argument("--" + name.replace("_", "-"), type=kind)
+    for name, typ in _potential_flags().items():
+        sc.add_argument("--" + name.replace("_", "-"), type=typ)
     sc.add_argument("--energy", type=float, required=True)
     sc.add_argument("--quiet", action="store_true")
 

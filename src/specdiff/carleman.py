@@ -14,11 +14,15 @@ Kernels:
                        (diagonal limit (1/pi^2) a / (x (x+a)))
     model              kron(C^2, G) for a PSD factor G built from a unitary.
 
+The kernel builders take the quadrature grid from the caller: a single
+Gauss-Legendre rule (``gauss_legendre_grid``) or a geometrically graded
+composite Gauss mesh toward 0 (``composite_graded_grid``).
+
 Eigenfunctions: f_t(u) = P_{-1/2+it}(a/u) / u satisfies
 (1/pi) int_0^a f_t(v) / (x + v) dv = f_t(x) / cosh(pi t), the generalized
 eigenfunction relation of the half-Carleman operator at eigenvalue
 1/cosh(pi t).  Since f_t(u) ~ u^{-1/2} log u near 0, quadrature for this
-relation uses a geometrically graded composite Gauss mesh toward 0.
+relation uses the graded mesh.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .errors import ContractViolationError, DomainError
 from .specfun import conical_values
 
 __all__ = [
-    "Scheme",
     "QuadratureGrid",
     "KernelKind",
     "KernelOperator",
@@ -47,11 +50,6 @@ __all__ = [
     "gamma_matrix",
     "model_operator",
 ]
-
-
-class Scheme(Enum):
-    GAUSS_LEGENDRE = "GaussLegendre"
-    COMPOSITE_GRADED = "CompositeGraded"
 
 
 @dataclass(frozen=True)
@@ -78,6 +76,8 @@ class QuadratureGrid:
 
 
 def gauss_legendre_grid(a: float, n: int) -> QuadratureGrid:
+    if n < 4:
+        raise DomainError("gauss_legendre_grid needs n >= 4")
     xi, w = leggauss(n)
     return QuadratureGrid(a, a * (xi + 1.0) / 2.0, a * w / 2.0)
 
@@ -129,42 +129,26 @@ def _symmetrize(grid: QuadratureGrid, kernel_values: np.ndarray) -> np.ndarray:
     return np.outer(sw, sw) * kernel_values
 
 
-def half_carleman(a: float, n: int, scheme: Scheme = Scheme.GAUSS_LEGENDRE,
-                  order: int = 10) -> KernelOperator:
-    """Discretize the kernel 1/(pi (x+y)) on (0, a).
+def half_carleman(grid: QuadratureGrid) -> KernelOperator:
+    """Discretize the kernel 1/(pi (x+y)) on (0, grid.a).
 
-    With the graded scheme, n must be a multiple of the panel order; the
-    graded mesh resolves the logarithmic accumulation of spectrum near the
+    A graded mesh resolves the logarithmic accumulation of spectrum near the
     top of the band far better than a single Gauss rule of equal size.
     """
-    if n < 4:
-        raise DomainError("half_carleman needs n >= 4")
-    grid = _grid_for(a, n, scheme, order)
     x = grid.nodes
     K = 1.0 / (math.pi * (x[:, None] + x[None, :]))
     return KernelOperator(grid, _symmetrize(grid, K), KernelKind.HALF_CARLEMAN)
 
 
-def _grid_for(a: float, n: int, scheme: Scheme, order: int) -> QuadratureGrid:
-    if scheme is Scheme.GAUSS_LEGENDRE:
-        return gauss_legendre_grid(a, n)
-    if n % order:
-        raise DomainError(f"graded scheme needs n divisible by the panel order {order}")
-    return composite_graded_grid(a, panels=n // order, order=order)
-
-
-def carleman_squared(a: float, n: int, scheme: Scheme = Scheme.GAUSS_LEGENDRE,
-                     order: int = 10) -> KernelOperator:
-    """Discretize the closed-form kernel of the squared half-Carleman operator.
+def carleman_squared(grid: QuadratureGrid) -> KernelOperator:
+    """Discretize the closed-form kernel of the squared half-Carleman operator
+    on (0, a), a = grid.a.
 
     Off the diagonal the x-y integral collapses by partial fractions to
     (1/pi^2) log(y(x+a)/(x(y+a))) / (y-x); on the diagonal it degenerates to
     (1/pi^2) a / (x(x+a)).
     """
-    if n < 4:
-        raise DomainError("carleman_squared needs n >= 4")
-    grid = _grid_for(a, n, scheme, order)
-    x = grid.nodes
+    a, x = grid.a, grid.nodes
     X, Y = np.meshgrid(x, x, indexing="ij")
     with np.errstate(divide="ignore", invalid="ignore"):
         K = np.log(Y * (X + a) / (X * (Y + a))) / (Y - X)

@@ -481,15 +481,14 @@ def run_carleman_mehler(config: ExperimentConfig) -> ExperimentReport:
     report = _new_report(config)
     g, tol = config.grids, config.tolerances
     a, n, order = float(g["a"]), int(g["n"]), int(g["order"])
+    if n % order:
+        raise ConfigError(f"grids 'n' = {n} must be a multiple of "
+                          f"grids 'order' = {order}")
 
     t_start = time.perf_counter()
-    op = carleman.half_carleman(a, n, scheme=carleman.Scheme.COMPOSITE_GRADED,
-                                order=order)
-    ev = op.eigenvalues()
-    op2 = carleman.half_carleman(2.0 * a, n,
-                                 scheme=carleman.Scheme.COMPOSITE_GRADED,
-                                 order=order)
-    ev2 = op2.eigenvalues()
+    ev, ev2 = (carleman.half_carleman(carleman.composite_graded_grid(
+        scale, panels=n // order, order=order)).eigenvalues()
+        for scale in (a, 2.0 * a))
     scaling = float(np.abs(ev - ev2).max())
     report.records.append({
         "case": "spectrum", "a": a, "n": n, "min_eig": float(ev[0]),
@@ -562,7 +561,7 @@ def run_model_spectrum(config: ExperimentConfig) -> ExperimentReport:
     report = _new_report(config)
     g, tol = config.grids, config.tolerances
     a, n = float(g["a"]), int(g["n"])
-    csq = carleman.carleman_squared(a, n)
+    csq = carleman.carleman_squared(carleman.gauss_legendre_grid(a, n))
 
     t_start = time.perf_counter()
     phases = [float(p) for p in g["synthetic_phases"]]

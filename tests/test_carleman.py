@@ -13,7 +13,6 @@ from scipy.integrate import quad
 
 from specdiff.carleman import (
     KernelKind,
-    Scheme,
     carleman_squared,
     composite_graded_grid,
     gamma_matrix,
@@ -41,50 +40,54 @@ class TestGrids:
         # the mesh really grades geometrically toward 0
         assert g.nodes[0] < 2.0 ** -19
 
-    def test_graded_divisibility_guard(self):
-        with pytest.raises(DomainError):
-            half_carleman(1.0, 405, scheme=Scheme.COMPOSITE_GRADED)
-
     def test_bad_parameters(self):
         with pytest.raises(DomainError):
             composite_graded_grid(1.0, panels=1)
         with pytest.raises(DomainError):
             composite_graded_grid(-1.0)
         with pytest.raises(DomainError):
-            half_carleman(1.0, 3)
+            gauss_legendre_grid(1.0, 3)
+
+
+def _graded(a: float, n: int):
+    """The graded mesh of n nodes in panels of order 10."""
+    return composite_graded_grid(a, panels=n // 10, order=10)
+
+
+# The two grids of n nodes on (0, a) that the kernels are tested on.
+RULES = (gauss_legendre_grid, _graded)
 
 
 class TestHalfCarleman:
     def test_matrix_symmetric_exactly(self):
-        op = half_carleman(1.0, 60)
+        op = half_carleman(gauss_legendre_grid(1.0, 60))
         assert np.array_equal(op.matrix, op.matrix.T)
 
     def test_spectrum_in_unit_interval(self):
         for a in (0.5, 1.0, 4.0):
-            for n, scheme in ((100, Scheme.GAUSS_LEGENDRE),
-                              (400, Scheme.GAUSS_LEGENDRE),
-                              (400, Scheme.COMPOSITE_GRADED)):
-                ev = half_carleman(a, n, scheme=scheme).eigenvalues()
+            for grid in (gauss_legendre_grid(a, 100),
+                         gauss_legendre_grid(a, 400), _graded(a, 400)):
+                ev = half_carleman(grid).eigenvalues()
                 assert ev[0] >= -1e-8
                 assert ev[-1] <= 1.0 + 1e-8
 
     def test_scale_invariance_entrywise(self):
         # The kernel is homogeneous of degree -1, so rescaling the interval
         # is a unitary change of variables: spectra agree entry by entry.
-        for scheme in (Scheme.GAUSS_LEGENDRE, Scheme.COMPOSITE_GRADED):
-            e1 = half_carleman(1.0, 200, scheme=scheme).eigenvalues()
-            e2 = half_carleman(2.0, 200, scheme=scheme).eigenvalues()
+        for rule in RULES:
+            e1 = half_carleman(rule(1.0, 200)).eigenvalues()
+            e2 = half_carleman(rule(2.0, 200)).eigenvalues()
             assert np.abs(e1 - e2).max() <= 1e-6
 
     def test_graded_mesh_reaches_top_of_band(self):
-        ev = half_carleman(1.0, 400, scheme=Scheme.COMPOSITE_GRADED).eigenvalues()
+        ev = half_carleman(_graded(1.0, 400)).eigenvalues()
         assert ev[-1] >= 0.95
 
 
 class TestCarlemanSquared:
     def test_diagonal_closed_form(self):
         a = 1.3
-        op = carleman_squared(a, 50)
+        op = carleman_squared(gauss_legendre_grid(a, 50))
         x = op.grid.nodes
         want = a / (x * (x + a)) / math.pi ** 2
         got = np.diag(op.matrix) / op.grid.weights
@@ -114,8 +117,9 @@ class TestCarlemanSquared:
         # and decays slowly, while the spectra agree much faster.
         mat_errs, eig_errs = [], []
         for n in (200, 400):
-            sq = carleman_squared(1.0, n, scheme=Scheme.COMPOSITE_GRADED)
-            half = half_carleman(1.0, n, scheme=Scheme.COMPOSITE_GRADED)
+            grid = _graded(1.0, n)
+            sq = carleman_squared(grid)
+            half = half_carleman(grid)
             diff = np.linalg.norm(sq.matrix - half.matrix @ half.matrix)
             mat_errs.append(diff / np.linalg.norm(sq.matrix))
             e1 = np.linalg.eigvalsh(sq.matrix)
@@ -126,11 +130,11 @@ class TestCarlemanSquared:
         assert mat_errs[1] < mat_errs[0]
 
     def test_kind_tag(self):
-        assert carleman_squared(1.0, 20).kind is KernelKind.CARLEMAN_SQUARED
+        assert carleman_squared(gauss_legendre_grid(1.0, 20)).kind is KernelKind.CARLEMAN_SQUARED
 
     def test_positive_semidefinite(self):
-        for scheme in (Scheme.GAUSS_LEGENDRE, Scheme.COMPOSITE_GRADED):
-            ev = carleman_squared(1.0, 200, scheme=scheme).eigenvalues()
+        for rule in RULES:
+            ev = carleman_squared(rule(1.0, 200)).eigenvalues()
             assert ev[0] >= -1e-10
             assert ev[-1] <= 1.0 + 1e-10
 
@@ -206,13 +210,13 @@ class TestGammaMatrix:
 
 class TestModelOperator:
     def test_zero_factor_gives_zero_operator(self):
-        csq = carleman_squared(1.0, 30)
+        csq = carleman_squared(gauss_legendre_grid(1.0, 30))
         g = gamma_matrix(np.eye(2, dtype=complex))
         model = model_operator(csq, g)
         assert np.abs(model.matrix).max() == 0.0
 
     def test_product_spectrum_identity(self):
-        csq = carleman_squared(1.0, 40)
+        csq = carleman_squared(gauss_legendre_grid(1.0, 40))
         s0 = np.diag(np.exp(1j * np.array([math.pi / 3, math.pi / 2])))
         g = gamma_matrix(s0)
         model = model_operator(csq, g)
@@ -222,7 +226,7 @@ class TestModelOperator:
         assert np.abs(got - want).max() <= 1e-10
 
     def test_top_eigenvalue_is_product_of_maxima(self):
-        csq = carleman_squared(1.0, 40)
+        csq = carleman_squared(gauss_legendre_grid(1.0, 40))
         g = gamma_matrix(np.diag(np.exp(1j * np.array([2.0, 0.7]))))
         model = model_operator(csq, g)
         top = model.eigenvalues()[-1]
@@ -230,7 +234,7 @@ class TestModelOperator:
         assert abs(top - want) <= 1e-12
 
     def test_wrong_factor_kind_rejected(self):
-        half = half_carleman(1.0, 20)
+        half = half_carleman(gauss_legendre_grid(1.0, 20))
         g = gamma_matrix(np.eye(2, dtype=complex))
         with pytest.raises(ContractViolationError):
             model_operator(half, g)

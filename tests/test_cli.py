@@ -72,6 +72,20 @@ def test_empty_or_non_finite_config_value_exits_2(tmp_path, capsys, command,
     assert key in err and "Traceback" not in err
 
 
+# A grid count or window that the campaign cannot use is a config error
+# named by its key, caught before the campaign runs.
+@pytest.mark.parametrize("command, config, key", [
+    ("carleman", '{"experiment": "CarlemanMehler", "grids": {"n": 405}}', "'n'"),
+])
+def test_unusable_grid_value_exits_2(tmp_path, capsys, command, config, key):
+    p = tmp_path / "cfg.json"
+    p.write_text(config)
+    code = main([command, "--config", str(p), "--quiet"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
 def test_unwritable_report_path_exits_2(tmp_path, capsys):
     out = tmp_path / "no_such_dir" / "x.json"
     code = main(["model", "--out", str(out), "--quiet"])

@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ContractViolationError, DomainError
+from .errors import DomainError
 from .specfun import conical_values
 
 __all__ = [
@@ -198,15 +198,15 @@ def gamma_matrix(s0: np.ndarray, unitarity_tol: float = 1e-8) -> GammaMatrix:
     """
     s0 = np.asarray(s0, dtype=complex)
     if s0.ndim != 2 or s0.shape[0] != s0.shape[1]:
-        raise ContractViolationError("gamma_matrix: S must be square")
+        raise DomainError("gamma_matrix: S must be square")
     dim = s0.shape[0]
     defect = np.linalg.norm(s0.conj().T @ s0 - np.eye(dim))
     if defect > unitarity_tol:
-        raise ContractViolationError(
+        raise DomainError(
             f"gamma_matrix: input not unitary (defect {defect:.3e} > {unitarity_tol:.1e})")
     g = 0.5 * (np.eye(dim) - 0.5 * (s0 + s0.conj().T))
     if np.abs(g.imag).max() > 1e-10:
-        raise ContractViolationError(
+        raise DomainError(
             "gamma_matrix: Hermitian factor is not real; supply a symmetric unitary")
     gr = g.real.copy()
     gr = 0.5 * (gr + gr.T)
@@ -219,7 +219,7 @@ def model_operator(csq: KernelOperator, gamma: GammaMatrix) -> KernelOperator:
     scattering factor; its spectrum is the set of pairwise eigenvalue
     products of the two factors."""
     if csq.kind is not KernelKind.CARLEMAN_SQUARED:
-        raise ContractViolationError("model_operator expects a CarlemanSquared factor")
+        raise DomainError("model_operator expects a CarlemanSquared factor")
     return KernelOperator(csq.grid, np.kron(csq.matrix, gamma.matrix),
                           KernelKind.MODEL)
 

@@ -2,7 +2,8 @@
 
 
 class DomainError(ValueError):
-    """An argument lies outside the domain a routine is specified for."""
+    """An argument lies outside the domain a routine is specified for or
+    breaks its documented precondition (e.g. a matrix promised unitary)."""
 
 
 class LevelCollisionError(DomainError):
@@ -37,11 +38,6 @@ class SingularOperatorError(RuntimeError):
     def __init__(self, message: str, cond: float):
         super().__init__(f"{message} (condition number {cond:.3e})")
         self.cond = cond
-
-
-class ContractViolationError(ValueError):
-    """An input violates a documented precondition (e.g. a matrix that was
-    promised unitary is not)."""
 
 
 class ConfigError(ValueError):

@@ -21,7 +21,7 @@ from specdiff.carleman import (
     mehler_residual,
     model_operator,
 )
-from specdiff.errors import ContractViolationError, DomainError
+from specdiff.errors import DomainError
 
 
 class TestGrids:
@@ -204,7 +204,7 @@ class TestGammaMatrix:
         assert np.abs(np.sort(g.kappa_sq) - want).max() <= 1e-12
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DomainError):
             gamma_matrix(np.eye(2) * 1.5)
 
 
@@ -236,6 +236,6 @@ class TestModelOperator:
     def test_wrong_factor_kind_rejected(self):
         half = half_carleman(gauss_legendre_grid(1.0, 20))
         g = gamma_matrix(np.eye(2, dtype=complex))
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DomainError):
             model_operator(half, g)
 

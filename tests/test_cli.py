@@ -86,6 +86,18 @@ def test_unusable_grid_value_exits_2(tmp_path, capsys, command, config, key):
     assert key in err and "Traceback" not in err
 
 
+def test_non_unitary_scattering_matrix_exits_2(tmp_path, capsys):
+    # No computed S is unitary to 1e-20, so gamma_matrix refuses it as a
+    # domain error, not a failed verdict.
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"experiment": "ModelSpectrum",
+                             "tolerances": {"unitarity": 1e-20}}))
+    code = main(["model", "--config", str(p), "--quiet"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "gamma_matrix" in err and "Traceback" not in err
+
+
 def test_unwritable_report_path_exits_2(tmp_path, capsys):
     out = tmp_path / "no_such_dir" / "x.json"
     code = main(["model", "--out", str(out), "--quiet"])

@@ -121,7 +121,7 @@ def criterion_5(seed: int = 0, reports=None) -> CriterionResult:
         p = q[:, :ranks[0]] @ q[:, :ranks[0]].T
         q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         p0 = q2[:, :ranks[1]] @ q2[:, :ranks[1]].T
-        diff = schrodinger1d.projection_difference(p, p0, 0.0)
+        diff = schrodinger1d.projection_difference(p, p0)
         mp, mm = schrodinger1d.m_plus_minus(p, p0)
         worst_algebra = max(worst_algebra, float(np.linalg.norm(
             diff.matrix @ diff.matrix - (mp + mm))))

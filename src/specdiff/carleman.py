@@ -116,11 +116,6 @@ class KernelOperator:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
-    def symmetry_defect(self) -> float:
-        m = self.matrix
-        scale = np.abs(m).max() or 1.0
-        return float(np.abs(m - m.T).max() / scale)
-
 
 def _symmetrize(grid: QuadratureGrid, kernel_values: np.ndarray) -> np.ndarray:
     # Scaling by the outer product w_i^1/2 w_j^1/2 (itself exactly symmetric)

@@ -59,7 +59,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -75,7 +74,6 @@ from .schrodinger1d import (
 )
 
 __all__ = [
-    "Method",
     "ScatteringMatrix",
     "EigenphaseSet",
     "StationaryOperators",
@@ -94,17 +92,10 @@ PHASE_TOL = 1e-6                                  # see eigenphases
 _SAFMIN = np.finfo(float).tiny
 
 
-class Method(Enum):
-    ODE_MATCH = "OdeMatch"
-    STATIONARY = "Stationary"
-
-
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    energy: float
     momentum: float
     matrix: np.ndarray
-    method: Method
     unitarity_defect: float
 
     @property
@@ -124,10 +115,6 @@ class EigenphaseSet:
 
     thetas: np.ndarray
     kappas: np.ndarray
-
-    @property
-    def kappa_max(self) -> float:
-        return float(self.kappas[0]) if self.kappas.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -233,7 +220,7 @@ def s_matrix_ode(potential: Potential, lam: float, x_max: float | None = None,
         raise StepSizeError(
             f"ODE route unitarity defect {defect:.3e} exceeds {UNITARITY_TOL_ODE:.1e}",
             suggested_step=step / 2.0)
-    return ScatteringMatrix(lam, k, s, Method.ODE_MATCH, defect)
+    return ScatteringMatrix(k, s, defect)
 
 
 def _gauss_legendre(n: int):
@@ -422,7 +409,7 @@ def s_matrix_stationary(potential: Potential, lam: float,
                 break
 
     defect = float(np.linalg.norm(s.conj().T @ s - np.eye(2)))
-    sm = ScatteringMatrix(lam, math.sqrt(lam), s, Method.STATIONARY, defect)
+    sm = ScatteringMatrix(math.sqrt(lam), s, defect)
     return (sm, ops) if return_operators else sm
 
 

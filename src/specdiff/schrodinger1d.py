@@ -213,15 +213,10 @@ class GaussianBump(Potential):
 
 @dataclass(frozen=True)
 class SymmetricOperator:
-    """Dense real symmetric operator with its box metadata."""
+    """Dense real symmetric operator with a label for error messages."""
 
     matrix: np.ndarray
-    box: BoxDiscretization
     label: str
-
-    def symmetry_defect(self) -> float:
-        scale = np.abs(self.matrix).max() or 1.0
-        return float(np.abs(self.matrix - self.matrix.T).max() / scale)
 
 
 @dataclass(frozen=True)
@@ -242,9 +237,8 @@ class EigenData:
 
 @dataclass(frozen=True)
 class ProjectionDifference:
-    """D = P - P0 at a Fermi level, with its sorted eigenvalues."""
+    """D = P - P0, with its sorted eigenvalues."""
 
-    fermi_level: float
     matrix: np.ndarray
     eigenvalues: np.ndarray
 
@@ -271,13 +265,13 @@ def _dense_from_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 def build_h0(box: BoxDiscretization) -> SymmetricOperator:
     """Dense three-point Dirichlet Laplacian h^-2 tridiag(-1, 2, -1)."""
     diag, off = hamiltonian_tridiagonal(box)
-    return SymmetricOperator(_dense_from_tridiagonal(diag, off), box, "H0")
+    return SymmetricOperator(_dense_from_tridiagonal(diag, off), "H0")
 
 
 def build_h(box: BoxDiscretization, potential: Potential) -> SymmetricOperator:
     """Dense H = H0 + diag(V(x_i))."""
     diag, off = hamiltonian_tridiagonal(box, potential)
-    return SymmetricOperator(_dense_from_tridiagonal(diag, off), box,
+    return SymmetricOperator(_dense_from_tridiagonal(diag, off),
                              f"H0+{potential.kind}")
 
 
@@ -339,8 +333,7 @@ def spectral_projection(eig: EigenData, fermi_level: float) -> np.ndarray:
     return sel @ sel.T
 
 
-def projection_difference(p: np.ndarray, p0: np.ndarray,
-                          fermi_level: float) -> ProjectionDifference:
+def projection_difference(p: np.ndarray, p0: np.ndarray) -> ProjectionDifference:
     """D = P - P0; its spectrum lives in [-1, 1] (enforced)."""
     _require_projection(p, "P")
     _require_projection(p0, "P0")
@@ -350,7 +343,7 @@ def projection_difference(p: np.ndarray, p0: np.ndarray,
         raise DomainError(
             f"projection difference spectrum [{ev[0]:.6g}, {ev[-1]:.6g}] "
             "escapes [-1, 1]; the inputs cannot both be orthogonal projections")
-    return ProjectionDifference(fermi_level, d, ev)
+    return ProjectionDifference(d, ev)
 
 
 def _require_projection(p: np.ndarray, name: str, tol: float = 1e-10):
@@ -379,7 +372,6 @@ def m_plus_minus(p: np.ndarray, p0: np.ndarray):
 class PairingReport:
     """Matching of interior D-eigenvalues into (-mu, +mu) pairs."""
 
-    epsilon: float
     pairs: np.ndarray            # shape (k, 2): matched (positive, -negative)
     max_pair_error: float
     unpaired: np.ndarray         # interior eigenvalues without a partner
@@ -403,8 +395,7 @@ def symmetry_pairing_report(diff, epsilon: float) -> PairingReport:
     pairs = np.column_stack([pos[:k], neg[:k]]) if k else np.empty((0, 2))
     err = float(np.abs(pairs[:, 0] - pairs[:, 1]).max()) if k else 0.0
     unpaired = np.concatenate([pos[k:], neg[k:]])
-    return PairingReport(epsilon=epsilon, pairs=pairs, max_pair_error=err,
-                         unpaired=unpaired)
+    return PairingReport(pairs=pairs, max_pair_error=err, unpaired=unpaired)
 
 
 # --- Sturm sweeps with closed-form runs ------------------------------------

@@ -94,12 +94,8 @@ class ConicalBoundReport:
     """Empirical suprema for the uniform and Hoelder bounds of the conical
     function over a finite sample set (delta = 1/2 in the Hoelder quotient)."""
 
-    t_max: float
-    n_t: int
-    n_x: int
     uniform_sup: float        # sup sqrt(x) |P_{-1/2+it}(x)|
     holder_sup: float         # sup |P_t2 - P_t1| / (|t2-t1|^d x^-1/2 (1+log x)^d)
-    delta: float = 0.5
 
 
 def _near_nonpositive_integer(z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -352,7 +348,4 @@ def check_conical_bounds(t_max: float, x_samples, n_t: int = 9) -> ConicalBoundR
                  / (dt[later, None] ** delta * weight))
             holder = max(holder, float(np.max(q)))
 
-    return ConicalBoundReport(
-        t_max=float(t_max), n_t=n_t, n_x=int(xs.size),
-        uniform_sup=uniform, holder_sup=holder, delta=delta,
-    )
+    return ConicalBoundReport(uniform_sup=uniform, holder_sup=holder)

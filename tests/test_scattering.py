@@ -21,7 +21,6 @@ from scipy.linalg import eigvalsh_tridiagonal
 from specdiff import scattering
 from specdiff.errors import DomainError, LevelCollisionError
 from specdiff.scattering import (
-    Method,
     _gauss_legendre,
     _rk4_segment,
     birman_krein_value,
@@ -260,10 +259,6 @@ class TestStationaryRoute:
         for eps in (2e-3, 1e-3):
             assert born_error(eps) <= c_bound * eps ** 2
 
-    def test_method_tag(self):
-        s = s_matrix_stationary(SquareWell(), 1.0, n_nodes=200)
-        assert s.method is Method.STATIONARY
-
     def test_singular_system_guard(self):
         from specdiff.errors import SingularOperatorError
         from specdiff.scattering import _condition_guard
@@ -359,13 +354,12 @@ class TestEigenphases:
         s = s_matrix_stationary(GaussianBump(amplitude=0.0), 1.0, n_nodes=64)
         phases = eigenphases(s)
         assert phases.thetas.size == 0
-        assert phases.kappa_max == 0.0
+        assert phases.kappas.size == 0
 
     def test_diagonal_phase_example(self):
         from specdiff.scattering import ScatteringMatrix
-        s = ScatteringMatrix(1.0, 1.0,
-                             np.diag([cmath.exp(1j * math.pi / 2), 1.0]),
-                             Method.STATIONARY, 0.0)
+        s = ScatteringMatrix(1.0, np.diag([cmath.exp(1j * math.pi / 2), 1.0]),
+                             0.0)
         phases = eigenphases(s)
         assert phases.thetas.size == 1
         assert abs(phases.thetas[0] - math.pi / 2) <= 1e-14

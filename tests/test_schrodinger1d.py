@@ -167,19 +167,17 @@ class TestEigendecompose:
         assert eig.orthonormality_defect() <= 1e-10
 
     def test_diagonal_matrix(self):
-        box = BoxDiscretization(1.0, 16)
         d = np.arange(16.0)
         from specdiff.schrodinger1d import SymmetricOperator
-        eig = eigendecompose(SymmetricOperator(np.diag(d), box, "diag"))
+        eig = eigendecompose(SymmetricOperator(np.diag(d), "diag"))
         assert np.abs(eig.values - d).max() == 0.0
 
     def test_cross_solver_agreement(self):
         rng = np.random.default_rng(17)
         a = rng.standard_normal((50, 50))
         a = 0.5 * (a + a.T)
-        box = BoxDiscretization(1.0, 50)
         from specdiff.schrodinger1d import SymmetricOperator
-        eig = eigendecompose(SymmetricOperator(a, box, "rand"))
+        eig = eigendecompose(SymmetricOperator(a, "rand"))
         vals2 = np.linalg.eigvalsh(a)
         assert np.abs(eig.values - vals2).max() <= 1e-9 * np.abs(vals2).max()
 
@@ -189,9 +187,8 @@ class TestProjections:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n))
         a = 0.5 * (a + a.T)
-        box = BoxDiscretization(1.0, n)
         from specdiff.schrodinger1d import SymmetricOperator
-        return eigendecompose(SymmetricOperator(a, box, "rand")), a
+        return eigendecompose(SymmetricOperator(a, "rand")), a
 
     def test_projection_extremes(self):
         eig, a = self._eigendata()
@@ -217,7 +214,7 @@ class TestProjections:
         eig, _ = self._eigendata()
         level = 0.5 * (eig.values[4] + eig.values[5])
         p = spectral_projection(eig, level)
-        d = projection_difference(p, p, level)
+        d = projection_difference(p, p)
         assert np.abs(d.matrix).max() == 0.0
 
     def test_zero_potential_difference_is_zero(self):
@@ -226,7 +223,7 @@ class TestProjections:
         eig1 = eigendecompose(build_h(box, GaussianBump(amplitude=0.0)))
         level = 1.0
         d = projection_difference(spectral_projection(eig1, level),
-                                  spectral_projection(eig0, level), level)
+                                  spectral_projection(eig0, level))
         assert np.abs(d.eigenvalues).max() <= 1e-10
 
     def test_rotated_rank_one_angles(self):
@@ -235,7 +232,7 @@ class TestProjections:
             r = np.array([[c, -s], [s, c]])
             p0 = np.diag([1.0, 0.0])
             p = r @ p0 @ r.T
-            d = projection_difference(p, p0, 0.0)
+            d = projection_difference(p, p0)
             want = np.array([-abs(s), abs(s)])
             assert np.abs(np.sort(d.eigenvalues) - want).max() <= 1e-12
 
@@ -271,7 +268,7 @@ class TestTwoProjectionAlgebra:
         c, s = math.cos(phi), math.sin(phi)
         r = np.array([[c, -s], [s, c]])
         p0 = np.diag([1.0, 0.0])
-        d = projection_difference(r @ p0 @ r.T, p0, 0.0)
+        d = projection_difference(r @ p0 @ r.T, p0)
         rep = symmetry_pairing_report(d, 0.05)
         assert rep.pairs.shape == (1, 2)
         assert rep.max_pair_error <= 1e-12
@@ -279,7 +276,7 @@ class TestTwoProjectionAlgebra:
 
     def test_pairing_on_zero_difference(self):
         p, _ = self._random_projections(20, 6, 6, seed=5)
-        d = projection_difference(p, p, 0.0)
+        d = projection_difference(p, p)
         rep = symmetry_pairing_report(d, 0.05)
         assert rep.pairs.shape[0] == 0
         assert rep.unpaired.size == 0

@@ -248,9 +248,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from a JSON-style dict.  Unknown keys are a hard error
     (misspellings must not silently fall back to defaults); missing keys take
     the campaign defaults.  A value of the wrong JSON type, a number that is
-    not finite, an empty list where the campaign's default list is not, and
-    a ``window`` that is not a pair are each a ConfigError that names the
-    key."""
+    not finite, an empty list where the campaign's default list is not, a
+    grid count (a ``grids`` entry whose default is an integer or a list of
+    integers) that is not a positive integer, and a ``window`` that is not a
+    pair in (0, 1] are each a ConfigError that names the key."""
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}; "
@@ -268,13 +269,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                               f"allowed: {sorted(base.grids)}")
         # A grid entry keeps the JSON type of its default: a list of numbers
         # or a number.
-        if isinstance(base.grids[key], list):
-            _number_list(val, f"grids {key!r}", base.grids[key])
-            if key == "window" and len(val) != 2:
-                raise ConfigError(f"grids 'window' must be a pair [lo, hi], "
-                                  f"got {val!r}")
+        default, name = base.grids[key], f"grids {key!r}"
+        if isinstance(default, list):
+            values = _number_list(val, name, default)
+            if key == "window" and not (
+                    len(values) == 2 and all(0.0 < v <= 1.0 for v in values)):
+                raise ConfigError(f"grids 'window' must be a pair [lo, hi] "
+                                  f"in (0, 1], got {val!r}")
         else:
-            _number(val, f"grids {key!r}")
+            default, values = [default], [_number(val, name)]
+        # A count: its default is an integer or a list of integers.
+        if all(type(d) is int for d in default) and not all(
+                v > 0 and v.is_integer() for v in values):
+            raise ConfigError(f"{name} must hold positive integers, got {val!r}")
         grids[key] = val
     tolerances = dict(base.tolerances)
     for key, val in _mapping(raw.get("tolerances", {}), "tolerances").items():

@@ -332,6 +332,8 @@ def check_conical_bounds(t_max: float, x_samples, n_t: int = 9) -> ConicalBoundR
         raise DomainError("check_conical_bounds: empty sample set")
     if np.any(xs < 1.0):
         raise DomainError("check_conical_bounds: samples must satisfy x >= 1")
+    if n_t < 2:
+        raise DomainError("check_conical_bounds: the Hoelder quotient needs n_t >= 2")
     ts = np.linspace(0.0, float(t_max), n_t)
     values, _ = conical_values(ts[:, None], xs)
 

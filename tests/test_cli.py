@@ -76,6 +76,20 @@ def test_empty_or_non_finite_config_value_exits_2(tmp_path, capsys, command,
 # named by its key, caught before the campaign runs.
 @pytest.mark.parametrize("command, config, key", [
     ("carleman", '{"experiment": "CarlemanMehler", "grids": {"n": 405}}', "'n'"),
+    ("specfun", '{"experiment": "SpecfunAudit", "grids": {"seam_points": 0}}',
+     "seam_points"),
+    ("specfun", '{"experiment": "SpecfunAudit", "grids": {"bound_n_t": 0}}',
+     "bound_n_t"),
+    ("specfun", '{"experiment": "SpecfunAudit", "grids": {"bound_n_t": 1}}',
+     "check_conical_bounds"),
+    ("carleman", '{"experiment": "CarlemanMehler", '
+     '"grids": {"window_points": 0}}', "window_points"),
+    ("carleman", '{"experiment": "CarlemanMehler", "grids": {"order": 0}}',
+     "'order'"),
+    ("carleman", '{"experiment": "CarlemanMehler", '
+     '"grids": {"window": [0.0, 0.8]}}', "window"),
+    ("specfun", '{"experiment": "SpecfunAudit", "grids": {"seam_points": 2.5}}',
+     "seam_points"),
 ])
 def test_unusable_grid_value_exits_2(tmp_path, capsys, command, config, key):
     p = tmp_path / "cfg.json"

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
-from .specfun import conical_values
+from .specfun import T_MAX, conical_values
 
 __all__ = [
     "QuadratureGrid",
@@ -158,8 +158,8 @@ def carleman_squared(grid: QuadratureGrid) -> KernelOperator:
 def _mehler_samples(a: float, t: float, u: np.ndarray) -> np.ndarray:
     """Samples of f_t(u) = P_{-1/2+it}(a/u)/u, the generalized eigenfunction
     of the half-Carleman operator on (0, a) with eigenvalue 1/cosh(pi t)."""
-    if not (0.0 < t <= 16.0):
-        raise DomainError(f"Mehler eigenfunction: t={t} outside (0, 16]")
+    if not (0.0 < t <= T_MAX):
+        raise DomainError(f"Mehler eigenfunction: t={t} outside (0, {T_MAX:g}]")
     return conical_values(t, a / u)[0] / u
 
 

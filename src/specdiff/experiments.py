@@ -625,8 +625,13 @@ def _nudge_level(box, lam: float) -> float:
     return lam + 0.5 * (levels[i] - levels[i - 1])
 
 
+# A Fermi level that collides with a box eigenvalue is nudged at most this
+# many times.
+MAX_NUDGES = 3
+
+
 def _with_level_nudge(fn, box, lam: float, record: dict):
-    for _ in range(3):
+    for _ in range(MAX_NUDGES):
         try:
             return fn(lam)
         except LevelCollisionError:
@@ -777,10 +782,10 @@ def run_birman_krein(config: ExperimentConfig) -> ExperimentReport:
     box = schrodinger1d.BoxDiscretization(L, n)
     lams = [float(x) for x in config.lambda_grid]
 
-    # One window of box levels serves every energy, up to three nudges
+    # One window of box levels serves every energy, up to MAX_NUDGES nudges
     # above the top one.
     top = max(lams)
-    for _ in range(3):
+    for _ in range(MAX_NUDGES):
         top = _nudge_level(box, top)
     levels = schrodinger1d.box_levels(box, pot, min(lams), top)
     nudges = [dict() for _ in lams]

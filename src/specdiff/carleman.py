@@ -125,7 +125,8 @@ def _symmetrize(grid: QuadratureGrid, kernel_values: np.ndarray) -> np.ndarray:
 
 
 def half_carleman(grid: QuadratureGrid) -> KernelOperator:
-    """Discretize the kernel 1/(pi (x+y)) on (0, grid.a).
+    """Discretize the kernel 1/(pi (x+y)) on (0, grid.a) at the nodes of the
+    caller's grid.
 
     A graded mesh resolves the logarithmic accumulation of spectrum near the
     top of the band far better than a single Gauss rule of equal size.

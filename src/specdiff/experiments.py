@@ -541,9 +541,7 @@ def run_carleman_mehler(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _product_spectrum_error(ev_model, mu, gamma):
-    """Distance of the model spectrum ``ev_model`` from the pairwise products
-    of the kernel spectrum ``mu`` with gamma's, the model's top eigenvalue,
-    and the top product (both spectra ascend)."""
+    """Product-identity error, top eigenvalue and top product (spectra ascend)."""
     products = np.sort(np.outer(mu, gamma.kappa_sq).ravel())
     return float(np.abs(ev_model - products).max()), float(ev_model[-1]), \
         float(mu[-1] * gamma.kappa_sq.max())
@@ -625,9 +623,7 @@ def _nudge_level(box, lam: float) -> float:
     return lam + 0.5 * (levels[i] - levels[i - 1])
 
 
-# A Fermi level that collides with a box eigenvalue is nudged at most this
-# many times.
-MAX_NUDGES = 3
+MAX_NUDGES = 3   # times a Fermi level that hits a box eigenvalue is moved
 
 
 def _with_level_nudge(fn, box, lam: float, record: dict):

@@ -130,7 +130,8 @@ class TestCarlemanSquared:
         assert mat_errs[1] < mat_errs[0]
 
     def test_kind_tag(self):
-        assert carleman_squared(gauss_legendre_grid(1.0, 20)).kind is KernelKind.CARLEMAN_SQUARED
+        op = carleman_squared(gauss_legendre_grid(1.0, 20))
+        assert op.kind is KernelKind.CARLEMAN_SQUARED
 
     def test_positive_semidefinite(self):
         for rule in RULES:

@@ -41,6 +41,7 @@ column order is the record key order of the campaign:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -76,35 +77,20 @@ __all__ = [
     "report_json",
 ]
 
-CAMPAIGNS = ("SpecfunAudit", "CarlemanMehler", "ModelSpectrum",
-             "BandFilling", "BirmanKrein")
-
 FORMAT_VERSION = 1
-
-_CONFIG_KEYS = {"experiment", "potential", "lambda_grid", "box_sequence",
-                "grids", "tolerances", "seed"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A campaign's inputs.  A field its campaign does not read keeps its
+    empty default; :func:`default_config` gives each campaign's defaults."""
     experiment: str
-    potential: dict | None
-    lambda_grid: tuple
-    box_sequence: tuple          # of (L, n) pairs
-    grids: dict
-    tolerances: dict
-    seed: int
-
-    def __post_init__(self):
-        if self.experiment not in CAMPAIGNS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; "
-                              f"choose one of {CAMPAIGNS}")
-        for name, tol in self.tolerances.items():
-            if not (float(tol) > 0):
-                raise ConfigError(f"tolerance {name!r} must be positive, got {tol}")
-        ls = [pair[0] for pair in self.box_sequence]
-        if any(b <= a for a, b in zip(ls, ls[1:])):
-            raise ConfigError("box_sequence must be strictly increasing in L")
+    potential: dict | None = None
+    lambda_grid: tuple = ()
+    box_sequence: tuple = ()     # of (L, n) pairs
+    grids: dict = field(default_factory=dict)
+    tolerances: dict = field(default_factory=dict)
+    seed: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -185,63 +171,12 @@ def potential_from_dict(d: dict) -> schrodinger1d.Potential:
         for key, value in d.items() if key != "kind"})
 
 
-def _boxes_for(half_lengths):
-    """(L, n) of the boxes (-L, L) with grid spacing 0.02."""
-    return tuple((float(L), schrodinger1d.BoxDiscretization.from_spacing(
-        L, 0.02).n) for L in half_lengths)
-
-
 def default_config(experiment: str) -> ExperimentConfig:
-    """The benchmark configuration of each campaign (square well of depth -2
-    and half-width 1 wherever a potential is involved)."""
-    well = {"kind": "square_well", **dataclasses.asdict(schrodinger1d.SquareWell())}
-    if experiment == "SpecfunAudit":
-        return ExperimentConfig(
-            experiment=experiment, potential=None, lambda_grid=(),
-            box_sequence=(),
-            grids={"seam_t": [0.0, 0.5, 1.0, 2.0], "seam_x_lo": 1.2,
-                   "seam_x_hi": 2.8, "seam_points": 50,
-                   "bound_t_max": 3.0, "bound_x_max": 1.0e4,
-                   "bound_samples": 200, "bound_n_t": 62},
-            tolerances={"seam_consistency": 1e-8, "imag_residual": 1e-10,
-                        "bound_growth": 0.05},
-            seed=0)
-    if experiment == "CarlemanMehler":
-        return ExperimentConfig(
-            experiment=experiment, potential=None, lambda_grid=(),
-            box_sequence=(),
-            grids={"a": 1.0, "n": 400, "order": 10,
-                   "mehler_t": [0.5, 1.0, 2.0], "mehler_panels": [20, 40, 80],
-                   "window": [0.2, 0.8], "window_points": 13},
-            tolerances={"spectrum_margin": 1e-8, "top_eigenvalue_min": 0.95,
-                        "scaling_agreement": 1e-6, "mehler_residual": 1e-3,
-                        "refinement_noise": 0.1},
-            seed=0)
-    if experiment == "ModelSpectrum":
-        return ExperimentConfig(
-            experiment=experiment, potential=well, lambda_grid=(0.25,),
-            box_sequence=(),
-            grids={"a": 1.0, "n": 120,
-                   "synthetic_phases": [math.pi / 3.0, math.pi / 2.0]},
-            tolerances={"product_identity": 1e-10, "unitarity": 1e-8},
-            seed=0)
-    if experiment == "BandFilling":
-        return ExperimentConfig(
-            experiment=experiment, potential=well, lambda_grid=(1.0,),
-            box_sequence=_boxes_for((50.0, 100.0, 200.0)),
-            grids={},
-            tolerances={"edge_margin": 0.02, "edge_deficit": 0.1,
-                        "gap_noise": 0.1, "coverage_margin": 0.05},
-            seed=0)
-    if experiment == "BirmanKrein":
-        return ExperimentConfig(
-            experiment=experiment, potential=well,
-            lambda_grid=tuple(np.linspace(0.5, 2.0, 20)),
-            box_sequence=_boxes_for((200.0,)),
-            grids={},
-            tolerances={"bk_residual": 0.05, "bk_continuity": 0.2},
-            seed=0)
-    raise ConfigError(f"unknown experiment {experiment!r}")
+    """The benchmark configuration of a campaign: its row's defaults."""
+    if not isinstance(experiment, str) or experiment not in _CAMPAIGNS:
+        raise ConfigError(f"unknown experiment {experiment!r}; "
+                          f"choose one of {CAMPAIGNS}")
+    return ExperimentConfig(experiment, **copy.deepcopy(_CAMPAIGNS[experiment][1]))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -252,10 +187,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     grid count (a ``grids`` entry whose default is an integer or a list of
     integers) that is not a positive integer, and a ``window`` that is not a
     pair in (0, 1] are each a ConfigError that names the key."""
-    unknown = set(raw) - _CONFIG_KEYS
+    keys = set(ExperimentConfig.__dataclass_fields__)
+    unknown = set(raw) - keys
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}; "
-                          f"allowed: {sorted(_CONFIG_KEYS)}")
+                          f"allowed: {sorted(keys)}")
     if "experiment" not in raw:
         raise ConfigError("config needs an 'experiment' field")
     base = default_config(raw["experiment"])
@@ -289,19 +225,24 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown tolerance {key!r} for {base.experiment}; "
                               f"allowed: {sorted(base.tolerances)}")
         tolerances[key] = _number(val, f"tolerance {key!r}")
+        if not tolerances[key] > 0:
+            raise ConfigError(f"tolerance {key!r} must be positive, got {val}")
     boxes = raw.get("box_sequence", base.box_sequence)
     if not isinstance(boxes, (list, tuple)) or not all(
             isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in boxes):
         raise ConfigError(f"box_sequence must be a list of [L, n] pairs, got {boxes!r}")
     if base.box_sequence and not boxes:
         raise ConfigError("box_sequence must not be empty")
+    boxes = tuple((_number(L, "box_sequence L"), _integer(n, "box_sequence n"))
+                  for L, n in boxes)
+    if any(b[0] <= a[0] for a, b in zip(boxes, boxes[1:])):
+        raise ConfigError("box_sequence must be strictly increasing in L")
     return ExperimentConfig(
-        experiment=raw["experiment"],
+        experiment=base.experiment,
         potential=pot,
         lambda_grid=tuple(_number_list(raw.get("lambda_grid", base.lambda_grid),
                                        "lambda_grid", base.lambda_grid)),
-        box_sequence=tuple((_number(L, "box_sequence L"),
-                            _integer(n, "box_sequence n")) for L, n in boxes),
+        box_sequence=boxes,
         grids=grids,
         tolerances=tolerances,
         seed=_integer(raw.get("seed", base.seed), "seed"),
@@ -819,14 +760,50 @@ def run_birman_krein(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-_RUNNERS = {
-    "SpecfunAudit": run_specfun_audit,
-    "CarlemanMehler": run_carleman_mehler,
-    "ModelSpectrum": run_model_spectrum,
-    "BandFilling": run_band_filling,
-    "BirmanKrein": run_birman_krein,
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    return _CAMPAIGNS[config.experiment][0](config)
+
+
+def _boxes_for(half_lengths):
+    """(L, n) of the boxes (-L, L) with grid spacing 0.02."""
+    return tuple((float(L), schrodinger1d.BoxDiscretization.from_spacing(
+        L, 0.02).n) for L in half_lengths)
+
+
+_WELL = {"kind": "square_well", **dataclasses.asdict(schrodinger1d.SquareWell())}
+
+# One row per campaign: its runner and the defaults of the config keys it
+# reads (the benchmark configuration: a square well of depth -2 and
+# half-width 1 wherever a potential is involved).
+_CAMPAIGNS = {
+    "SpecfunAudit": (run_specfun_audit, {
+        "grids": {"seam_t": [0.0, 0.5, 1.0, 2.0], "seam_x_lo": 1.2,
+                  "seam_x_hi": 2.8, "seam_points": 50,
+                  "bound_t_max": 3.0, "bound_x_max": 1.0e4,
+                  "bound_samples": 200, "bound_n_t": 62},
+        "tolerances": {"seam_consistency": 1e-8, "imag_residual": 1e-10,
+                       "bound_growth": 0.05}}),
+    "CarlemanMehler": (run_carleman_mehler, {
+        "grids": {"a": 1.0, "n": 400, "order": 10,
+                  "mehler_t": [0.5, 1.0, 2.0], "mehler_panels": [20, 40, 80],
+                  "window": [0.2, 0.8], "window_points": 13},
+        "tolerances": {"spectrum_margin": 1e-8, "top_eigenvalue_min": 0.95,
+                       "scaling_agreement": 1e-6, "mehler_residual": 1e-3,
+                       "refinement_noise": 0.1}}),
+    "ModelSpectrum": (run_model_spectrum, {
+        "potential": _WELL, "lambda_grid": (0.25,),
+        "grids": {"a": 1.0, "n": 120,
+                  "synthetic_phases": [math.pi / 3.0, math.pi / 2.0]},
+        "tolerances": {"product_identity": 1e-10, "unitarity": 1e-8}}),
+    "BandFilling": (run_band_filling, {
+        "potential": _WELL, "lambda_grid": (1.0,),
+        "box_sequence": _boxes_for((50.0, 100.0, 200.0)),
+        "tolerances": {"edge_margin": 0.02, "edge_deficit": 0.1,
+                       "gap_noise": 0.1, "coverage_margin": 0.05}}),
+    "BirmanKrein": (run_birman_krein, {
+        "potential": _WELL, "lambda_grid": tuple(np.linspace(0.5, 2.0, 20)),
+        "box_sequence": _boxes_for((200.0,)),
+        "tolerances": {"bk_residual": 0.05, "bk_continuity": 0.2}}),
 }
 
-
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    return _RUNNERS[config.experiment](config)
+CAMPAIGNS = tuple(_CAMPAIGNS)

@@ -120,13 +120,21 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
-def _number_list(value, key: str, default) -> list:
-    """A list of numbers, empty only where the ``default`` list is: a
-    campaign judged over no case would crash or pass vacuously."""
+def _list(value, key: str, default, entries: str) -> list:
+    """A list, empty only where the ``default`` list is (a campaign judged
+    over no case would crash or pass vacuously), and of one entry where the
+    default holds one (the campaign reads that one only)."""
     if not isinstance(value, (list, tuple)) or (default and not value):
-        raise ConfigError(f"{key} must be a list of numbers"
+        raise ConfigError(f"{key} must be a list of {entries}"
                           f"{', not empty' if default else ''}, got {value!r}")
-    return [_number(v, f"{key}[{i}]") for i, v in enumerate(value)]
+    if len(default) == 1 and len(value) != 1:
+        raise ConfigError(f"{key} must hold exactly one entry, got {value!r}")
+    return value
+
+
+def _number_list(value, key: str, default) -> list:
+    return [_number(v, f"{key}[{i}]")
+            for i, v in enumerate(_list(value, key, default, "numbers"))]
 
 
 def _mapping(value, key: str) -> dict:
@@ -180,21 +188,26 @@ def default_config(experiment: str) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from a JSON-style dict.  Unknown keys are a hard error
-    (misspellings must not silently fall back to defaults); missing keys take
-    the campaign defaults.  A value of the wrong JSON type, a number that is
-    not finite, an empty list where the campaign's default list is not, a
-    grid count (a ``grids`` entry whose default is an integer or a list of
+    """Build a config from a JSON-style dict.  The campaign's defaults are
+    its schema: a key they do not hold is a hard error (misspellings and
+    values the campaign would ignore must not pass silently), unless it is
+    ``seed`` or holds the empty value of the report's config echo (``null``,
+    ``[]`` or ``{}``); a key left out takes its default.  A value of the wrong
+    JSON type, a number that is not finite, an empty list where the default
+    list is not, a list of other than one entry where the default holds one,
+    a grid count (a ``grids`` entry whose default is an integer or a list of
     integers) that is not a positive integer, and a ``window`` that is not a
     pair in (0, 1] are each a ConfigError that names the key."""
-    keys = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(raw) - keys
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}; "
-                          f"allowed: {sorted(keys)}")
     if "experiment" not in raw:
         raise ConfigError("config needs an 'experiment' field")
     base = default_config(raw["experiment"])
+    reads = {"experiment", "seed", *_CAMPAIGNS[base.experiment][1]}
+    empty = ExperimentConfig(base.experiment).as_dict()
+    unread = [key for key, val in raw.items()
+              if key not in reads and (key not in empty or val != empty[key])]
+    if unread:
+        raise ConfigError(f"{base.experiment} does not read config keys "
+                          f"{unread}; it reads {sorted(reads)}")
     pot = raw.get("potential", base.potential)
     if pot is not None:
         potential_from_dict(pot)  # validate keys eagerly
@@ -227,12 +240,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         tolerances[key] = _number(val, f"tolerance {key!r}")
         if not tolerances[key] > 0:
             raise ConfigError(f"tolerance {key!r} must be positive, got {val}")
-    boxes = raw.get("box_sequence", base.box_sequence)
-    if not isinstance(boxes, (list, tuple)) or not all(
-            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in boxes):
+    boxes = _list(raw.get("box_sequence", base.box_sequence), "box_sequence",
+                  base.box_sequence, "[L, n] pairs")
+    if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in boxes):
         raise ConfigError(f"box_sequence must be a list of [L, n] pairs, got {boxes!r}")
-    if base.box_sequence and not boxes:
-        raise ConfigError("box_sequence must not be empty")
     boxes = tuple((_number(L, "box_sequence L"), _integer(n, "box_sequence n"))
                   for L, n in boxes)
     if any(b[0] <= a[0] for a, b in zip(boxes, boxes[1:])):
@@ -531,7 +542,7 @@ def run_model_spectrum(config: ExperimentConfig) -> ExperimentReport:
     if config.potential is not None:
         t_start = time.perf_counter()
         pot = potential_from_dict(config.potential)
-        lam = float(config.lambda_grid[0])
+        (lam,) = config.lambda_grid
         s = scattering.s_matrix_ode(pot, lam)
         gam = carleman.gamma_matrix(s.matrix, unitarity_tol=tol["unitarity"])
         phases_set = scattering.eigenphases(s)
@@ -670,7 +681,7 @@ def run_band_filling(config: ExperimentConfig) -> ExperimentReport:
     report = _new_report(config)
     tol = config.tolerances
     pot = potential_from_dict(config.potential)
-    lam = float(config.lambda_grid[0])
+    (lam,) = config.lambda_grid
 
     s = scattering.s_matrix_ode(pot, lam)
     kappas = scattering.eigenphases(s).kappas
@@ -715,7 +726,7 @@ def run_birman_krein(config: ExperimentConfig) -> ExperimentReport:
     report = _new_report(config)
     tol = config.tolerances
     pot = potential_from_dict(config.potential)
-    L, n = config.box_sequence[-1]
+    ((L, n),) = config.box_sequence
     box = schrodinger1d.BoxDiscretization(L, n)
     lams = [float(x) for x in config.lambda_grid]
 

@@ -20,11 +20,13 @@ judge it, plus one fresh run per campaign for criterion 10.
 """
 
 import collections
+from dataclasses import replace
 
 import pytest
 
 from specdiff import acceptance, scattering
-from specdiff.experiments import CAMPAIGNS, ExperimentReport
+from specdiff.experiments import (
+    CAMPAIGNS, ExperimentReport, config_from_dict, default_config)
 
 SEED = 20240811
 
@@ -115,6 +117,18 @@ def test_verdicts_cite_their_config_tolerance(reports, campaign):
     for verdict in report.verdicts:
         assert verdict["tolerance"] == \
             report.config["tolerances"][verdict["tolerance_name"]]
+
+
+@pytest.mark.parametrize("campaign, cases", [
+    ("SpecfunAudit", 2), ("CarlemanMehler", 4), ("ModelSpectrum", 2),
+    ("BandFilling", 3), ("BirmanKrein", 20),
+])
+def test_report_times_each_case_and_echoes_a_valid_config(reports, campaign,
+                                                          cases):
+    report = reports.get(campaign)
+    assert len(report.per_case_seconds) == cases
+    assert config_from_dict(report.config) == \
+        replace(default_config(campaign), seed=SEED)
 
 
 # --- campaign runs per run_all call --------------------------------------------

@@ -21,6 +21,26 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "lamda_grid" in capsys.readouterr().err
 
 
+# A value that its campaign would not read: a second energy or box that
+# BandFilling or BirmanKrein would skip, or a key SpecfunAudit ignores.
+@pytest.mark.parametrize("command, config, keys", [
+    ("dspec", {"experiment": "BandFilling", "lambda_grid": [0.5, 1.0]},
+     ["lambda_grid"]),
+    ("specfun", {"experiment": "SpecfunAudit", "lambda_grid": [0.5],
+                 "potential": {"kind": "gaussian"}},
+     ["lambda_grid", "potential", "SpecfunAudit"]),
+    ("bk", {"experiment": "BirmanKrein",
+            "box_sequence": [[100, 9999], [200, 19999]]}, ["box_sequence"]),
+])
+def test_unread_config_value_exits_2(tmp_path, capsys, command, config, keys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    code = main([command, "--config", str(p), "--quiet"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(key in err for key in keys) and "Traceback" not in err
+
+
 @pytest.mark.parametrize("entry, key", [
     ({"tolerances": {"bk_residual": "abc"}}, "bk_residual"),
     ({"box_sequence": [[200]]}, "box_sequence"),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from specdiff.experiments import (
     _with_level_nudge,
 )
 from specdiff.schrodinger1d import BoxDiscretization
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestConfig:
@@ -68,22 +71,61 @@ class TestConfig:
             config_from_dict({"experiment": "BirmanKrein",
                               "tolerances": {"bk_residual": 0.0}})
 
+    # An entry that SpecfunAudit does not read names its own campaign.
     @pytest.mark.parametrize("entry, key", [
-        ({"potential": 3}, "potential"),
-        ({"potential": {"kind": "poschl_teller", "strength": 1.5}}, "strength"),
+        ({"experiment": "BirmanKrein", "potential": 3}, "potential"),
+        ({"experiment": "BirmanKrein",
+          "potential": {"kind": "poschl_teller", "strength": 1.5}}, "strength"),
         ({"grids": [1.0]}, "grids"),
         ({"grids": {"seam_points": "50"}}, "seam_points"),
         ({"grids": {"seam_t": 0.5}}, "seam_t"),
         ({"tolerances": "tight"}, "tolerances"),
         ({"tolerances": {"imag_residual": True}}, "imag_residual"),
-        ({"lambda_grid": [0.5, "1"]}, "lambda_grid[1]"),
-        ({"box_sequence": [[50, "4999"]]}, "box_sequence n"),
+        ({"experiment": "BirmanKrein", "lambda_grid": [0.5, "1"]},
+         "lambda_grid[1]"),
+        ({"experiment": "BirmanKrein", "box_sequence": [[50, "4999"]]},
+         "box_sequence n"),
         ({"seed": "0"}, "seed"),
     ])
     def test_wrong_json_type_names_the_key(self, entry, key):
         with pytest.raises(ConfigError) as err:
             config_from_dict({"experiment": "SpecfunAudit", **entry})
         assert key in str(err.value)
+
+    @pytest.mark.parametrize("name", ["BandFillings", ["BandFilling"], None])
+    def test_default_config_refuses_a_name_that_is_no_campaign(self, name):
+        with pytest.raises(ConfigError) as err:
+            default_config(name)
+        assert "unknown experiment" in str(err.value)
+
+    @pytest.mark.parametrize("experiment, entry", [
+        ("SpecfunAudit", {"potential": {"kind": "gaussian"}}),
+        ("CarlemanMehler", {"lambda_grid": [0.5]}),
+        ("ModelSpectrum", {"box_sequence": [[50, 4999]]}),
+        ("BandFilling", {"grids": {"n": 40}}),
+        ("BirmanKrein", {"grids": []}),
+    ])
+    def test_unread_key_names_the_key_and_the_campaign(self, experiment, entry):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"experiment": experiment, **entry})
+        assert str(*entry) in str(err.value) and experiment in str(err.value)
+
+    def test_unread_key_holding_the_echoed_empty_value_is_accepted(self):
+        cfg = config_from_dict({"experiment": "SpecfunAudit", "potential": None,
+                                "lambda_grid": [], "box_sequence": []})
+        assert cfg == default_config("SpecfunAudit")
+        cfg = config_from_dict({"experiment": "BandFilling", "grids": {}})
+        assert cfg == default_config("BandFilling")
+
+    @pytest.mark.parametrize("experiment, entry", [
+        ("ModelSpectrum", {"lambda_grid": [0.25, 0.5]}),
+        ("BandFilling", {"lambda_grid": [0.5, 1.0]}),
+        ("BirmanKrein", {"box_sequence": [[100, 9999], [200, 19999]]}),
+    ])
+    def test_one_entry_list_must_hold_one_entry(self, experiment, entry):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"experiment": experiment, **entry})
+        assert str(*entry) in str(err.value)
 
     def test_missing_keys_take_defaults(self):
         cfg = config_from_dict({"experiment": "BirmanKrein", "seed": 9})
@@ -106,6 +148,12 @@ class TestConfig:
                                  "lambda_grid": [0.7, 1.1]}))
         cfg = config_from_json(p)
         assert cfg.lambda_grid == (0.7, 1.1)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        cfg = config_from_json(path)
+        assert cfg.experiment == json.loads(path.read_text())["experiment"]
 
     def test_config_from_bad_json(self, tmp_path):
         p = tmp_path / "cfg.json"

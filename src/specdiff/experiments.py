@@ -41,6 +41,7 @@ column order is the record key order of the campaign:
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import json
@@ -296,6 +297,14 @@ class ExperimentReport:
             "observed": float(observed), "passed": bool(passed),
         })
 
+    @contextlib.contextmanager
+    def case(self):
+        """Time the block as one case: its wall time joins
+        ``per_case_seconds``."""
+        start = time.perf_counter()
+        yield
+        self.per_case_seconds.append(time.perf_counter() - start)
+
 
 def _new_report(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
@@ -389,47 +398,45 @@ def run_specfun_audit(config: ExperimentConfig) -> ExperimentReport:
     report = _new_report(config)
     g, tol = config.grids, config.tolerances
 
-    t_start = time.perf_counter()
-    xs = np.linspace(g["seam_x_lo"], g["seam_x_hi"], int(g["seam_points"]))
-    worst = 0.0
-    worst_imag = 0.0
-    for t in g["seam_t"]:
-        near, near_imag = specfun.conical_p_near_one(t, xs)
-        far, far_imag = specfun.conical_p_far_branch(t, xs)
-        diff_t = float(np.max(np.abs(near - far)))
-        imag_t = float(max(np.max(near_imag), np.max(far_imag)))
-        worst = max(worst, diff_t)
-        worst_imag = max(worst_imag, imag_t)
-        report.records.append({
-            "case": "seam", "t": float(t), "x_lo": float(g["seam_x_lo"]),
-            "x_hi": float(g["seam_x_hi"]), "points": int(g["seam_points"]),
-            "max_branch_diff": diff_t, "max_imag_residual": imag_t,
-        })
-    report.per_case_seconds.append(time.perf_counter() - t_start)
+    with report.case():
+        xs = np.linspace(g["seam_x_lo"], g["seam_x_hi"], int(g["seam_points"]))
+        worst = 0.0
+        worst_imag = 0.0
+        for t in g["seam_t"]:
+            near, near_imag = specfun.conical_p_near_one(t, xs)
+            far, far_imag = specfun.conical_p_far_branch(t, xs)
+            diff_t = float(np.max(np.abs(near - far)))
+            imag_t = float(max(np.max(near_imag), np.max(far_imag)))
+            worst = max(worst, diff_t)
+            worst_imag = max(worst_imag, imag_t)
+            report.records.append({
+                "case": "seam", "t": float(t), "x_lo": float(g["seam_x_lo"]),
+                "x_hi": float(g["seam_x_hi"]), "points": int(g["seam_points"]),
+                "max_branch_diff": diff_t, "max_imag_residual": imag_t,
+            })
     report.add_verdict("seam_consistency", "seam_consistency", worst,
                        worst <= tol["seam_consistency"])
     report.add_verdict("branch_realness", "imag_residual", worst_imag,
                        worst_imag <= tol["imag_residual"])
 
-    t_start = time.perf_counter()
     n_x = int(g["bound_samples"])
     sups = []
-    for factor in (1, 2):
-        xs = np.geomspace(1.0, g["bound_x_max"], n_x * factor)
-        rep = specfun.check_conical_bounds(g["bound_t_max"], xs,
-                                           n_t=int(g["bound_n_t"]) * factor)
-        sups.append(rep)
-        report.records.append({
-            "case": "bounds", "t_max": float(g["bound_t_max"]),
-            "n_x": n_x * factor, "n_t": int(g["bound_n_t"]) * factor,
-            "uniform_sup": rep.uniform_sup, "holder_sup": rep.holder_sup,
-        })
+    with report.case():
+        for factor in (1, 2):
+            xs = np.geomspace(1.0, g["bound_x_max"], n_x * factor)
+            rep = specfun.check_conical_bounds(g["bound_t_max"], xs,
+                                               n_t=int(g["bound_n_t"]) * factor)
+            sups.append(rep)
+            report.records.append({
+                "case": "bounds", "t_max": float(g["bound_t_max"]),
+                "n_x": n_x * factor, "n_t": int(g["bound_n_t"]) * factor,
+                "uniform_sup": rep.uniform_sup, "holder_sup": rep.holder_sup,
+            })
     for name, a, b in (("uniform", sups[0].uniform_sup, sups[1].uniform_sup),
                        ("holder", sups[0].holder_sup, sups[1].holder_sup)):
         growth = abs(b - a) / a
         report.add_verdict(f"bound_stability_{name}", "bound_growth", growth,
                            growth <= tol["bound_growth"])
-    report.per_case_seconds.append(time.perf_counter() - t_start)
     return report
 
 
@@ -444,16 +451,15 @@ def run_carleman_mehler(config: ExperimentConfig) -> ExperimentReport:
         raise ConfigError(f"grids 'n' = {n} must be a multiple of "
                           f"grids 'order' = {order}")
 
-    t_start = time.perf_counter()
-    ev, ev2 = (carleman.half_carleman(carleman.composite_graded_grid(
-        scale, panels=n // order, order=order)).eigenvalues()
-        for scale in (a, 2.0 * a))
-    scaling = float(np.abs(ev - ev2).max())
-    report.records.append({
-        "case": "spectrum", "a": a, "n": n, "min_eig": float(ev[0]),
-        "max_eig": float(ev[-1]), "scaling_disagreement": scaling,
-    })
-    report.per_case_seconds.append(time.perf_counter() - t_start)
+    with report.case():
+        ev, ev2 = (carleman.half_carleman(carleman.composite_graded_grid(
+            scale, panels=n // order, order=order)).eigenvalues()
+            for scale in (a, 2.0 * a))
+        scaling = float(np.abs(ev - ev2).max())
+        report.records.append({
+            "case": "spectrum", "a": a, "n": n, "min_eig": float(ev[0]),
+            "max_eig": float(ev[-1]), "scaling_disagreement": scaling,
+        })
     margin = tol["spectrum_margin"]
     report.add_verdict("spectrum_lower", "spectrum_margin",
                        float(-ev[0]), ev[0] >= -margin)
@@ -469,22 +475,22 @@ def run_carleman_mehler(config: ExperimentConfig) -> ExperimentReport:
     all_monotone = True
     worst_final = 0.0
     for t in g["mehler_t"]:
-        t_start = time.perf_counter()
         resids = []
-        for panels in g["mehler_panels"]:
-            grid = carleman.composite_graded_grid(a, panels=int(panels), order=order)
-            r = float(carleman.mehler_residual(a, float(t), grid, xs).max())
-            resids.append(r)
-            report.records.append({
-                "case": "mehler", "t": float(t), "panels": int(panels),
-                "nodes": grid.n, "max_rel_residual": r,
-            })
+        with report.case():
+            for panels in g["mehler_panels"]:
+                grid = carleman.composite_graded_grid(a, panels=int(panels),
+                                                      order=order)
+                r = float(carleman.mehler_residual(a, float(t), grid, xs).max())
+                resids.append(r)
+                report.records.append({
+                    "case": "mehler", "t": float(t), "panels": int(panels),
+                    "nodes": grid.n, "max_rel_residual": r,
+                })
         noise = 1.0 + tol["refinement_noise"]
         monotone = all(resids[i + 1] <= resids[i] * noise
                        for i in range(len(resids) - 1))
         all_monotone = all_monotone and monotone
         worst_final = max(worst_final, resids[-1])
-        report.per_case_seconds.append(time.perf_counter() - t_start)
     report.add_verdict("mehler_residual", "mehler_residual", worst_final,
                        worst_final <= tol["mehler_residual"])
     report.add_verdict("mehler_refinement_monotone", "refinement_noise",
@@ -522,43 +528,41 @@ def run_model_spectrum(config: ExperimentConfig) -> ExperimentReport:
     csq = carleman.carleman_squared(carleman.gauss_legendre_grid(a, n))
     mu = csq.eigenvalues()
 
-    t_start = time.perf_counter()
-    phases = [float(p) for p in g["synthetic_phases"]]
-    s0 = np.diag(np.exp(1j * np.array(phases)))
-    gam = carleman.gamma_matrix(s0)
-    ev = carleman.model_operator(csq, gam).eigenvalues()
-    err, top, expected_top = _product_spectrum_error(ev, mu, gam)
-    report.records.append({
-        "case": "synthetic", "n": n, "dim": gam.dim,
-        "kappa_sq_max": float(gam.kappa_sq.max()),
-        "product_error": err, "top_eigenvalue": top,
-        "expected_top": expected_top,
-        "fill_gap": _fill_gap_statistic(ev, top),
-    })
-    report.per_case_seconds.append(time.perf_counter() - t_start)
-    report.add_verdict("product_identity_synthetic", "product_identity", err,
-                       err <= tol["product_identity"])
-
-    if config.potential is not None:
-        t_start = time.perf_counter()
-        pot = potential_from_dict(config.potential)
-        (lam,) = config.lambda_grid
-        s = scattering.s_matrix_ode(pot, lam)
-        gam = carleman.gamma_matrix(s.matrix, unitarity_tol=tol["unitarity"])
-        phases_set = scattering.eigenphases(s)
+    with report.case():
+        phases = [float(p) for p in g["synthetic_phases"]]
+        s0 = np.diag(np.exp(1j * np.array(phases)))
+        gam = carleman.gamma_matrix(s0)
         ev = carleman.model_operator(csq, gam).eigenvalues()
         err, top, expected_top = _product_spectrum_error(ev, mu, gam)
-        kappa_match = float(np.abs(np.sort(gam.kappa_sq)
-                                   - np.sort(phases_set.kappas ** 2)).max())
         report.records.append({
-            "case": "computed", "n": n, "dim": gam.dim,
-            "lambda": lam, "kappa_sq_max": float(gam.kappa_sq.max()),
-            "kappa_identity_error": kappa_match,
+            "case": "synthetic", "n": n, "dim": gam.dim,
+            "kappa_sq_max": float(gam.kappa_sq.max()),
             "product_error": err, "top_eigenvalue": top,
             "expected_top": expected_top,
             "fill_gap": _fill_gap_statistic(ev, top),
         })
-        report.per_case_seconds.append(time.perf_counter() - t_start)
+    report.add_verdict("product_identity_synthetic", "product_identity", err,
+                       err <= tol["product_identity"])
+
+    if config.potential is not None:
+        with report.case():
+            pot = potential_from_dict(config.potential)
+            (lam,) = config.lambda_grid
+            s = scattering.s_matrix_ode(pot, lam)
+            gam = carleman.gamma_matrix(s.matrix, unitarity_tol=tol["unitarity"])
+            phases_set = scattering.eigenphases(s)
+            ev = carleman.model_operator(csq, gam).eigenvalues()
+            err, top, expected_top = _product_spectrum_error(ev, mu, gam)
+            kappa_match = float(np.abs(np.sort(gam.kappa_sq)
+                                       - np.sort(phases_set.kappas ** 2)).max())
+            report.records.append({
+                "case": "computed", "n": n, "dim": gam.dim,
+                "lambda": lam, "kappa_sq_max": float(gam.kappa_sq.max()),
+                "kappa_identity_error": kappa_match,
+                "product_error": err, "top_eigenvalue": top,
+                "expected_top": expected_top,
+                "fill_gap": _fill_gap_statistic(ev, top),
+            })
         report.add_verdict("product_identity_computed", "product_identity", err,
                            err <= tol["product_identity"])
         report.add_verdict("kappa_sq_identity", "product_identity", kappa_match,
@@ -586,17 +590,6 @@ def _with_level_nudge(fn, box, lam: float, record: dict):
             lam = _nudge_level(box, lam)
             record["lambda_nudged_to"] = lam
     return fn(lam)
-
-
-def _run_cases(fn, cases, seconds: list) -> list:
-    """``fn`` over ``cases`` in order; appends each case's own wall time to
-    ``seconds``."""
-    out = []
-    for case in cases:
-        t_case = time.perf_counter()
-        out.append(fn(case))
-        seconds.append(time.perf_counter() - t_case)
-    return out
 
 
 # An eigenvalue of D or M+- counts as pinned at +-1 within this distance.
@@ -692,9 +685,10 @@ def run_band_filling(config: ExperimentConfig) -> ExperimentReport:
         return report
     kappa_max = float(kappas.max())
 
-    boxes = _run_cases(
-        lambda Ln: _band_case(pot, lam, Ln[0], Ln[1], kappas, tol),
-        config.box_sequence, report.per_case_seconds)
+    boxes = []
+    for L, n in config.box_sequence:
+        with report.case():
+            boxes.append(_band_case(pot, lam, L, n, kappas, tol))
     recs = [rec for rec, _ in boxes]
     confined = [conf for _, conf in boxes]
     report.records.extend(recs)
@@ -738,15 +732,14 @@ def run_birman_krein(config: ExperimentConfig) -> ExperimentReport:
     levels = schrodinger1d.box_levels(box, pot, min(lams), top)
     nudges = [dict() for _ in lams]
 
-    def one(pair):
-        lam, note = pair
-        def attempt(level):
-            s = scattering.s_matrix_ode(pot, level)
-            return scattering.birman_krein_value(pot, level, box, s=s,
-                                                 levels=levels)
-        return _with_level_nudge(attempt, box, lam, note)
+    def attempt(level):
+        s = scattering.s_matrix_ode(pot, level)
+        return scattering.birman_krein_value(pot, level, box, s=s, levels=levels)
 
-    vals = _run_cases(one, zip(lams, nudges), report.per_case_seconds)
+    vals = []
+    for lam, note in zip(lams, nudges):
+        with report.case():
+            vals.append(_with_level_nudge(attempt, box, lam, note))
 
     # Branch tracking: shift each value by an integer to follow its
     # predecessor, so jumps measure genuine discontinuity, not mod-1 wraps.

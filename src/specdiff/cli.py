@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (campaign defaults if omitted)")
         p.add_argument("--out", help="report output path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
 
     for cmd in _CAMPAIGN_BY_COMMAND:
@@ -80,15 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args, campaign: str) -> experiments.ExperimentConfig:
-    if args.config:
-        cfg = experiments.config_from_json(args.config)
-        if cfg.experiment != campaign:
-            raise ConfigError(
-                f"config is for {cfg.experiment}, but this subcommand runs {campaign}")
-    else:
-        cfg = experiments.default_config(campaign)
-    if args.seed is not None:
-        cfg = experiments.config_from_dict({**cfg.as_dict(), "seed": args.seed})
+    if not args.config:
+        return experiments.default_config(campaign)
+    cfg = experiments.config_from_json(args.config)
+    if cfg.experiment != campaign:
+        raise ConfigError(
+            f"config is for {cfg.experiment}, but this subcommand runs {campaign}")
     return cfg
 
 

@@ -228,3 +228,9 @@ def test_csv_output(tmp_path):
 
 def test_usage_error_exits_2():
     assert main(["no-such-subcommand"]) == EXIT_CONFIG
+
+
+def test_campaign_subcommand_has_no_seed_flag(capsys):
+    # The seed only sets the config echo; verify --seed feeds criterion 5.
+    assert main(["specfun", "--seed", "1"]) == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err

@@ -43,7 +43,9 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import csv
 import dataclasses
+import io
 import json
 import math
 import numbers
@@ -352,10 +354,14 @@ def report_json(report: ExperimentReport, include_timing: bool = True) -> str:
 
 
 def report_csv(report: ExperimentReport) -> str:
+    """One row per record; a string cell holding a comma, a double quote or
+    a newline is quoted (RFC 4180)."""
     if not report.records:
         return ""
     columns = list(report.records[0].keys())
-    lines = [",".join(columns)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
     for rec in report.records:
         cells = []
         for col in columns:
@@ -370,8 +376,8 @@ def report_csv(report: ExperimentReport) -> str:
                 cells.append("")
             else:
                 cells.append("%.17g" % float(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        writer.writerow(cells)
+    return out.getvalue()
 
 
 def emit_report(report: ExperimentReport, fmt: str, path) -> None:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import csv
 import json
 
 import pytest
@@ -224,6 +225,25 @@ def test_csv_output(tmp_path):
     assert code == EXIT_OK
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("case,")
+
+
+def test_verify_csv_quotes_the_details(tmp_path, monkeypatch):
+    # Criterion details hold commas; a quote and a newline must survive too.
+    from specdiff import acceptance
+    results = [acceptance.CriterionResult(
+        index, f"title {index}", index != 2, detail, 0.1)
+        for index, detail in enumerate(
+            ["a=1 (tol 1e-08, ok); b=0 (tol 0.1, ok)", 'say "hi", twice',
+             "two\nlines", "plain"], start=1)]
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: results)
+    out = tmp_path / "verify.csv"
+    code = main(["verify", "--out", str(out), "--format", "csv", "--quiet"])
+    assert code == EXIT_VERDICT
+    with open(out, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["criterion", "title", "passed", "detail"]
+    assert all(len(row) == len(header) for row in rows)
+    assert [row[3] for row in rows] == [r.detail for r in results]
 
 
 def test_usage_error_exits_2():

@@ -120,8 +120,6 @@ def _potential_from_args(args) -> dict:
 
 
 def _run_scatter(args) -> int:
-    if args.energy <= 0:
-        raise ConfigError(f"scattering energy must be positive, got {args.energy}")
     pot = experiments.potential_from_dict(_potential_from_args(args))
     s_ode = scattering.s_matrix_ode(pot, args.energy)
     s_stat = scattering.s_matrix_stationary(pot, args.energy)

@@ -187,8 +187,9 @@ def _integrate(potential, lam: float, x_from: float, x_to: float, step: float,
 def s_matrix_ode(potential: Potential, lam: float, x_max: float | None = None,
                  step: float | None = None) -> ScatteringMatrix:
     """Scattering matrix by plane-wave matching of two RK4 integrations."""
-    if lam <= 0:
-        raise DomainError(f"scattering energy must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise DomainError(f"scattering energy must be positive and finite, "
+                          f"got {lam}")
     k = math.sqrt(lam)
     if x_max is None:
         x_max = potential.effective_support(1e-11)
@@ -384,8 +385,9 @@ def s_matrix_stationary(potential: Potential, lam: float,
     support is doubled from ``N_START`` nodes until S moves by less than
     ``REFINE_TARGET``; beyond ``N_CAP`` nodes it raises ConvergenceError.
     """
-    if lam <= 0:
-        raise DomainError(f"scattering energy must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise DomainError(f"scattering energy must be positive and finite, "
+                          f"got {lam}")
     # Truncating where |V| falls below 1e-6 perturbs S by O(1e-6), far below
     # both the refinement target and the cross-method tolerance, and keeps
     # the node counts small for slowly decaying potentials.

@@ -153,6 +153,15 @@ def test_scatter_zero_energy_exits_2(capsys):
     assert "positive" in capsys.readouterr().err
 
 
+# NaN used to crash with a ValueError and inf with a ZeroDivisionError.
+@pytest.mark.parametrize("energy", ["nan", "inf"])
+def test_scatter_non_finite_energy_exits_2(capsys, energy):
+    code = main(["scatter", "--energy", energy])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "positive and finite" in err and "Traceback" not in err
+
+
 def test_scatter_square_well(capsys):
     code = main(["scatter", "--energy", "1.0"])
     assert code == EXIT_OK

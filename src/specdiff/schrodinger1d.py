@@ -149,6 +149,11 @@ class SquareWell(Potential):
     depth: float = -2.0
     half_width: float = 1.0
 
+    def __post_init__(self):
+        if not self.half_width >= 0:
+            raise DomainError(f"SquareWell half_width must not be negative, "
+                              f"got {self.half_width}")
+
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
         out = np.where(np.abs(xs) < self.half_width, self.depth, 0.0)
@@ -196,6 +201,11 @@ class GaussianBump(Potential):
 
     amplitude: float = -1.0
     width: float = 1.0
+
+    def __post_init__(self):
+        if not self.width > 0:
+            raise DomainError(f"GaussianBump width must be positive, "
+                              f"got {self.width}")
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)

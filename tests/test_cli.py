@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -48,6 +49,8 @@ def test_unread_config_value_exits_2(tmp_path, capsys, command, config, keys):
     ({"lambda_grid": "0.5"}, "lambda_grid"),
     ({"potential": {"kind": "square_well", "depth": "deep"}}, "depth"),
     ({"potential": {"kind": ["square_well"]}}, "kind"),
+    # used to exit 2 as a level on the edge of the box spectrum
+    ({"potential": {"kind": "gaussian", "width": 0}}, "width"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, entry, key):
     p = tmp_path / "cfg.json"
@@ -180,6 +183,26 @@ def test_scatter_parameter_flags_default_to_the_class(capsys, flags):
     bare = capsys.readouterr().out
     assert main(["scatter", *flags, "--energy", "0.7"]) == EXIT_OK
     assert capsys.readouterr().out == bare
+
+
+# A parameter outside its domain used to read as a numerical failure: a
+# singular system after a RuntimeWarning, exit 3.
+@pytest.mark.parametrize("flags, name", [
+    (["--potential", "gaussian", "--width", "0"], "width"),
+    (["--potential", "gaussian", "--width", "-1"], "width"),
+    (["--half-width", "-1"], "half_width"),
+])
+def test_scatter_parameter_outside_its_domain_exits_2(capsys, flags, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["scatter", *flags, "--energy", "1"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
+def test_scatter_zero_half_width_is_the_free_case(capsys):
+    assert main(["scatter", "--half-width", "0", "--energy", "1"]) == EXIT_OK
 
 
 def test_scatter_flag_of_another_kind_exits_2(capsys):

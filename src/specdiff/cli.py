@@ -79,12 +79,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args, campaign: str) -> experiments.ExperimentConfig:
-    if not args.config:
-        return experiments.default_config(campaign)
-    cfg = experiments.config_from_json(args.config)
-    if cfg.experiment != campaign:
-        raise ConfigError(
-            f"config is for {cfg.experiment}, but this subcommand runs {campaign}")
+    if args.config:
+        cfg = experiments.config_from_json(args.config)
+        if cfg.experiment != campaign:
+            raise ConfigError(
+                f"config is for {cfg.experiment}, but this subcommand runs {campaign}")
+    else:
+        cfg = experiments.default_config(campaign)
     return cfg
 
 

@@ -24,9 +24,12 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 # A value that its campaign would not read: a second energy or box that
-# BandFilling or BirmanKrein would skip, or a key SpecfunAudit ignores.
+# ModelSpectrum, BandFilling or BirmanKrein would skip, or a key SpecfunAudit
+# ignores.
 @pytest.mark.parametrize("command, config, keys", [
     ("dspec", {"experiment": "BandFilling", "lambda_grid": [0.5, 1.0]},
+     ["lambda_grid"]),
+    ("model", {"experiment": "ModelSpectrum", "lambda_grid": [0.25, 0.5]},
      ["lambda_grid"]),
     ("specfun", {"experiment": "SpecfunAudit", "lambda_grid": [0.5],
                  "potential": {"kind": "gaussian"}},

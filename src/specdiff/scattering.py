@@ -41,8 +41,10 @@ pi Z* Z still holds and S stays unitary to rounding; one full-size solve
 also serves parity-even potentials, which need no sector split.  The
 Gauss-Legendre rule costs O(n^2 / 4) (the eigenvalues of a half-size
 tridiagonal, whose square roots are the positive nodes, plus one Newton
-step), and the condition guard uses the exact O(n) 1-norm of I + T J with
-a Hager-Higham estimate of the inverse's norm from the same band LU.
+step) and depends on n only, so it is built once per node count per
+process and kept in a bounded cache; every energy and potential reuses it.
+The condition guard uses the exact O(n) 1-norm of I + T J with a
+Hager-Higham estimate of the inverse's norm from the same band LU.
 
 Spectral shift.  The integer count -(#eig(H) < lam) + (#eig(H0) < lam) on a
 Dirichlet box equals -trace(D) exactly but carries O(1) truncation jitter.
@@ -57,7 +59,9 @@ which a campaign computes once for all its energies.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,8 +228,11 @@ def s_matrix_ode(potential: Potential, lam: float, x_max: float | None = None,
     return ScatteringMatrix(k, s, defect)
 
 
+@functools.lru_cache(maxsize=16)
 def _gauss_legendre(n: int):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], as read-only
+    arrays: the rule depends on n only, so it is built once per node count
+    and cached (the ladder from ``N_START`` to ``N_CAP`` uses six counts).
 
     The nodes are the eigenvalues of the Jacobi matrix (Golub-Welsch),
     polished by one Newton step on P_n; the weights are
@@ -260,8 +267,9 @@ def _gauss_legendre(n: int):
     w = 2.0 / ((1.0 - lo * lo) * dp * dp)
     if n % 2:
         lo[-1] = 0.0
-    return (np.concatenate([lo, -lo[:m][::-1]]),
-            np.concatenate([w, w[:m][::-1]]))
+    x, w = np.concatenate([lo, -lo[:m][::-1]]), np.concatenate([w, w[:m][::-1]])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 # The embedded system orders its unknowns (y_i, p_i, q_i) node by node; each
@@ -384,17 +392,22 @@ def s_matrix_stationary(potential: Potential, lam: float,
     Without an explicit node count the Gauss rule over the potential's
     support is doubled from ``N_START`` nodes until S moves by less than
     ``REFINE_TARGET``; beyond ``N_CAP`` nodes it raises ConvergenceError.
+    An explicit ``n_nodes`` must be a positive integer (DomainError).
     """
     if not 0 < lam < math.inf:
         raise DomainError(f"scattering energy must be positive and finite, "
                           f"got {lam}")
+    if n_nodes is not None and (isinstance(n_nodes, bool)
+                                or not isinstance(n_nodes, numbers.Integral)
+                                or n_nodes < 1):
+        raise DomainError(f"node count must be a positive integer, got {n_nodes!r}")
     # Truncating where |V| falls below 1e-6 perturbs S by O(1e-6), far below
     # both the refinement target and the cross-method tolerance, and keeps
     # the node counts small for slowly decaying potentials.
     x_max = potential.effective_support(1e-6)
 
     if n_nodes is not None:
-        s, ops = _stationary_once(potential, lam, x_max, n_nodes)
+        s, ops = _stationary_once(potential, lam, x_max, int(n_nodes))
     else:
         n = N_START
         s, ops = _stationary_once(potential, lam, x_max, n)

@@ -221,6 +221,14 @@ class TestStationaryRoute:
         want = matching_oracle(-2.0, 1.0, 1.0)
         assert np.abs(s_stat.matrix - want).max() <= 1e-3
 
+    @pytest.mark.parametrize("n_nodes", [0, -3, 2.5, True])
+    def test_node_count_must_be_a_positive_integer(self, n_nodes):
+        before = _gauss_legendre.cache_info()
+        with pytest.raises(DomainError, match="node count"):
+            s_matrix_stationary(SquareWell(-2.0, 1.0), 1.0, n_nodes=n_nodes)
+        # refused before the rule cache is consulted
+        assert _gauss_legendre.cache_info() == before
+
     def test_auto_refinement_reaches_cross_method_tolerance(self):
         for pot, lam in ((SquareWell(-2.0, 1.0), 2.0), (PoschlTeller(1), 1.0)):
             s_stat = s_matrix_stationary(pot, lam)
@@ -338,6 +346,30 @@ class TestGaussLegendre:
                 exact = 2 * (1 - root ** 2) / (n * mp.legendre(n - 1, root)) ** 2
                 assert abs(x[i] - root) <= 1e-16
                 assert abs(w[i] / exact - 1) <= 1e-11
+
+    def test_rule_is_built_once_per_node_count(self):
+        # Gaussian bump: the ladder stops at 800 nodes for both energies.
+        s_matrix_stationary(GaussianBump(), 1.0)
+        misses = _gauss_legendre.cache_info().misses
+        s_matrix_stationary(GaussianBump(), 1.7)
+        assert _gauss_legendre.cache_info().misses == misses
+
+    def test_cached_rule_is_read_only(self):
+        x, w = _gauss_legendre(17)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        assert _gauss_legendre(17)[0] is x
+
+    def test_cache_does_not_change_results(self):
+        pot = PoschlTeller(1)
+        s, ops = s_matrix_stationary(pot, 1.0, return_operators=True)
+        _gauss_legendre.cache_clear()
+        s_new, ops_new = s_matrix_stationary(pot, 1.0, return_operators=True)
+        assert _gauss_legendre.cache_info().misses == 5   # 200 ... 3200
+        assert np.array_equal(s_new.matrix, s.matrix)
+        assert ops_new.nodes.size == ops.nodes.size == 3200
+        assert np.array_equal(ops_new.nodes, ops.nodes)
 
     def test_large_rule_invariants(self):
         x, w = _gauss_legendre(3200)

@@ -24,8 +24,9 @@ Two computational paths coexist:
   depend on the subspace ran P only, so the tridiagonal path takes an
   orthonormal basis of it (inverse iteration per group of eigenvalues and
   one Cholesky QR, ``eigenpairs_below``), not reorthogonalized
-  eigenvectors, and one SVD per block gives the sines of both sides.  The
-  two paths agree to rounding and are cross-checked in the tests.
+  eigenvectors, and per block one compact-WY QR of the larger side plus
+  the SVD of its k x k R gives the sines of both sides.  The two paths
+  agree to rounding and are cross-checked in the tests.
 
 The tridiagonal path's counts and eigenvalues come from Sturm (LDL^T)
 sweeps on a vector of shifts (``_SturmSweep``).  Outside the potential's
@@ -43,7 +44,7 @@ reflection J: x -> -x commutes with H and H0, so P, P0 and D split into an
 even and an odd block; the principal angles of the pair are the union of
 the angles in each block and the index j is the sum of the blocks' indices.
 Each block has half of n and about half of rank P, which cuts the O(n k^2)
-cost of the Gram matrix, the Cholesky QR and the sine SVD about fourfold
+cost of the Gram matrix, the Cholesky QR and the sine QR about fourfold
 and halves the Sturm sweeps' support.  A box that fails the test stays
 one block on the same code path.  ``box_levels`` counts in the same blocks:
 one eigenvalue window per block serves every energy of a range.
@@ -58,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf, dstein
+from scipy.linalg.lapack import dgeqrt, dpotrf, dstein
 
 from .errors import ConvergenceError, DomainError, LevelCollisionError
 
@@ -295,9 +296,9 @@ def free_levels(box: BoxDiscretization) -> np.ndarray:
 def _sines(n: int, rows: int, modes: np.ndarray,
            weight: np.ndarray | None = None) -> np.ndarray:
     """Rows i = 1..rows of the free modes k in ``modes`` on an n-point box,
-    times ``weight[i - 1]`` if given, built in place in one buffer."""
+    times ``weight[i - 1]`` if given, built in place in one Fortran buffer."""
     out = np.multiply.outer(np.arange(1, rows + 1), modes,
-                            out=np.empty((rows, modes.size)))
+                            out=np.empty((rows, modes.size), order="F"))
     out *= np.pi
     out /= n + 1
     np.sin(out, out=out)
@@ -858,22 +859,38 @@ def box_levels(box: BoxDiscretization, potential: Potential | None,
     return BoxLevels(lo, hi, float(free[-1]), tuple(levels))
 
 
+# Block size of the compact-WY QR, LAPACK's usual geqrf block.
+_QR_BLOCK = 32
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values (descending) of a tall Fortran array, overwritten:
+    a compact-WY QR (LAPACK geqrt) in place, then the SVD of the k x k R.
+    The blocked geqrt runs at GEMM speed where the QR inside gesdd does not."""
+    m, k = a.shape
+    if k == 0:
+        return np.empty(0)
+    qr, _, _ = dgeqrt(min(_QR_BLOCK, m, k), a, overwrite_a=1)
+    return np.linalg.svd(np.triu(qr[:k]), compute_uv=False)
+
+
 def _sector_sines(u: np.ndarray, u0: np.ndarray):
     """The sines s+ of (I-P0) U and s- of (I-P) U0 for orthonormal U, U0.
 
     Off {0, 1} the two sides have the same singular values, and the side
-    with more columns has |j| = |rank P - rank P0| more values at 1.  So one
-    SVD, of that side, gives both: the other side is the same values without
-    the |j| largest.  The side is formed in place of U or U0.
+    with more columns has |j| = |rank P - rank P0| more values at 1.  So the
+    singular values of that side give both: the other side is the same
+    values without the |j| largest.  The side is formed in place of U or U0
+    (both Fortran arrays) and overwritten by its QR (``_singular_values``).
     """
     c = u.T @ u0
     j = u.shape[1] - u0.shape[1]
     if j >= 0:
         u -= u0 @ c.T
-        s = np.linalg.svd(u, compute_uv=False)
+        s = _singular_values(u)
         return s, s[j:]
     u0 -= u @ c
-    s = np.linalg.svd(u0, compute_uv=False)
+    s = _singular_values(u0)
     return s[-j:], s
 
 
@@ -886,7 +903,7 @@ def band_spectra(box: BoxDiscretization, potential: Potential,
     depend on the subspaces only, so U need not consist of eigenvectors.
     The singular values of (I-P0) U and (I-P) U0 are the principal-angle
     sines seen from either side, the index values 1 included on the larger
-    side; one SVD per sector gives both (``_sector_sines``).
+    side; one QR and a k x k SVD per sector give both (``_sector_sines``).
 
     A mirror-symmetric box (max|d_i - d_{n-1-i}| <= 8 eps max|d|, see
     ``_mirror_sectors``) is reduced once per parity sector, each of half

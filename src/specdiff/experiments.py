@@ -199,8 +199,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     JSON type, a number that is not finite, an empty list where the default
     list is not, a list of other than one entry where the default holds one,
     a grid count (a ``grids`` entry whose default is an integer or a list of
-    integers) that is not a positive integer, and a ``window`` that is not a
-    pair in (0, 1] are each a ConfigError that names the key."""
+    integers) that is not a positive integer, a ``window`` that is not a
+    pair in (0, 1], and a non-empty ``lambda_grid`` with a null ``potential``
+    (ModelSpectrum's synthetic-only run reads no energy) are each a
+    ConfigError that names the key."""
     if "experiment" not in raw:
         raise ConfigError("config needs an 'experiment' field")
     base = default_config(raw["experiment"])
@@ -212,8 +214,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"{base.experiment} does not read config keys "
                           f"{unread}; it reads {sorted(reads)}")
     pot = raw.get("potential", base.potential)
-    if pot is not None:
+    if pot is None:
+        # With no potential there is no energy: lambda_grid is read only
+        # with a potential, so here it must be empty and is echoed empty.
+        if raw.get("lambda_grid", []) != []:
+            raise ConfigError(f"lambda_grid is read only with a potential; "
+                              f"with potential null it must be empty, got "
+                              f"{raw['lambda_grid']!r}")
+        lambda_grid = ()
+    else:
         potential_from_dict(pot)  # validate keys eagerly
+        lambda_grid = tuple(_number_list(raw.get("lambda_grid", base.lambda_grid),
+                                         "lambda_grid", base.lambda_grid))
     grids = dict(base.grids)
     for key, val in _mapping(raw.get("grids", {}), "grids").items():
         if key not in base.grids:
@@ -254,8 +266,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(
         experiment=base.experiment,
         potential=pot,
-        lambda_grid=tuple(_number_list(raw.get("lambda_grid", base.lambda_grid),
-                                       "lambda_grid", base.lambda_grid)),
+        lambda_grid=lambda_grid,
         box_sequence=boxes,
         grids=grids,
         tolerances=tolerances,

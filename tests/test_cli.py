@@ -24,13 +24,16 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 # A value that its campaign would not read: a second energy or box that
-# ModelSpectrum, BandFilling or BirmanKrein would skip, or a key SpecfunAudit
-# ignores.
+# ModelSpectrum, BandFilling or BirmanKrein would skip, an energy for
+# ModelSpectrum without a potential, or a key SpecfunAudit ignores.
 @pytest.mark.parametrize("command, config, keys", [
     ("dspec", {"experiment": "BandFilling", "lambda_grid": [0.5, 1.0]},
      ["lambda_grid"]),
     ("model", {"experiment": "ModelSpectrum", "lambda_grid": [0.25, 0.5]},
      ["lambda_grid"]),
+    # with no potential ModelSpectrum reads no energy at all
+    ("model", {"experiment": "ModelSpectrum", "potential": None,
+               "lambda_grid": [0.7], "grids": {"n": 40}}, ["lambda_grid"]),
     ("specfun", {"experiment": "SpecfunAudit", "lambda_grid": [0.5],
                  "potential": {"kind": "gaussian"}},
      ["lambda_grid", "potential", "SpecfunAudit"]),

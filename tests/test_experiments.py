@@ -118,6 +118,19 @@ class TestConfig:
         cfg = config_from_dict({"experiment": "BandFilling", "grids": {}})
         assert cfg == default_config("BandFilling")
 
+    def test_null_potential_reads_no_lambda_grid(self):
+        # ModelSpectrum without a potential runs its synthetic case only: its
+        # echo carries an empty lambda_grid and rebuilds the same config.
+        raw = {"experiment": "ModelSpectrum", "potential": None,
+               "grids": {"n": 40}}
+        cfg = config_from_dict(raw)
+        assert cfg.lambda_grid == ()
+        report = run_model_spectrum(cfg)
+        assert [r["case"] for r in report.records] == ["synthetic"]
+        assert config_from_dict(report.config) == cfg
+        with pytest.raises(ConfigError, match="lambda_grid"):
+            config_from_dict({**raw, "lambda_grid": [0.7]})
+
     def test_missing_keys_take_defaults(self):
         cfg = config_from_dict({"experiment": "BirmanKrein", "seed": 9})
         assert cfg.seed == 9

@@ -128,8 +128,6 @@ class TestConfig:
         report = run_model_spectrum(cfg)
         assert [r["case"] for r in report.records] == ["synthetic"]
         assert config_from_dict(report.config) == cfg
-        with pytest.raises(ConfigError, match="lambda_grid"):
-            config_from_dict({**raw, "lambda_grid": [0.7]})
 
     def test_missing_keys_take_defaults(self):
         cfg = config_from_dict({"experiment": "BirmanKrein", "seed": 9})

@@ -31,12 +31,14 @@ Two computational paths coexist:
 The tridiagonal path's counts and eigenvalues come from Sturm (LDL^T)
 sweeps on a vector of shifts (``_SturmSweep``).  Outside the potential's
 floating-point support the rows of a box are bitwise those of the free
-Laplacian, so a sweep steps its leading and trailing constant runs in
-closed form (Chebyshev: inside the run's band the pivots are ratios of
-sines of a phase that advances by theta per row, below it ratios of sinh,
-above it they alternate in sign) and only the support row by row.  All
-wanted eigenvalues are solved at once, by multisection on the count: each
-round evaluates one vector of shifts spread over every open bracket.
+Laplacian, so its leading and trailing constant runs are free blocks
+tridiag(beta, alpha, beta).  Swept from its wall, such a block's negative
+pivots are its closed-form eigenvalues alpha - 2|beta| cos(k pi/(m+1))
+below the shift (Chebyshev), and its last pivot is a ratio of sines or of
+sinh.  Only the support is swept row by row; the trailing block joins it
+through one twisted row, whose inertia adds to the blocks' (Haynsworth).
+All wanted eigenvalues are solved at once, by multisection on the count:
+each round evaluates one vector of shifts spread over every open bracket.
 
 When the sampled box is mirror-symmetric (max|d_i - d_{n-1-i}| <= 8 eps
 max|d| on the diagonal of H), ``band_spectra`` works in parity sectors.  The
@@ -415,7 +417,9 @@ def symmetry_pairing_report(diff, epsilon: float) -> PairingReport:
 # block's pivots are counted once per block.
 _BLOCK_ROWS = 64
 # A constant run shorter than this many rows is stepped row by row with the
-# support: for 64 to 1024 shifts its closed-form step costs about as much.
+# support.  A closed-form wall step costs about as much as 32 to 40 rows for
+# 64 to 256 shifts, 16 rows for 1024 shifts and 250 rows for the one shift
+# of ``count_below``.
 _MIN_RUN = 48
 # Multisection: each bracket gets at least _SECTIONS - 1 points per round
 # and the round about _SECTION_POINTS points in all.
@@ -429,19 +433,20 @@ _MAX_ROUNDS = 100
 
 def _run_length(diag: np.ndarray, off: np.ndarray) -> int:
     """The number of rows after row 0 whose (d_i, e_{i-1}) equal (d_0, e_0)
-    bit for bit: the rows a closed-form step can take from row 0's pivot."""
+    bit for bit: with row 0 they form a free block swept in closed form."""
     if off.size == 0 or off[0] == 0.0:
         return 0
     same = (diag[1:] == diag[0]) & (off == off[0])
     return same.size if same.all() else int(np.argmin(same))
 
 
-def _band(shifts: np.ndarray, alpha: float, beta: float):
+def _band(shifts: np.ndarray, alpha, beta: float):
     """(shift inside the band (alpha - 2|beta|, alpha + 2|beta|), theta,
     u = (1 - c)/2, v = (1 + c)/2) per shift, with c = (alpha - s)/(2|beta|)
     = cos theta inside the band.  u and v are each taken from the shift's
     distance to one band edge, so theta keeps full relative accuracy at
-    both edges; outside the band u < 0 or v < 0 and theta is unused."""
+    both edges; outside the band u < 0 or v < 0 and theta is unused.
+    alpha may be one value per shift."""
     b = abs(beta)
     u = (shifts - (alpha - 2.0 * b)) / (4.0 * b)     # sin^2(theta/2)
     v = ((alpha + 2.0 * b) - shifts) / (4.0 * b)     # cos^2(theta/2)
@@ -449,63 +454,44 @@ def _band(shifts: np.ndarray, alpha: float, beta: float):
     return (u > 0.0) & (v > 0.0), theta, u, v
 
 
-def _run_step(t, shifts, alpha: float, beta: float, rows: int):
-    """``rows`` more pivots of t <- (alpha - s) - beta^2/t from the pivots
-    ``t``, in closed form: (#negative new pivots, last pivot) per shift.
+def _wall_run(shifts, alpha: float, beta: float, rows: int):
+    """The free block tridiag(beta, alpha, beta) - s of ``rows`` rows swept
+    from its first row, so with no incoming pivot: (#negative pivots, last
+    pivot) per shift.
 
-    With b = |beta| and c = (alpha - s)/(2b), the pivots are b x_{k+1}/x_k
-    for a solution of x_{k+1} = 2c x_k - x_{k-1} (Chebyshev), so a negative
-    pivot is a sign change of x.  Inside the band (|c| < 1, c = cos theta)
-    x_k ~ sin(psi + (k-1) theta), where psi in [0, pi] is the phase of the
-    incoming pivot's numerator: the new pivots change sign once per
-    multiple of pi in [psi, psi + rows theta), and the last one is a ratio
-    of sines.  Below the band x_k combines e^{+-k mu} (c = cosh mu) and
-    changes sign at most once; above it (-1)^k x_k does.  A zero pivot
-    counts as positive and makes the next one -inf, as in the recurrence.
+    With b = |beta| and c = (alpha - s)/(2b), the pivots are
+    b U_k(c)/U_{k-1}(c), k = 1..rows (Chebyshev), and the count is the
+    number of block eigenvalues alpha - 2b cos(k pi/(rows+1)) below s.
+    Inside the band (c = cos theta) that is ceil((rows+1) theta/pi) - 1
+    and the last pivot is b sin((rows+1) theta)/sin(rows theta); below it
+    (c = cosh mu) no pivot is negative and the last is the same ratio of
+    sinh.  U_k(-c) = (-1)^k U_k(c), so the pivots at c < 0 are those at -c
+    negated: a shift above the band centre is swept as its mirror image
+    about -alpha, whose angle pi - theta keeps full relative accuracy at
+    the upper band edge.
     """
     b = abs(beta)
-    inside, theta, u, v = _band(shifts, alpha, beta)
-    count = np.empty(shifts.size, dtype=np.int64)
-    out = np.empty(shifts.size)
+    flip = shifts > alpha
+    inside, theta, u, _ = _band(np.where(flip, -shifts, shifts),
+                                np.where(flip, -alpha, alpha), beta)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if inside.any():
-            i = np.flatnonzero(inside)
-            th = theta[i]
-            psi = np.arctan2(np.sin(th), np.cos(th) - b / t[i])
-            phase = psi + rows * th
-            turns = np.ceil(phase / math.pi)
-            last = phase - (turns - 1.0) * math.pi
-            # Rounding can put last at or below 0: then that multiple of
-            # pi is the next row's, and the last pivot is a positive zero.
-            low = last <= 0.0
-            turns -= low
-            count[i] = turns - (psi > 0.0)
-            last = np.clip(np.where(low, last + math.pi, last), 0.0, math.pi)
-            out[i] = -b * np.sin(last) / np.sin(th - last)
-        if not inside.all():
-            i = np.flatnonzero(~inside)
-            above = v[i] <= 0.0
-            mu = 2.0 * np.arcsinh(np.sqrt(-np.where(above, v[i], u[i])))
-            # (x_0, x_1) ~ (b, t) scaled to the unit circle; above the band
-            # y_k = (-1)^k x_k follows the recurrence below it.
-            omega = np.arctan(t[i] / b)
-            x0 = np.cos(omega)
-            x1 = np.where(above, -1.0, 1.0) * np.sin(omega)
-            # sinh(k mu)/sinh(mu) e^{-(k-1) mu} for k = rows-1, rows, rows+1,
-            # which is k at mu = 0
-            k = np.arange(rows - 1, rows + 2, dtype=float)[:, None]
-            g = np.where(mu == 0.0, k,
-                         np.expm1(-2.0 * k * mu) / np.expm1(-2.0 * mu))
-            x0 = np.exp(-mu) * x0
-            x_new = g[2] * x1 - g[1] * x0
-            x_old = g[1] * x1 - g[0] * x0
-            crossed = x_new < 0.0
-            neg_in = t[i] < 0.0
-            count[i] = np.where(above, rows - (neg_in & crossed),
-                                ~neg_in & crossed)
-            out[i] = np.where(above, -b, b) * np.exp(mu) * x_new / x_old
-    # -0.0 + 0.0 is +0.0: a zero pivot is positive
-    return count, out + 0.0
+        phase = (rows + 1) * theta
+        turns = np.ceil(phase / math.pi)
+        last = phase - (turns - 1.0) * math.pi
+        # Rounding can put last outside (0, pi].  At or below 0 that
+        # multiple of pi is the next row's, and the last pivot a positive
+        # zero; above pi it is pi.  So the last pivot is never 0, and it is
+        # negative exactly when the count takes in the last row.
+        low = last <= 0.0
+        turns -= low
+        last = np.minimum(np.where(low, last + math.pi, last), math.pi)
+        mu = 2.0 * np.arcsinh(np.sqrt(-u))
+        sinh_ratio = np.where(mu == 0.0, (rows + 1) / rows, np.exp(mu) * (
+            np.expm1(-2.0 * (rows + 1) * mu) / np.expm1(-2.0 * rows * mu)))
+        pivot = b * np.where(inside, np.sin(last) / np.sin(last - theta),
+                             sinh_ratio)
+    count = np.where(inside, turns - 1.0, 0.0).astype(np.int64)
+    return np.where(flip, rows - count, count), np.where(flip, -pivot, pivot)
 
 
 def _support_step(t, shifts, diag: np.ndarray, e2: np.ndarray):
@@ -544,13 +530,17 @@ def _support_step(t, shifts, diag: np.ndarray, e2: np.ndarray):
 class _SturmSweep:
     """Sturm counts and eigenvalues of one symmetric tridiagonal T.
 
-    The forward LDL^T sweep of T - s takes the leading run (the rows after
-    row 0 whose (d_i, e_{i-1}) equal row 0's bit for bit) and the trailing
-    run (the rows before the last whose (d_i, e_i) equal the last row's)
-    in closed form (``_run_step``) and only the support between them row by
-    row (``_support_step``).  A run shorter than ``min_run`` rows joins the
-    support.  By Sylvester's law of inertia the number of negative pivots
-    is the number of eigenvalues below s.
+    The leading run (rows 0..lead, equal to row 0 bit for bit) and the
+    trailing run (the last ``trail`` rows, equal to the last row) are free
+    blocks, each swept from its wall (``_wall_run``): its negative pivots
+    are its closed-form eigenvalues below s.  The support between them is
+    swept row by row (``_support_step``) from the leading block's last
+    pivot, and the trailing block's top pivot u joins the support's last
+    row r as the Schur term -e_r^2/u.  This twisted factorization of T - s
+    has the inertia of T - s (Sylvester), so its negative pivots number the
+    eigenvalues below s.  With no support row between the blocks the twist
+    row is the leading block's last.  A run shorter than ``min_run`` rows
+    joins the support.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray,
@@ -577,16 +567,17 @@ class _SturmSweep:
     def count(self, shifts) -> np.ndarray:
         """The number of eigenvalues below each shift."""
         shifts = np.asarray(shifts, dtype=float)
-        t = self.first - shifts + 0.0      # a zero pivot is +0.0: positive
-        neg = (t < 0.0).astype(np.int64)
         if self.lead:
-            c, t = _run_step(t, shifts, *self.lead_entries, self.lead)
-            neg += c
+            neg, t = _wall_run(shifts, *self.lead_entries, self.lead + 1)
+        else:
+            t = self.first - shifts + 0.0      # a zero pivot is +0.0: positive
+            neg = (t < 0.0).astype(np.int64)
         c, t = _support_step(t, shifts, *self.support)
         neg += c
         if self.trail:
-            c, _ = _run_step(t, shifts, *self.trail_entries, self.trail)
-            neg += c
+            c, u = _wall_run(shifts, *self.trail_entries, self.trail)
+            # the twist: the support's last pivot t gains -e^2/u (u != 0)
+            neg += c + (t - self.trail_entries[1] ** 2 / u < 0.0) - (t < 0.0)
         return neg
 
     def eigenvalues(self, first: int, last: int) -> np.ndarray:
@@ -630,8 +621,9 @@ class _SturmSweep:
 
 def count_below(diag: np.ndarray, off: np.ndarray, level: float) -> int:
     """Number of eigenvalues of the tridiagonal below ``level``: the
-    negative pivots of the LDL^T (Sturm) sweep of T - level, with the
-    tridiagonal's constant runs stepped in closed form (``_SturmSweep``).
+    negative pivots of the (Sturm) sweep of T - level, in which each
+    constant run of the tridiagonal counts its own closed-form eigenvalues
+    below the level (``_SturmSweep``).
 
     The count is that of T - level perturbed by rounding of about
     eps (max|d| + 2 max|e|), so a level that close to an eigenvalue may

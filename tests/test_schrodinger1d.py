@@ -612,7 +612,8 @@ def with_runs(lead, trail, rng, support=7):
 
 def kernel_cases():
     """(name, diag, off): box sectors of odd and even n, a box with two
-    runs, a random tridiagonal with no run, and runs of 0, 1 and 2 rows."""
+    runs, a random tridiagonal with no run, runs of 0, 1 and 2 rows, and
+    long runs that meet across a support of two, one or no rows."""
     cases = []
     # Poschl-Teller's samples reach the diagonal's last bit out to |x| ~ 16
     for potential, half_length, h in ((SquareWell(-2.0, 1.0), 6.0, 0.02),
@@ -633,6 +634,14 @@ def kernel_cases():
         for trail in (0, 1, 2):
             cases.append((f"runs_{lead}_{trail}",
                           *with_runs(lead, trail, rng)))
+    # With no random row the twist row is the trailing block's first row;
+    # with one diagonal throughout the support is empty and the twist row
+    # is the leading block's last.
+    for support, (lead, trail) in ((0, (60, 50)), (1, (48, 48))):
+        cases.append((f"junction_{support}",
+                      *with_runs(lead, trail, rng, support=support)))
+    cases.append(("junction_shared", np.full(111, 2.0),
+                  np.concatenate([np.full(60, -1.0), np.full(50, 0.7)])))
     return cases
 
 
@@ -656,6 +665,10 @@ class TestSturmKernel:
                 assert (default.lead, default.trail) == (0, 0)
         for sweep in sweeps["no_run"]:
             assert (sweep.lead, sweep.trail) == (0, 0)
+        for name, runs in (("junction_0", (60, 50)), ("junction_1", (48, 48)),
+                           ("junction_shared", (60, 50))):
+            for sweep in sweeps[name]:
+                assert (sweep.lead, sweep.trail) == runs
         shifted = sweeps["shifted_well"][0]
         assert shifted.lead > 200 and shifted.trail > 200
         for name, (default, every) in sweeps.items():
@@ -684,6 +697,51 @@ class TestSturmKernel:
                 assert count_below(diag, off, s) == want, s
             checked += 1
         assert checked >= shifts.size - 2
+
+    @pytest.mark.parametrize("rows", [1, 2, 48, 1000])
+    def test_wall_run_counts_the_block_eigenvalues(self, rows):
+        # alpha -+ 2|beta| are exact, so s = alpha is the band centre to the
+        # last bit, and 2|beta| cos(pi/2) ~ 1e-16 |beta| is below half an
+        # ulp of alpha: an odd block's middle eigenvalue is alpha itself.
+        for alpha, beta in ((2.5, 0.7), (-40.0, -3.0)):
+            b = abs(beta)
+            lo, hi = alpha - 2.0 * b, alpha + 2.0 * b
+            shifts = np.array([lo - 1.0, lo, np.nextafter(lo, -np.inf),
+                               np.nextafter(lo, np.inf), alpha, hi,
+                               np.nextafter(hi, -np.inf),
+                               np.nextafter(hi, np.inf), hi + 1.0])
+            count, pivot = schrodinger1d._wall_run(shifts, alpha, beta, rows)
+            levels = alpha - 2.0 * b * np.cos(
+                np.pi * np.arange(1, rows + 1) / (rows + 1))
+            for s, c, p in zip(shifts, count, pivot):
+                assert c == np.count_nonzero(levels < s), s
+                _, want = sturm_count_loop(np.full(rows, alpha),
+                                           np.full(rows - 1, beta), s)
+                if s != alpha:
+                    assert abs(p - want) <= 1e-12 * abs(want), s
+                elif rows % 2:
+                    assert abs(p) <= 1e-12 * b    # exactly 0
+                else:
+                    assert abs(p) >= 1e10 * b     # exactly infinite
+
+    def test_wall_run_pivot_sign_matches_its_count(self):
+        # At the block's own eigenvalues the last pivot is 0 up to rounding
+        # and the count may take either side of it; the last row adds to
+        # the count exactly when the last pivot is negative, so the rows
+        # after the block count consistently.  (2/h^2, -1/h^2) at h = 0.02
+        # is a box's free block.
+        for alpha, beta in ((2.5, 0.7), (5000.0, -2500.0)):
+            b = abs(beta)
+            for rows in range(2, 80):
+                levels = alpha - 2.0 * b * np.cos(
+                    np.pi * np.arange(1, rows + 1) / (rows + 1))
+                shifts = np.concatenate([levels, np.nextafter(levels, np.inf),
+                                         np.nextafter(levels, -np.inf)])
+                count, pivot = schrodinger1d._wall_run(shifts, alpha, beta,
+                                                       rows)
+                before, _ = schrodinger1d._wall_run(shifts, alpha, beta,
+                                                    rows - 1)
+                np.testing.assert_array_equal(count - before, pivot < 0.0)
 
     @pytest.mark.parametrize("name, diag, off", KERNEL_CASES[:8],
                              ids=[c[0] for c in KERNEL_CASES[:8]])

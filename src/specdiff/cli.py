@@ -126,16 +126,16 @@ def _run_scatter(args) -> int:
     s_stat = scattering.s_matrix_stationary(pot, args.energy)
     phases = scattering.eigenphases(s_ode)
     if not args.quiet:
-        np.set_printoptions(precision=10, suppress=False)
-        print(f"energy {args.energy}, momentum {s_ode.momentum:.10g}")
-        print("S (ODE route):")
-        print(s_ode.matrix)
-        print(f"unitarity defect: ode {s_ode.unitarity_defect:.3e}, "
-              f"stationary {s_stat.unitarity_defect:.3e}")
-        print(f"cross-method |S_ode - S_stationary|: "
-              f"{np.linalg.norm(s_ode.matrix - s_stat.matrix):.3e}")
-        print(f"eigenphases: {phases.thetas}")
-        print(f"band radii kappa_n: {phases.kappas}")
+        with np.printoptions(precision=10, suppress=False):
+            print(f"energy {args.energy}, momentum {s_ode.momentum:.10g}")
+            print("S (ODE route):")
+            print(s_ode.matrix)
+            print(f"unitarity defect: ode {s_ode.unitarity_defect:.3e}, "
+                  f"stationary {s_stat.unitarity_defect:.3e}")
+            print(f"cross-method |S_ode - S_stationary|: "
+                  f"{np.linalg.norm(s_ode.matrix - s_stat.matrix):.3e}")
+            print(f"eigenphases: {phases.thetas}")
+            print(f"band radii kappa_n: {phases.kappas}")
     return EXIT_OK
 
 

@@ -4,6 +4,7 @@ import csv
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from specdiff.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, main
@@ -177,6 +178,14 @@ def test_scatter_square_well(capsys):
     out = capsys.readouterr().out
     assert "band radii" in out
     assert "unitarity defect" in out
+
+
+def test_scatter_leaves_the_print_options_alone(capsys):
+    before = np.get_printoptions()
+    assert main(["scatter", "--energy", "1"]) == EXIT_OK
+    assert np.get_printoptions() == before
+    # the matrix and the phases still print with 10 digits
+    assert "eigenphases: [1.6908491098 1.3288748489]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flags", [

@@ -620,8 +620,10 @@ def _unpin(ev: np.ndarray, target: float, allowance: int) -> np.ndarray:
     return np.delete(ev, pinned)
 
 
-def _confinement(spectra, kappa_max: float, margin: float) -> dict:
-    """Index-explained confinement of one box's spectra.
+def _confinement(spectra, d_full: np.ndarray, kappa_max: float,
+                 margin: float) -> dict:
+    """Index-explained confinement of one box's spectra, with D's full
+    spectrum ``d_full`` (``spectra.d_full``, built once by the caller).
 
     With j = rank P - rank P0, the pair (P, P0) forces |j| eigenvalues of D
     at sign(j) (Avron-Seiler-Simon) and as many eigenvalues of M+ (j > 0) or
@@ -632,7 +634,7 @@ def _confinement(spectra, kappa_max: float, margin: float) -> dict:
     and ``m_max`` are the largest |eig D| and eig M+- that are not pinned.
     """
     j = spectra.rank_p - spectra.rank_p0
-    d = _unpin(spectra.d_full, float(np.sign(j)), abs(j))
+    d = _unpin(d_full, float(np.sign(j)), abs(j))
     mp = _unpin(spectra.m_plus, 1.0, max(j, 0))
     mm = _unpin(spectra.m_minus, 1.0, max(-j, 0))
     m = np.concatenate([mp, mm])
@@ -675,7 +677,7 @@ def _band_case(pot, lam, L, n, kappas, tol):
         "m_plus_overflow": int(np.sum(mp > kappa_max ** 2 + margin)),
         "m_minus_overflow": int(np.sum(mm > kappa_max ** 2 + margin)),
     }
-    return rec, _confinement(spectra, kappa_max, margin)
+    return rec, _confinement(spectra, ev, kappa_max, margin)
 
 
 def run_band_filling(config: ExperimentConfig) -> ExperimentReport:

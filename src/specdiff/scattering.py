@@ -12,15 +12,14 @@ two reflection amplitudes.  For a parity-even potential r_L = r_R and the
 matrix is symmetric with eigenvalues t +- r, the even/odd eigenphase pair.
 V = 0 gives S = I.
 
-Route 1 (``OdeMatch``): integrate -u'' + V u = lam u across the support with
-a fixed-step RK4 scheme, once per incoming direction, and match to plane
-waves.  Integration is segmented at the potential's jump points so the
+Route 1 (``s_matrix_ode``): integrate -u'' + V u = lam u across the support
+with a fixed-step RK4 scheme, segmented at the potential's jump points so the
 integrator never steps across a discontinuity.  The equation is linear with
-real coefficients, so each RK4 step is a real 2x2 transfer matrix; the
-steps of a segment are built at once and multiplied pairwise, and the
-product of the segments acts once on the complex (u, u').
+real coefficients, so each RK4 step is a real 2x2 transfer matrix; the steps
+of a segment are built at once and multiplied pairwise.  The product of the
+segments, one forward propagator per energy, fixes both columns of S.
 
-Route 2 (``Stationary``): the on-shell formula
+Route 2 (``s_matrix_stationary``): the on-shell formula
 
     S = I - 2 pi i Z J (I + T J)^{-1} Z*
 
@@ -175,51 +174,47 @@ def _rk4_segment(potential, lam: float, x0: float, x1: float,
     return maps[0]
 
 
-def _integrate(potential, lam: float, x_from: float, x_to: float, step: float,
-               u: complex, du: complex):
-    """(u, u') at x_to from its value at x_from: the product of the segment
-    propagators between the potential's jump points, applied once."""
-    lo, hi = min(x_from, x_to), max(x_from, x_to)
-    inner = [b for b in potential.breakpoints() if lo < b < hi]
-    points = [x_from] + sorted(inner, reverse=x_from > x_to) + [x_to]
+def _propagator(potential, lam: float, x_max: float, step: float) -> np.ndarray:
+    """Real 2x2 forward propagator of (u, u') from -x_max to x_max: the
+    product of the segment propagators between the potential's jump points."""
+    inner = sorted(b for b in potential.breakpoints() if -x_max < b < x_max)
+    points = [-x_max, *inner, x_max]
     m = np.eye(2)
     for a, b in zip(points[:-1], points[1:]):
         m = _rk4_segment(potential, lam, a, b, step) @ m
-    return m[0, 0] * u + m[0, 1] * du, m[1, 0] * u + m[1, 1] * du
+    return m
 
 
 def s_matrix_ode(potential: Potential, lam: float, x_max: float | None = None,
                  step: float | None = None) -> ScatteringMatrix:
-    """Scattering matrix by plane-wave matching of two RK4 integrations."""
+    """Scattering matrix by plane-wave matching of one RK4 propagator M
+    over [-x_max, x_max]; ``x_max`` must be finite and >= 0 and ``step``
+    positive and finite (DomainError)."""
     if not 0 < lam < math.inf:
         raise DomainError(f"scattering energy must be positive and finite, "
                           f"got {lam}")
     k = math.sqrt(lam)
     if x_max is None:
         x_max = potential.effective_support(1e-11)
+    if not 0 <= x_max < math.inf:
+        raise DomainError(f"x_max must be non-negative and finite, got {x_max}")
     if abs(potential(x_max)) > 1e-10 or abs(potential(-x_max)) > 1e-10:
         raise DomainError(
             f"|V| at +-x_max={x_max} exceeds 1e-10; enlarge the integration range")
     if step is None:
         step = 0.01 / math.sqrt(lam + potential.max_abs())
+    if not 0 < step < math.inf:
+        raise DomainError(f"step must be positive and finite, got {step}")
 
-    ik = 1j * k
-    # Right-incoming: transmitted plane e^{-ikx} on the left, integrate forward.
-    u0 = cmath.exp(ik * x_max)          # e^{-ik(-x_max)}
-    u, du = _integrate(potential, lam, -x_max, x_max, step, u0, -ik * u0)
-    c_in = 0.5 * (u - du / ik) * cmath.exp(ik * x_max)
-    d_out = 0.5 * (u + du / ik) * cmath.exp(-ik * x_max)
-    t_r = 1.0 / c_in
-    r_r = d_out / c_in
-    # Left-incoming: transmitted plane e^{+ikx} on the right, integrate backward.
-    u0 = cmath.exp(ik * x_max)
-    u, du = _integrate(potential, lam, x_max, -x_max, step, u0, ik * u0)
-    a_in = 0.5 * (u + du / ik) * cmath.exp(ik * x_max)
-    b_out = 0.5 * (u - du / ik) * cmath.exp(-ik * x_max)
-    t_l = 1.0 / a_in
-    r_l = b_out / a_in
-
-    s = np.array([[t_r, r_l], [r_r, t_l]], dtype=complex)
+    (m00, m01), (m10, m11) = _propagator(potential, lam, x_max, step).tolist()
+    # In plane-wave amplitudes (e^{-ikx}, e^{ikx}) at -x_max and x_max, M is
+    # the transfer matrix T = [[a, b], [conj b, conj a]], det T = det M, and
+    # S = [[1, -T12], [T21, det M]] / T11.
+    a = 0.5 * cmath.exp(2j * k * x_max) * (m00 + m11 + 1j * (m10 / k - k * m01))
+    b = 0.5 * (m00 - m11 + 1j * (m10 / k + k * m01))
+    t = 1.0 / a
+    s = np.array([[t, -b * t], [b.conjugate() * t, (m00 * m11 - m01 * m10) * t]],
+                 dtype=complex)
     defect = float(np.linalg.norm(s.conj().T @ s - np.eye(2)))
     if defect > UNITARITY_TOL_ODE:
         raise StepSizeError(

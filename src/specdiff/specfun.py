@@ -3,13 +3,13 @@ behind them.
 
 Two representations are used, each valid on part of the half-line x >= 1:
 
-* Near x = 1 (``NearOne``): the Gauss hypergeometric form
+* Near x = 1 (``conical_p_near_one``): the Gauss hypergeometric form
 
       P_nu(x) = 2F1(-nu, nu+1; 1; (1-x)/2),   nu = -1/2 + it,
 
   whose series argument (1-x)/2 stays inside the unit disk for x < 3.
 
-* Away from 1 (``FarBranch``): the sum of two conjugate branches
+* Away from 1 (``conical_p_far_branch``): the sum of two conjugate branches
 
       P_{-1/2+it}(x) = 2 Re[ G(t) (2x)^(-1/2-it)
                              * 2F1(1/4+it/2, 3/4+it/2; 1+it; x^-2) ],
@@ -21,13 +21,12 @@ Two representations are used, each valid on part of the half-line x >= 1:
 
 Both produce a real value for real t and x >= 1.  The two-branch form is
 singular term-by-term at t = 0 (Gamma(-it) pole) although its sum has a
-finite limit; the limit is evaluated from the explicit formula
+finite limit; the limit is the closed form (DLMF 14.5.v)
 
-      P_{-1/2}(x) = (2/pi) (2x)^(-1/2) [ F0(z) log(8x) - S(z) ],  z = x^-2,
+      P_{-1/2}(x) = (2/pi) sqrt(2/(x+1)) K(m),   m = (x-1)/(x+1),
 
-where F0 = 2F1(1/4, 3/4; 1; z) and S is the term-by-term derivative series
-S = sum_n T_n z^n (s_n - H_n), T_n = (1/4)_n (3/4)_n / (n!)^2,
-s_n = (1/2) sum_{k<n} [1/(k+1/4) + 1/(k+3/4)], H_n the harmonic number.
+with K the complete elliptic integral of the first kind, evaluated through
+scipy's ``ellipkm1`` at 1 - m = 2/(x+1), which avoids forming 1 - m.
 For 0 < t below a small switch point the value is interpolated in t^2
 between this limit and a direct evaluation (the function is even in t).
 
@@ -185,36 +184,12 @@ def _prefactor(t: np.ndarray) -> np.ndarray:
 
 
 def _far_t_zero(x: np.ndarray) -> np.ndarray:
-    """The exact t = 0 limit of the two-branch form, elementwise over a 1-D x;
-    each element stops on its own once its term falls below 1e-18 of F0."""
-    f0 = np.zeros(x.size)
-    s = np.zeros(x.size)
-    live = np.arange(x.size)
-    z_live = x ** -2.0
-    f0_live = np.zeros(live.size)
-    s_live = np.zeros(live.size)
-    term = np.ones(live.size)
-    digamma_part = 0.0
-    harmonic = 0.0
-    for n in range(SERIES_CAP):
-        if live.size == 0:
-            break
-        if n > 0:
-            term = term * ((n - 0.75) * (n - 0.25) / (n * n) * z_live)
-            digamma_part += 0.5 * (1.0 / (n - 0.75) + 1.0 / (n - 0.25))
-            harmonic += 1.0 / n
-        f0_live += term
-        s_live += term * (digamma_part - harmonic)
-        done = np.abs(term) < 1e-18 * np.abs(f0_live)
-        if done.any():
-            f0[live[done]] = f0_live[done]
-            s[live[done]] = s_live[done]
-            keep = ~done
-            live, z_live, f0_live, s_live, term = (
-                v[keep] for v in (live, z_live, f0_live, s_live, term))
-    f0[live] = f0_live
-    s[live] = s_live
-    return (2.0 / math.pi) * (2.0 * x) ** -0.5 * (f0 * np.log(8.0 * x) - s)
+    """The exact t = 0 limit of the two-branch form, elementwise:
+    (2/pi) sqrt(p) K(1 - p) with p = 2/(x+1), from ``ellipkm1(p)``, so that
+    1 - p is never formed."""
+    from scipy.special import ellipkm1    # loaded lazily, as in _prefactor
+    p = 2.0 / (x + 1.0)
+    return (2.0 / math.pi) * np.sqrt(p) * ellipkm1(p)
 
 
 def _far(t: np.ndarray, x: np.ndarray, pref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

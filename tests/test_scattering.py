@@ -108,8 +108,9 @@ class TestOdeRoute:
         assert s.unitarity_defect <= 1e-8
         assert s.symmetry_defect <= 1e-8
 
-    def test_shifted_well_pins_channel_order(self):
-        lam, d = 1.3, 0.6
+    @pytest.mark.parametrize("lam", [0.3, 1.3, 3.0])
+    def test_shifted_well_pins_channel_order(self, lam):
+        d = 0.6
         s = s_matrix_ode(ShiftedWell(center=d), lam)
         want = matching_oracle(-2.0, 1.0, lam, center=d)
         assert np.abs(s.matrix - want).max() <= 1e-8
@@ -131,6 +132,42 @@ class TestOdeRoute:
     def test_support_guard(self):
         with pytest.raises(DomainError):
             s_matrix_ode(PoschlTeller(1), 1.0, x_max=3.0)
+
+    @pytest.mark.parametrize("x_max", [-5.0, math.nan, math.inf])
+    def test_bad_x_max_is_a_domain_error(self, x_max):
+        with pytest.raises(DomainError, match="x_max must be"):
+            s_matrix_ode(ShiftedWell(center=0.6), 1.3, x_max=x_max)
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
+    def test_bad_step_is_a_domain_error(self, step):
+        with pytest.raises(DomainError, match="step must be"):
+            s_matrix_ode(ShiftedWell(center=0.6), 1.3, step=step)
+
+    def test_zero_width_gives_identity(self):
+        s = s_matrix_ode(SquareWell(-2.0, 0.0), 1.0, x_max=0.0)
+        assert np.abs(s.matrix - np.eye(2)).max() <= 1e-15
+
+    @pytest.mark.parametrize("potential, x_max, segments", [
+        (GaussianBump(), None, 1),
+        (SquareWell(-2.0, 1.0), None, 1),      # jumps at +-x_max
+        (SquareWell(-2.0, 1.0), 3.0, 3),
+        (ShiftedWell(center=0.6), None, 2),    # one jump at x_max
+        (ShiftedWell(center=0.6), 3.0, 3),
+    ], ids=["gaussian", "square_well", "square_well_wide", "shifted_well",
+            "shifted_well_wide"])
+    def test_one_integration_per_energy(self, monkeypatch, potential, x_max,
+                                        segments):
+        # One propagator over [-x_max, x_max]: one RK4 product per smooth
+        # segment, the inner breakpoints plus one, in ascending order.
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2:4])
+            return _rk4_segment(*args)
+        monkeypatch.setattr(scattering, "_rk4_segment", counted)
+        s_matrix_ode(potential, 1.3, x_max=x_max)
+        assert len(calls) == segments
+        assert all(a < b for a, b in calls)
 
     def test_coarse_step_raises_refinement_error(self):
         from specdiff.errors import StepSizeError
@@ -165,13 +202,17 @@ def rk4_loop(potential, lam, x0, x1, step, u, du):
     return u, du
 
 
-def integrate_loop(potential, lam, x_from, x_to, step, u, du):
-    lo, hi = min(x_from, x_to), max(x_from, x_to)
-    inner = [b for b in potential.breakpoints() if lo < b < hi]
-    points = [x_from] + sorted(inner, reverse=x_from > x_to) + [x_to]
-    for a, b in zip(points[:-1], points[1:]):
-        u, du = rk4_loop(potential, lam, a, b, step, u, du)
-    return u, du
+def propagator_loop(potential, lam, x_max, step):
+    """The forward propagator over [-x_max, x_max] column by column: each
+    basis vector carried by the step loop across the smooth segments."""
+    inner = sorted(b for b in potential.breakpoints() if -x_max < b < x_max)
+    points = [-x_max] + inner + [x_max]
+    m = np.empty((2, 2))
+    for j, y in enumerate([(1.0, 0.0), (0.0, 1.0)]):
+        for a, b in zip(points[:-1], points[1:]):
+            y = rk4_loop(potential, lam, a, b, step, *y)
+        m[:, j] = y
+    return m
 
 
 class TestRk4Product:
@@ -188,7 +229,7 @@ class TestRk4Product:
             "barrier"])
     def test_s_matrix_matches_step_loop(self, monkeypatch, potential, lam):
         got = s_matrix_ode(potential, lam)
-        monkeypatch.setattr(scattering, "_integrate", integrate_loop)
+        monkeypatch.setattr(scattering, "_propagator", propagator_loop)
         want = s_matrix_ode(potential, lam)
         assert np.abs(got.matrix - want.matrix).max() <= 1e-13
         # |S*S - I| moves by at most about 2 |dS|.

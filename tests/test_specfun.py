@@ -233,6 +233,20 @@ class TestConicalMpmath:
                 worst = max(worst, float(abs(mpmath.mpc(g) - want) / abs(want)))
         assert worst <= 1e-13
 
+    def test_t_zero_limit(self):
+        # The exact t = 0 limit of the two-branch form, relative to mpmath,
+        # out to x = 1e8 where K(m) at m = (x-1)/(x+1) nears its log
+        # singularity.
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.geomspace(1.2, 1e8, 97)
+        got, _ = conical_p_far_branch(0.0, xs)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for x, g in zip(xs, got):
+                want = mpmath.re(mpmath.legenp(-0.5, 0, mpmath.mpf(float(x)), type=3))
+                worst = max(worst, float(abs(g - want) / abs(want)))
+        assert worst <= 2e-15
+
     def test_campaign_domain(self):
         xs = np.union1d(np.linspace(1.0, 3.0, 41), np.geomspace(3.0, 1e4, 40))
         assert mpmath_weighted_error(np.linspace(0.0, 3.0, 13), xs) <= 1e-12

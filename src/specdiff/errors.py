@@ -26,10 +26,6 @@ class ConvergenceError(RuntimeError):
 class StepSizeError(RuntimeError):
     """An ODE step size was too coarse to meet the accuracy contract."""
 
-    def __init__(self, message: str, suggested_step: float):
-        super().__init__(f"{message}; retry with step <= {suggested_step:.3e}")
-        self.suggested_step = suggested_step
-
 
 class SingularOperatorError(RuntimeError):
     """A linear system that the theory guarantees invertible came out

@@ -92,6 +92,7 @@ UNITARITY_TOL_STATIONARY = 1e-6
 COND_GUARD = 1e12
 REFINE_TARGET, N_START, N_CAP = 1e-4, 200, 6400   # see s_matrix_stationary
 PHASE_TOL = 1e-6                                  # see eigenphases
+ODE_SUPPORT_TOL, ODE_STEP = 1e-11, 0.01           # see s_matrix_ode
 _SAFMIN = np.finfo(float).tiny
 
 
@@ -185,26 +186,25 @@ def _propagator(potential, lam: float, x_max: float, step: float) -> np.ndarray:
     return m
 
 
-def s_matrix_ode(potential: Potential, lam: float, x_max: float | None = None,
-                 step: float | None = None) -> ScatteringMatrix:
+def s_matrix_ode(potential: Potential, lam: float) -> ScatteringMatrix:
     """Scattering matrix by plane-wave matching of one RK4 propagator M
-    over [-x_max, x_max]; ``x_max`` must be finite and >= 0 and ``step``
-    positive and finite (DomainError)."""
+    over [-x_max, x_max], x_max = ``potential.effective_support``
+    (``ODE_SUPPORT_TOL``), with steps of ``ODE_STEP`` / sqrt(lam + max|V|).
+
+    A potential whose effective support understates its support (|V| above
+    1e-10 at +-x_max) is a DomainError: S would miss the rest of it.  A
+    unitarity defect above ``UNITARITY_TOL_ODE`` is a StepSizeError.
+    """
     if not 0 < lam < math.inf:
         raise DomainError(f"scattering energy must be positive and finite, "
                           f"got {lam}")
     k = math.sqrt(lam)
-    if x_max is None:
-        x_max = potential.effective_support(1e-11)
-    if not 0 <= x_max < math.inf:
-        raise DomainError(f"x_max must be non-negative and finite, got {x_max}")
+    x_max = potential.effective_support(ODE_SUPPORT_TOL)
     if abs(potential(x_max)) > 1e-10 or abs(potential(-x_max)) > 1e-10:
         raise DomainError(
-            f"|V| at +-x_max={x_max} exceeds 1e-10; enlarge the integration range")
-    if step is None:
-        step = 0.01 / math.sqrt(lam + potential.max_abs())
-    if not 0 < step < math.inf:
-        raise DomainError(f"step must be positive and finite, got {step}")
+            f"{potential.kind}.effective_support({ODE_SUPPORT_TOL:g}) = "
+            f"{x_max} understates the support: |V| there exceeds 1e-10")
+    step = ODE_STEP / math.sqrt(lam + potential.max_abs())
 
     (m00, m01), (m10, m11) = _propagator(potential, lam, x_max, step).tolist()
     # In plane-wave amplitudes (e^{-ikx}, e^{ikx}) at -x_max and x_max, M is
@@ -218,8 +218,8 @@ def s_matrix_ode(potential: Potential, lam: float, x_max: float | None = None,
     defect = float(np.linalg.norm(s.conj().T @ s - np.eye(2)))
     if defect > UNITARITY_TOL_ODE:
         raise StepSizeError(
-            f"ODE route unitarity defect {defect:.3e} exceeds {UNITARITY_TOL_ODE:.1e}",
-            suggested_step=step / 2.0)
+            f"ODE route unitarity defect {defect:.3e} exceeds "
+            f"{UNITARITY_TOL_ODE:.1e} at step {step:.3e}")
     return ScatteringMatrix(k, s, defect)
 
 

@@ -22,8 +22,9 @@ Two computational paths coexist:
   singular values, accurate at small angles where sqrt(1 - cos^2) cancels
   (Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002).  The angles
   depend on the subspace ran P only, so the tridiagonal path takes an
-  orthonormal basis of it (inverse iteration per group of eigenvalues and
-  one Cholesky QR, ``eigenpairs_below``), not reorthogonalized
+  orthonormal basis of it (``eigenpairs_below``: inverse iteration per
+  group of eigenvalues and one Cholesky QR, at eigenvalues that
+  ``box_levels`` solved), not reorthogonalized
   eigenvectors, and per block one compact-WY QR of the larger side plus
   the SVD of its k x k R gives the sines of both sides.  The two paths
   agree to rounding and are cross-checked in the tests.
@@ -49,7 +50,9 @@ Each block has half of n and about half of rank P, which cuts the O(n k^2)
 cost of the Gram matrix, the Cholesky QR and the sine QR about fourfold
 and halves the Sturm sweeps' support.  A box that fails the test stays
 one block on the same code path.  ``box_levels`` counts in the same blocks:
-one eigenvalue window per block serves every energy of a range.
+one eigenvalue window per block serves every energy of a range, and the
+window (-inf, lambda] holds every eigenvalue ``band_spectra`` needs, so
+each block's eigenvalues are solved once.
 """
 
 from __future__ import annotations
@@ -296,17 +299,16 @@ def free_levels(box: BoxDiscretization) -> np.ndarray:
 
 
 def _sines(n: int, rows: int, modes: np.ndarray,
-           weight: np.ndarray | None = None) -> np.ndarray:
+           weight: np.ndarray) -> np.ndarray:
     """Rows i = 1..rows of the free modes k in ``modes`` on an n-point box,
-    times ``weight[i - 1]`` if given, built in place in one Fortran buffer."""
+    times ``weight[i - 1]``, built in place in one Fortran buffer."""
     out = np.multiply.outer(np.arange(1, rows + 1), modes,
                             out=np.empty((rows, modes.size), order="F"))
     out *= np.pi
     out /= n + 1
     np.sin(out, out=out)
     out *= math.sqrt(2.0 / (n + 1))
-    if weight is not None:
-        out *= weight[:, None]
+    out *= weight[:, None]
     return out
 
 
@@ -442,8 +444,8 @@ def _run_length(diag: np.ndarray, off: np.ndarray) -> int:
 
 def _band(shifts: np.ndarray, alpha, beta: float):
     """(shift inside the band (alpha - 2|beta|, alpha + 2|beta|), theta,
-    u = (1 - c)/2, v = (1 + c)/2) per shift, with c = (alpha - s)/(2|beta|)
-    = cos theta inside the band.  u and v are each taken from the shift's
+    u = (1 - c)/2) per shift, with c = (alpha - s)/(2|beta|) = cos theta
+    inside the band.  u and v = (1 + c)/2 are each taken from the shift's
     distance to one band edge, so theta keeps full relative accuracy at
     both edges; outside the band u < 0 or v < 0 and theta is unused.
     alpha may be one value per shift."""
@@ -451,7 +453,7 @@ def _band(shifts: np.ndarray, alpha, beta: float):
     u = (shifts - (alpha - 2.0 * b)) / (4.0 * b)     # sin^2(theta/2)
     v = ((alpha + 2.0 * b) - shifts) / (4.0 * b)     # cos^2(theta/2)
     theta = 2.0 * np.arctan2(np.sqrt(np.abs(u)), np.sqrt(np.abs(v)))
-    return (u > 0.0) & (v > 0.0), theta, u, v
+    return (u > 0.0) & (v > 0.0), theta, u
 
 
 def _wall_run(shifts, alpha: float, beta: float, rows: int):
@@ -472,8 +474,8 @@ def _wall_run(shifts, alpha: float, beta: float, rows: int):
     """
     b = abs(beta)
     flip = shifts > alpha
-    inside, theta, u, _ = _band(np.where(flip, -shifts, shifts),
-                                np.where(flip, -alpha, alpha), beta)
+    inside, theta, u = _band(np.where(flip, -shifts, shifts),
+                             np.where(flip, -alpha, alpha), beta)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         phase = (rows + 1) * theta
         turns = np.ceil(phase / math.pi)
@@ -539,17 +541,16 @@ class _SturmSweep:
     row r as the Schur term -e_r^2/u.  This twisted factorization of T - s
     has the inertia of T - s (Sylvester), so its negative pivots number the
     eigenvalues below s.  With no support row between the blocks the twist
-    row is the leading block's last.  A run shorter than ``min_run`` rows
+    row is the leading block's last.  A run shorter than ``_MIN_RUN`` rows
     joins the support.
     """
 
-    def __init__(self, diag: np.ndarray, off: np.ndarray,
-                 min_run: int = _MIN_RUN):
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
         n = diag.size
         lead = _run_length(diag, off)
-        lead = lead if lead >= min_run else 0
+        lead = lead if lead >= _MIN_RUN else 0
         trail = min(_run_length(diag[::-1], off[::-1]), n - 1 - lead)
-        trail = trail if trail >= min_run else 0
+        trail = trail if trail >= _MIN_RUN else 0
         self.lead, self.trail = lead, trail
         self.first = float(diag[0])
         self.lead_entries = (self.first, float(off[0])) if lead else None
@@ -634,14 +635,16 @@ def count_below(diag: np.ndarray, off: np.ndarray, level: float) -> int:
     return int(_SturmSweep(diag, off).count([level])[0])
 
 
-def eigenpairs_below(diag: np.ndarray, off: np.ndarray, level: float):
-    """The eigenvalues of the tridiagonal below ``level`` (ascending) and an
-    orthonormal basis of their invariant subspace, as an n x k Fortran array.
+def eigenpairs_below(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
+    """The k lowest eigenvalues ``values`` of the tridiagonal (ascending)
+    and an orthonormal basis of their invariant subspace, as an n x k
+    Fortran array.
 
-    The values come from one vectorized solve on the Sturm sweep
-    (``_SturmSweep.eigenvalues``), to eps (max|d| + 2 max|e|) / 64.  The
-    basis comes from inverse iteration (LAPACK stein), called once per group
-    of eigenvalues; a group ends wherever consecutive eigenvalues lie at least
+    The values are the caller's, as a ``box_levels`` window holds them: one
+    vectorized solve on the Sturm sweep, to eps (max|d| + 2 max|e|) / 64.
+    This function builds the basis only, by inverse iteration (LAPACK
+    stein) at those values, called once per group of eigenvalues; a group
+    ends wherever consecutive eigenvalues lie at least
     sqrt(eps) (max|d| + 2 max|e|) apart.  Vectors of different groups then
     overlap by at most eps ||T|| / gap <= sqrt(eps), and that overlap lies
     inside the subspace.  So U is orthonormal up to O(sqrt(eps)), and one
@@ -652,10 +655,7 @@ def eigenpairs_below(diag: np.ndarray, off: np.ndarray, level: float):
     that order.  Inverse iteration that does not converge, or a Gram matrix
     that is not numerically positive definite, raises ConvergenceError.
     """
-    n = diag.size
-    sweep = _SturmSweep(diag, off)
-    values = sweep.eigenvalues(0, int(sweep.count([level])[0]) - 1)
-    k = values.size
+    n, k = diag.size, values.size
     basis = np.empty((n, k), order="F")
     if k == 0:
         return values, basis
@@ -721,14 +721,15 @@ class _Sector(NamedTuple):
     """One reflection block of a tridiagonal on n nodes, in the orthonormal
     basis (e_i +- e_{n-1-i})/sqrt(2), i < n//2, plus e_centre for odd n.
 
-    It holds the free modes k = first_mode, first_mode + step, ... with
-    step the number of sectors; ``weight`` scales the left-half rows of a
+    ``modes`` are the 1-based numbers k of the free modes the block holds,
+    ascending: every k for a single block, the odd k for the even block and
+    the even k for the odd one.  ``weight`` scales the left-half rows of a
     full-grid vector into sector coordinates (sqrt 2, the centre row 1).
     """
 
     diag: np.ndarray
     off: np.ndarray
-    first_mode: int
+    modes: np.ndarray
     weight: np.ndarray
 
 
@@ -744,9 +745,10 @@ def _mirror_sectors(diag: np.ndarray, off: np.ndarray) -> list[_Sector]:
     tol = 8.0 * np.finfo(float).eps * float(np.abs(diag).max())
     if (np.abs(diag - diag[::-1]).max() > tol
             or np.abs(off - off[::-1]).max() > tol):
-        return [_Sector(diag, off, 1, np.ones(n))]
+        return [_Sector(diag, off, np.arange(1, n + 1), np.ones(n))]
     m = n // 2
     root2 = math.sqrt(2.0)
+    odd_k, even_k = np.arange(1, n + 1, 2), np.arange(2, n + 1, 2)
     if n % 2:
         # Odd vectors vanish at the centre node m (a Dirichlet wall); even
         # ones reach it through the coupling sqrt(2) e.
@@ -754,16 +756,16 @@ def _mirror_sectors(diag: np.ndarray, off: np.ndarray) -> list[_Sector]:
         even_off[-1] *= root2
         weight = np.full(m + 1, root2)
         weight[-1] = 1.0
-        return [_Sector(diag[:m + 1], even_off, 1, weight),
-                _Sector(diag[:m], off[:m - 1], 2, np.full(m, root2))]
+        return [_Sector(diag[:m + 1], even_off, odd_k, weight),
+                _Sector(diag[:m], off[:m - 1], even_k, np.full(m, root2))]
     # Even n: the coupling e across the middle folds onto the last diagonal.
     e = off[m - 1]
     even_diag, odd_diag = diag[:m].copy(), diag[:m].copy()
     even_diag[-1] += e
     odd_diag[-1] -= e
     weight = np.full(m, root2)
-    return [_Sector(even_diag, off[:m - 1], 1, weight),
-            _Sector(odd_diag, off[:m - 1], 2, weight)]
+    return [_Sector(even_diag, off[:m - 1], odd_k, weight),
+            _Sector(odd_diag, off[:m - 1], even_k, weight)]
 
 
 class _SectorLevels(NamedTuple):
@@ -817,10 +819,6 @@ class BoxLevels:
                 "box eigenvalue; nudge lambda by half the local spacing")
         return out
 
-    def count(self, lam: float) -> int:
-        """The Sturm count #eig(H) < lam, after the level guard."""
-        return sum(h[0] for h, _ in self.at(lam))
-
 
 def box_levels(box: BoxDiscretization, potential: Potential | None,
                lo: float, hi: float) -> BoxLevels:
@@ -831,23 +829,23 @@ def box_levels(box: BoxDiscretization, potential: Potential | None,
     one sector), the Sturm counts a = #eig < lo and b = #eig < hi pick the
     indices a-1..b: the last eigenvalue below lo to the first at or above
     hi, computed by one vectorized solve on the sector's Sturm sweep
-    (``eigenvalues_by_index``).  The sector's H0 levels are its free
-    modes in closed form.  A sector may end inside the window; its
+    (``eigenvalues_by_index``).  lo = -inf gives a = 0, so the window
+    (-inf, hi] holds every eigenvalue below hi.  The sector's H0 levels are
+    its free modes in closed form.  A sector may end inside the window; its
     neighbours there are infinite.
     """
     if not lo <= hi:
         raise DomainError(f"empty level window [{lo}, {hi}]")
     diag, off = hamiltonian_tridiagonal(box, potential)
     free = free_levels(box)
-    sectors = _mirror_sectors(diag, off)
     levels = []
-    for sector in sectors:
+    for sector in _mirror_sectors(diag, off):
         a = count_below(sector.diag, sector.off, lo)
         b = a if hi == lo else count_below(sector.diag, sector.off, hi)
         first = max(a - 1, 0)
         levels.append(_SectorLevels(
             sector, first, eigenvalues_by_index(sector.diag, sector.off, first, b),
-            free[sector.first_mode - 1::len(sectors)]))
+            free[sector.modes - 1]))
     return BoxLevels(lo, hi, float(free[-1]), tuple(levels))
 
 
@@ -904,21 +902,23 @@ def band_spectra(box: BoxDiscretization, potential: Potential,
     angles, and the ranks and the index add.  The odd free modes k are
     even, the even ones odd.
 
-    The window [lambda, lambda] of ``box_levels`` gives the level guard,
-    the sectors and each sector's number of free modes below lambda.
+    The window (-inf, lambda] of ``box_levels`` gives the level guard, the
+    sectors and, per sector, the counts k and k0 of H and H0 levels below
+    lambda and the k eigenvalues, each sector solved once: its lowest k
+    window values go to ``eigenpairs_below`` and its first k0 free modes
+    to U0.
     """
-    levels = box_levels(box, potential, fermi_level, fermi_level)
-    step = len(levels.sectors)
+    levels = box_levels(box, potential, -math.inf, fermi_level)
     r, r0, s_plus, s_minus = 0, 0, [], []
-    for window, (_, (k0, _, _)) in zip(levels.sectors, levels.at(fermi_level)):
+    for window, ((k, _, _), (k0, _, _)) in zip(levels.sectors,
+                                               levels.at(fermi_level)):
         sector = window.sector
-        _, u = eigenpairs_below(sector.diag, sector.off, fermi_level)
-        modes = sector.first_mode + step * np.arange(k0)
-        u0 = _sines(box.n, sector.diag.size, modes, sector.weight)
+        _, u = eigenpairs_below(sector.diag, sector.off, window.values[:k])
+        u0 = _sines(box.n, sector.diag.size, sector.modes[:k0], sector.weight)
         plus, minus = _sector_sines(u, u0)
         s_plus.append(plus)
         s_minus.append(minus)
-        r, r0 = r + u.shape[1], r0 + k0
+        r, r0 = r + k, r0 + k0
         del u, u0  # free this sector's blocks before the next one's
     s_plus, s_minus = np.concatenate(s_plus), np.concatenate(s_minus)
 

@@ -43,6 +43,13 @@ from specdiff.schrodinger1d import (
 from potentials import ShiftedWell
 
 
+class UnderReportedWell(PoschlTeller):
+    """A Poschl-Teller well whose effective support is reported too small."""
+
+    def effective_support(self, tol=1e-10):
+        return 3.0
+
+
 def matching_oracle(depth, half_width, lam, center=0.0):
     """S = [[t, rL],[rR, t]] for a (possibly shifted) square well by solving
     the continuity equations of u and u' at both edges."""
@@ -130,21 +137,20 @@ class TestOdeRoute:
             s_matrix_ode(SquareWell(), 0.0)
 
     def test_support_guard(self):
-        with pytest.raises(DomainError):
-            s_matrix_ode(PoschlTeller(1), 1.0, x_max=3.0)
+        # |V(3)| = 2 sech^2(3) ~ 0.02: a support reported at 3 cuts V off.
+        with pytest.raises(DomainError, match="understates the support"):
+            s_matrix_ode(UnderReportedWell(1), 1.0)
 
-    @pytest.mark.parametrize("x_max", [-5.0, math.nan, math.inf])
-    def test_bad_x_max_is_a_domain_error(self, x_max):
-        with pytest.raises(DomainError, match="x_max must be"):
-            s_matrix_ode(ShiftedWell(center=0.6), 1.3, x_max=x_max)
-
-    @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
-    def test_bad_step_is_a_domain_error(self, step):
-        with pytest.raises(DomainError, match="step must be"):
-            s_matrix_ode(ShiftedWell(center=0.6), 1.3, step=step)
+    def test_range_covers_a_far_support(self):
+        # The well sits on [2, 4]; integrating over [-1, 1] alone would
+        # miss it and give S ~ I (|S12| ~ 5e-15).
+        s = s_matrix_ode(ShiftedWell(center=3.0), 1.3)
+        want = matching_oracle(-2.0, 1.0, 1.3, center=3.0)
+        assert np.abs(s.matrix - want).max() <= 1e-8
+        assert abs(abs(s.matrix[0, 1]) - 0.222) <= 1e-3
 
     def test_zero_width_gives_identity(self):
-        s = s_matrix_ode(SquareWell(-2.0, 0.0), 1.0, x_max=0.0)
+        s = s_matrix_ode(SquareWell(-2.0, 0.0), 1.0)
         assert np.abs(s.matrix - np.eye(2)).max() <= 1e-15
 
     @pytest.mark.parametrize("potential, x_max, segments", [
@@ -158,22 +164,27 @@ class TestOdeRoute:
     def test_one_integration_per_energy(self, monkeypatch, potential, x_max,
                                         segments):
         # One propagator over [-x_max, x_max]: one RK4 product per smooth
-        # segment, the inner breakpoints plus one, in ascending order.
+        # segment, the inner breakpoints plus one, in ascending order.  A
+        # range wider than the support is the propagator's own argument.
         calls = []
 
         def counted(*args):
             calls.append(args[2:4])
             return _rk4_segment(*args)
         monkeypatch.setattr(scattering, "_rk4_segment", counted)
-        s_matrix_ode(potential, 1.3, x_max=x_max)
+        if x_max is None:
+            s_matrix_ode(potential, 1.3)
+        else:
+            scattering._propagator(potential, 1.3, x_max, 0.01)
         assert len(calls) == segments
         assert all(a < b for a, b in calls)
 
-    def test_coarse_step_raises_refinement_error(self):
+    def test_coarse_step_raises_refinement_error(self, monkeypatch):
         from specdiff.errors import StepSizeError
-        with pytest.raises(StepSizeError) as err:
-            s_matrix_ode(SquareWell(-2.0, 1.0), 1.0, step=0.5)
-        assert err.value.suggested_step == pytest.approx(0.25)
+        # step = ODE_STEP / sqrt(lam + max|V|) = 0.5 at lam = 1, |V| = 2
+        monkeypatch.setattr(scattering, "ODE_STEP", 0.5 * math.sqrt(3.0))
+        with pytest.raises(StepSizeError, match="unitarity defect"):
+            s_matrix_ode(SquareWell(-2.0, 1.0), 1.0)
 
 
 def rk4_loop(potential, lam, x0, x1, step, u, du):
@@ -579,7 +590,8 @@ class TestWindowedCounting:
             got = smeared_spectral_shift(potential, lam, box, levels)
             assert abs(got - alternation_shift(ev, ev0, lam, sectors)) <= 1e-9
             assert abs(got - smeared_spectral_shift(potential, lam, box)) <= 1e-9
-            assert levels.count(lam) == int(np.sum(ev < lam))
+            assert sum(h[0] for h, _ in levels.at(lam)) == \
+                int(np.sum(ev < lam))
 
     def test_level_inside_window_collides(self):
         well = SquareWell(-2.0, 1.0)
@@ -599,7 +611,7 @@ class TestWindowedCounting:
             smeared_spectral_shift(well, lam, self.BOX, levels)
         assert type(err.value) is DomainError
         with pytest.raises(DomainError, match="outside the window"):
-            levels.count(lam)
+            levels.at(lam)
 
 
 def nearest_integer_distance(value):

@@ -13,6 +13,7 @@ closed-form Sturm sweep's counts and eigenvalues.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,6 +45,13 @@ from specdiff.schrodinger1d import (
 )
 
 from potentials import ShiftedWell
+
+
+def values_below(diag, off, level):
+    """The eigenvalues below ``level`` as a ``box_levels`` window solves
+    them: the Sturm count, then one solve by index."""
+    return schrodinger1d.eigenvalues_by_index(
+        diag, off, 0, count_below(diag, off, level) - 1)
 
 
 def dirichlet_spectrum(box):
@@ -132,7 +140,7 @@ class TestHamiltonians:
     def test_poschl_teller_bound_state(self):
         box = BoxDiscretization(20.0, 2000)
         diag, off = hamiltonian_tridiagonal(box, PoschlTeller(strength=1))
-        vals, _ = eigenpairs_below(diag, off, 0.0)
+        vals = values_below(diag, off, 0.0)
         assert vals.size == 1
         assert abs(vals[0] + 1.0) <= 0.02
 
@@ -300,11 +308,11 @@ class TestTridiagonalPath:
         well = SquareWell(-2.0, 1.0)
         diag, off = hamiltonian_tridiagonal(box, well)
         lam = 3.3
-        assert box_levels(box, well, lam, lam).count(lam) == \
-            count_below(diag, off, lam)
+        assert sum(h[0] for h, _ in box_levels(box, well, lam, lam).at(lam)) \
+            == count_below(diag, off, lam)
         collision = float(free_levels(box)[5])
         with pytest.raises(LevelCollisionError):
-            box_levels(box, well, collision, collision).count(collision)
+            box_levels(box, well, collision, collision).at(collision)
 
     def test_free_sines_are_eigenvectors(self):
         box = BoxDiscretization(8.0, 200)
@@ -313,7 +321,7 @@ class TestTridiagonalPath:
         idx = np.arange(box.n - 1)
         h[idx, idx + 1] = off
         h[idx + 1, idx] = off
-        u = _sines(box.n, box.n, np.arange(1, 8))
+        u = _sines(box.n, box.n, np.arange(1, 8), np.ones(box.n))
         levels = free_levels(box)[:7]
         resid = np.linalg.norm(h @ u - u * levels[None, :])
         assert resid <= 1e-9 * np.abs(diag).max()
@@ -367,8 +375,8 @@ class TestTridiagonalPath:
         split = band_spectra(box, potential, 1.0)
         monkeypatch.setattr(
             schrodinger1d, "_mirror_sectors",
-            lambda diag, off: [schrodinger1d._Sector(diag, off, 1,
-                                                     np.ones(diag.size))])
+            lambda diag, off: [schrodinger1d._Sector(
+                diag, off, np.arange(1, diag.size + 1), np.ones(diag.size))])
         whole = band_spectra(box, potential, 1.0)
         assert (split.rank_p, split.rank_p0, split.zero_multiplicity) == \
             (whole.rank_p, whole.rank_p0, whole.zero_multiplicity)
@@ -403,7 +411,8 @@ class TestMirrorSectors:
     def test_asymmetric_boxes_stay_whole(self):
         box = BoxDiscretization.from_spacing(8.0, 0.05)
         diag, off = hamiltonian_tridiagonal(box, ShiftedWell(center=0.7))
-        assert len(_mirror_sectors(diag, off)) == 1
+        (sector,) = _mirror_sectors(diag, off)
+        assert np.array_equal(sector.modes, np.arange(1, box.n + 1))
         diag, off = hamiltonian_tridiagonal(box, SquareWell(-2.0, 1.0))
         diag[37] += 1e-6
         assert len(_mirror_sectors(diag, off)) == 1
@@ -413,11 +422,20 @@ class TestMirrorSectors:
         box = BoxDiscretization(5.0, n)
         diag, off = hamiltonian_tridiagonal(box, SquareWell(-2.0, 1.0))
         sectors = _mirror_sectors(diag, off)
-        assert [s.first_mode for s in sectors] == [1, 2]
         union = np.sort(np.concatenate([eigvalsh_tridiagonal(s.diag, s.off)
                                         for s in sectors]))
         want = eigvalsh_tridiagonal(diag, off)
         assert np.abs(union - want).max() <= 1e-12 * np.abs(want).max()
+        # Each sector of H0 holds its free modes: the odd k in the even
+        # sector, the even k in the odd one.
+        free = free_levels(box)
+        for sector, first in zip(_mirror_sectors(*hamiltonian_tridiagonal(box)),
+                                 (1, 2)):
+            assert np.array_equal(sector.modes,
+                                  np.arange(first, box.n + 1, 2))
+            got = eigvalsh_tridiagonal(sector.diag, sector.off)
+            assert np.abs(got - free[sector.modes - 1]).max() <= \
+                1e-12 * free[-1]
 
 
 def eigenvalue_tol(diag, off):
@@ -461,10 +479,11 @@ def reorthogonalized_band_spectra(box, potential, lam):
     r0 = int(np.sum(free_levels(box) < lam))
     sectors = _mirror_sectors(diag, off)
     r, s_plus, s_minus = 0, [], []
-    for sector in sectors:
+    for first_mode, sector in enumerate(sectors, start=1):
         _, u = eigenvectors_below(sector.diag, sector.off, lam)
-        modes = np.arange(sector.first_mode, r0 + 1, len(sectors))
-        u0 = sector.weight[:, None] * _sines(box.n, sector.diag.size, modes)
+        modes = np.arange(first_mode, r0 + 1, len(sectors))
+        rows = sector.diag.size
+        u0 = sector.weight[:, None] * _sines(box.n, rows, modes, np.ones(rows))
         c = u.T @ u0
         s_plus.append(np.linalg.svd(u - u0 @ c.T, compute_uv=False))
         s_minus.append(np.linalg.svd(u0 - u @ c, compute_uv=False))
@@ -500,7 +519,9 @@ class TestInvariantSubspaceBasis:
 
         diag, off = hamiltonian_tridiagonal(box, potential)
         for sector in _mirror_sectors(diag, off):
-            values, basis = eigenpairs_below(sector.diag, sector.off, 1.0)
+            values, basis = eigenpairs_below(
+                sector.diag, sector.off,
+                values_below(sector.diag, sector.off, 1.0))
             want_values, _ = eigenvectors_below(sector.diag, sector.off, 1.0)
             assert values.shape == want_values.shape
             assert np.abs(values - want_values).max() <= eigenvalue_tol(
@@ -525,7 +546,8 @@ class TestInvariantSubspaceBasis:
         single = eigvalsh_tridiagonal(d, e)
         i = 40 + int(np.argmax(np.diff(single[40:80])))
         level = 0.5 * (single[i] + single[i + 1])
-        values, basis = eigenpairs_below(diag, off, level)
+        values, basis = eigenpairs_below(diag, off,
+                                         values_below(diag, off, level))
         assert values.size == 2 * (i + 1)
         assert np.abs(basis.T @ basis - np.eye(values.size)).max() <= 1e-14
         want_values, vectors = eigh(schrodinger1d._dense_from_tridiagonal(diag, off))
@@ -539,7 +561,7 @@ class TestInvariantSubspaceBasis:
         diag, off = hamiltonian_tridiagonal(BoxDiscretization(5.0, 99),
                                             SquareWell(-2.0, 1.0))
         with pytest.raises(ConvergenceError):
-            eigenpairs_below(diag, off, 1.0)
+            eigenpairs_below(diag, off, values_below(diag, off, 1.0))
 
     def test_singular_gram_matrix_raises_typed(self, monkeypatch):
         monkeypatch.setattr(
@@ -548,6 +570,57 @@ class TestInvariantSubspaceBasis:
         box = BoxDiscretization(5.0, 99)
         with pytest.raises(ConvergenceError):
             band_spectra(box, SquareWell(-2.0, 1.0), 1.0)
+
+
+class TestOneSolvePerSector:
+    """``band_spectra`` reads each sector's eigenvalues off one window
+    (-inf, lambda] of ``box_levels``; ``eigenpairs_below`` only builds the
+    basis."""
+
+    BOX = BoxDiscretization.from_spacing(20.0, 0.05)
+
+    @pytest.mark.parametrize("potential, sectors", [
+        (SquareWell(-2.0, 1.0), 2), (ShiftedWell(center=0.7), 1)],
+        ids=["square_well", "shifted_well"])
+    def test_one_multisection_per_sector(self, monkeypatch, potential,
+                                         sectors):
+        solves = []
+        solve = schrodinger1d._SturmSweep.eigenvalues
+
+        def counted(sweep, first, last):
+            solves.append(first)
+            return solve(sweep, first, last)
+        monkeypatch.setattr(schrodinger1d._SturmSweep, "eigenvalues", counted)
+        spectra = band_spectra(self.BOX, potential, 1.0)
+        assert solves == [0] * sectors
+        assert spectra.rank_p > 0
+
+    def test_basis_builds_no_sweep(self, monkeypatch):
+        diag, off = hamiltonian_tridiagonal(self.BOX, SquareWell(-2.0, 1.0))
+        values = values_below(diag, off, 1.0)
+
+        def no_sweep(*args):
+            raise AssertionError("eigenpairs_below built a Sturm sweep")
+        monkeypatch.setattr(schrodinger1d, "_SturmSweep", no_sweep)
+        got, basis = eigenpairs_below(diag, off, values)
+        assert got is values
+        assert basis.shape == (diag.size, values.size)
+
+    # A sector with a leading run, one with no run, and a box that is one
+    # sector with both runs.
+    @pytest.mark.parametrize("potential, runs", [
+        (SquareWell(-2.0, 1.0), (True, False)),
+        (GaussianBump(-1.0, 10.0), (False, False)),
+        (ShiftedWell(center=0.7), (True, True)),
+    ], ids=["square_well_sector", "wide_gaussian_sector", "shifted_well_box"])
+    def test_count_below_minus_infinity_is_zero(self, potential, runs):
+        sector = _mirror_sectors(*hamiltonian_tridiagonal(self.BOX,
+                                                          potential))[0]
+        sweep = schrodinger1d._SturmSweep(sector.diag, sector.off)
+        assert (sweep.lead > 0, sweep.trail > 0) == runs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert count_below(sector.diag, sector.off, -math.inf) == 0
 
 
 def sturm_count_loop(diag, off, level):
@@ -584,7 +657,7 @@ def run_shifts(diag, off):
     both edges, above) and zero pivots: s = d_0 makes the first pivot 0,
     and s = alpha -+ b makes the second pivot of a run that starts its
     matrix 0 (b - b^2/b).  Runs of any length count here."""
-    sweep = schrodinger1d._SturmSweep(diag, off, min_run=1)
+    sweep = every_run_sweep(diag, off)
     shifts = [diag[0], diag[-1]]
     for entries in (sweep.lead_entries, sweep.trail_entries):
         if entries is None:
@@ -597,6 +670,13 @@ def run_shifts(diag, off):
                    alpha + 0.3 * b, hi_edge, np.nextafter(hi_edge, np.inf),
                    np.nextafter(hi_edge, -np.inf), hi_edge + 1.0]
     return np.array(shifts, dtype=float)
+
+
+def every_run_sweep(diag, off):
+    """The Sturm sweep with every constant run, however short, stepped in
+    closed form."""
+    with mock.patch.object(schrodinger1d, "_MIN_RUN", 1):
+        return schrodinger1d._SturmSweep(diag, off)
 
 
 def with_runs(lead, trail, rng, support=7):
@@ -655,7 +735,7 @@ class TestSturmKernel:
 
     def test_runs_are_found(self):
         sweeps = {name: (schrodinger1d._SturmSweep(d, e),
-                         schrodinger1d._SturmSweep(d, e, min_run=1))
+                         every_run_sweep(d, e))
                   for name, d, e in KERNEL_CASES}
         for lead in (0, 1, 2):
             for trail in (0, 1, 2):
@@ -680,20 +760,22 @@ class TestSturmKernel:
     @pytest.mark.parametrize("min_run", [1, schrodinger1d._MIN_RUN])
     @pytest.mark.parametrize("name, diag, off", KERNEL_CASES,
                              ids=[c[0] for c in KERNEL_CASES])
-    def test_counts_match_row_recurrence(self, name, diag, off, min_run):
+    def test_counts_match_row_recurrence(self, monkeypatch, name, diag, off,
+                                         min_run):
         rng = np.random.default_rng(11)
         shifts = np.concatenate([
             run_shifts(diag, off),
             rng.uniform(diag.min() - 3.0, diag.max() + 3.0, 25),
             rng.uniform(-3.0, 4.0, 25)])
-        got = schrodinger1d._SturmSweep(diag, off, min_run).count(shifts)
+        monkeypatch.setattr(schrodinger1d, "_MIN_RUN", min_run)
+        got = schrodinger1d._SturmSweep(diag, off).count(shifts)
         checked = 0
         for s, count in zip(shifts, got):
             want, last = sturm_count_loop(diag, off, s)
             if last == 0.0:
                 continue   # s is an eigenvalue to the last bit
             assert count == want, s
-            if min_run == schrodinger1d._MIN_RUN:
+            if min_run > 1:
                 assert count_below(diag, off, s) == want, s
             checked += 1
         assert checked >= shifts.size - 2
@@ -786,7 +868,7 @@ class TestSturmKernel:
         level = float(eigvalsh_tridiagonal(diag, off, select="i",
                                            select_range=(n // 4, n // 4))[0])
         level += 1e-6 * (abs(level) + 1.0)
-        values, _ = eigenpairs_below(diag, off, level)
+        values = values_below(diag, off, level)
         lower = float(diag.min() - 2.0 * np.abs(off).max() - 1.0)
         want = eigvalsh_tridiagonal(diag, off, select="v",
                                     select_range=(lower, level))

@@ -5,9 +5,12 @@ exactly at the edges of both runs' bands, with every run stepped in closed
 form and with ``count_below``'s default.  Derandomized, so the run is
 reproducible."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from specdiff import schrodinger1d
 from specdiff.schrodinger1d import _SturmSweep, count_below
 
 from test_schrodinger1d import sturm_count_loop
@@ -38,6 +41,9 @@ def test_count_matches_row_recurrence(alpha, beta, sign, lead, trail,
              diag[lead + 1])                                # a zero pivot
     want, last = sturm_count_loop(diag, off, shift[pick])
     if last != 0.0:    # otherwise the shift is an eigenvalue to the last bit
-        every_run = _SturmSweep(diag, off, min_run=1)
+        # A function-scoped monkeypatch fixture trips Hypothesis' health
+        # check, so the patch lives in the test body.
+        with mock.patch.object(schrodinger1d, "_MIN_RUN", 1):
+            every_run = _SturmSweep(diag, off)
         assert every_run.count([shift[pick]])[0] == want
         assert count_below(diag, off, shift[pick]) == want

@@ -18,7 +18,6 @@ usage error (a report that cannot be written included), 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -175,7 +174,7 @@ def main(argv=None) -> int:
         if args.command == "scatter":
             return _run_scatter(args)
         return _run_campaign(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DomainError as exc:

@@ -275,11 +275,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def config_from_json(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:   # JSON and UTF-8 decode errors
+        raise ConfigError(f"config file {path} cannot be read as JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return config_from_dict(raw)

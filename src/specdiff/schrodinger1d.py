@@ -104,8 +104,9 @@ class BoxDiscretization:
     n: int
 
     def __post_init__(self):
-        if self.half_length <= 0:
-            raise DomainError("box half-length must be positive")
+        if not 0 < self.half_length < math.inf:
+            raise DomainError(f"box half-length must be positive and finite, "
+                              f"got {self.half_length}")
         if self.n < 16:
             raise DomainError("box needs at least 16 grid points")
 

@@ -10,10 +10,16 @@ import pytest
 from specdiff.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERDICT, main
 
 
-def test_missing_config_file_exits_2(capsys):
-    code = main(["bk", "--config", "/no/such/config.json"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_missing_config_file_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    code = main(["dspec", "--config", str(path)])
     assert code == EXIT_CONFIG
-    assert "/no/such/config.json" in capsys.readouterr().err
+    assert str(path) in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

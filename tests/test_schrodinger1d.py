@@ -112,6 +112,9 @@ class TestBox:
             BoxDiscretization(10.0, 8)
         with pytest.raises(DomainError):
             BoxDiscretization(-1.0, 100)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match=str(bad)):
+                BoxDiscretization(bad, 99)
 
 
 class TestHamiltonians:

@@ -22,12 +22,16 @@ Two computational paths coexist:
   singular values, accurate at small angles where sqrt(1 - cos^2) cancels
   (Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002).  The angles
   depend on the subspace ran P only, so the tridiagonal path takes an
-  orthonormal basis of it (``eigenpairs_below``: inverse iteration per
-  group of eigenvalues and one Cholesky QR, at eigenvalues that
-  ``box_levels`` solved), not reorthogonalized
-  eigenvectors, and per block one compact-WY QR of the larger side plus
-  the SVD of its k x k R gives the sines of both sides.  The two paths
-  agree to rounding and are cross-checked in the tests.
+  orthonormal basis of it (``eigenpairs_below``, at eigenvalues that
+  ``box_levels`` solved), not reorthogonalized eigenvectors: where the
+  block has a free run from a wall, each vector is written in closed form
+  on the runs (sin, or sinh below the band) and stepped by the three-term
+  recurrence over the support only, joined at one twisted row; inverse
+  iteration (LAPACK stein) per group of eigenvalues builds the rest, and
+  one Cholesky QR makes them orthonormal.  Per block one compact-WY QR of
+  the larger side plus the SVD of its k x k R gives the sines of both
+  sides.  The two paths agree to rounding and are cross-checked in the
+  tests.
 
 The tridiagonal path's counts and eigenvalues come from Sturm (LDL^T)
 sweeps on a vector of shifts (``_SturmSweep``).  Outside the potential's
@@ -443,6 +447,17 @@ def _run_length(diag: np.ndarray, off: np.ndarray) -> int:
     return same.size if same.all() else int(np.argmin(same))
 
 
+def _runs(diag: np.ndarray, off: np.ndarray):
+    """(lead, trail): the leading run is rows 0..lead, equal to row 0 bit for
+    bit, and the trailing run the last ``trail`` rows, equal to the last row
+    and disjoint from the leading run; a run shorter than ``_MIN_RUN`` rows
+    counts as 0."""
+    lead = _run_length(diag, off)
+    lead = lead if lead >= _MIN_RUN else 0
+    trail = min(_run_length(diag[::-1], off[::-1]), diag.size - 1 - lead)
+    return lead, trail if trail >= _MIN_RUN else 0
+
+
 def _band(shifts: np.ndarray, alpha, beta: float):
     """(shift inside the band (alpha - 2|beta|, alpha + 2|beta|), theta,
     u = (1 - c)/2) per shift, with c = (alpha - s)/(2|beta|) = cos theta
@@ -548,10 +563,7 @@ class _SturmSweep:
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
         n = diag.size
-        lead = _run_length(diag, off)
-        lead = lead if lead >= _MIN_RUN else 0
-        trail = min(_run_length(diag[::-1], off[::-1]), n - 1 - lead)
-        trail = trail if trail >= _MIN_RUN else 0
+        lead, trail = _runs(diag, off)
         self.lead, self.trail = lead, trail
         self.first = float(diag[0])
         self.lead_entries = (self.first, float(off[0])) if lead else None
@@ -636,6 +648,182 @@ def count_below(diag: np.ndarray, off: np.ndarray, level: float) -> int:
     return int(_SturmSweep(diag, off).count([level])[0])
 
 
+class _Wall(NamedTuple):
+    """The solution from a wall (z_0 = 0) of the free rows
+    beta z_{i-1} + (alpha - s) z_i + beta z_{i+1} = 0 of a run of ``rows``
+    rows, i = 1..rows counted from the wall, for ascending shifts s.
+
+    That is U_{i-1}(c) with c = (s - alpha)/(2 beta) (Chebyshev), up to a
+    factor per shift: sin(i theta) inside the band, with theta from
+    ``_band``; below it sinh(i mu)/sinh(rows mu), 1 at the run's end, and
+    i/rows at mu = 0.  U_i(-c) = (-1)^i U_i(c), so a shift above the band
+    centre is taken mirrored about it, as in ``_wall_run``, and its rows
+    alternate in sign wherever c < 0.  The shifts inside the band, and
+    those with c < 0, are each one run of columns (``band``, ``alt``).
+    """
+
+    rows: int
+    angle: np.ndarray   # theta inside the band, mu outside it
+    band: slice
+    alt: slice
+
+
+def _wall(values: np.ndarray, alpha: float, beta: float, rows: int) -> _Wall:
+    flip = values > alpha
+    inside, theta, u = _band(np.where(flip, -values, values),
+                             np.where(flip, -alpha, alpha), beta)
+    mu = 2.0 * np.arcsinh(np.sqrt(np.maximum(-u, 0.0)))
+
+    def run(mask):
+        i = np.flatnonzero(mask)
+        return slice(i[0], i[-1] + 1) if i.size else slice(0, 0)
+    return _Wall(rows, np.where(inside, theta, mu), run(inside),
+                 run(flip != (beta > 0.0)))
+
+
+def _wall_rows(wall: _Wall, out: np.ndarray, first: int) -> None:
+    """out[j] <- the run's row first + j (counted from 1 at the wall), in
+    place; ``out`` may be any view, such as rows of the Fortran basis."""
+    i = np.arange(first, first + out.shape[0], dtype=float)
+    np.multiply.outer(i, wall.angle, out=out)
+    band, rows = wall.band, wall.rows
+    np.sin(out[:, band], out=out[:, band])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for part in (slice(0, band.start), slice(band.stop, None)):
+            x, mu = out[:, part], wall.angle[part]
+            top = rows * mu
+            x[:] = np.where(mu > 0.0, np.exp(x - top) * (
+                np.expm1(-2.0 * x) / np.expm1(-2.0 * top)), i[:, None] / rows)
+    out[first % 2::2, wall.alt] *= -1.0   # the rows i even
+
+
+# Below this product of rows and angle the run's sum of squares is taken
+# from its leading term, whose relative error (rows angle)^2 / 5 is then
+# below the rounding of the closed form's cancelling terms.
+_SMALL_PHASE = 1e-4
+
+
+def _wall_squares(wall: _Wall) -> np.ndarray:
+    """The sum over the run's rows of z^2, per shift, in closed form:
+    rows/2 - sin(rows theta) cos((rows+1) theta) / (2 sin theta) inside the
+    band, and sum sinh^2(i mu) / sinh^2(rows mu) below it; both tend to
+    (rows+1)(2 rows+1)/(6 rows) times theta^2 rows^2 resp. 1."""
+    m, x = wall.rows, wall.angle
+    band = np.zeros(x.size, dtype=bool)
+    band[wall.band] = True
+    phase = m * x
+    poly = (m + 1.0) * (2.0 * m + 1.0) / (6.0 * m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sines = 0.5 * m - np.sin(phase) * np.cos(phase + x) / (2.0 * np.sin(x))
+        drop = -np.expm1(-2.0 * phase)
+        sinhs = (np.exp(x) * (1.0 + np.exp(-2.0 * (phase + x)))
+                 / (2.0 * np.sinh(x) * drop)
+                 - 2.0 * m * np.exp(-2.0 * phase) / drop ** 2)
+    return np.where(phase < _SMALL_PHASE, np.where(band, phase ** 2, 1.0) * poly,
+                    np.where(band, sines, sinhs))
+
+
+def _twisted_columns(diag: np.ndarray, off: np.ndarray, values: np.ndarray,
+                     lead: int, trail: int, basis: np.ndarray | None = None):
+    """Vectors z, one per value, with (T - s) z = 0 on every row but one:
+    (each column's residual ||(T - s) z|| / ||z||, its Rayleigh-quotient
+    step z^T (T - s) z / ||z||^2).  With ``basis`` given, the unit vectors
+    are written into it.
+
+    The leading run's rows 0..p-1 (p = lead + 1) hold the wall solution f
+    (``_Wall``) and the trailing run's last q = trail rows the one counted
+    from the far wall, g; a side with no run starts from its wall row,
+    set to 1.  The three-term recurrence, vectorized over the values, steps
+    f forward and g backward over the support rows between them.  Each
+    column joins f on rows <= r to (f_r/g_r) g on rows > r, which leaves
+    only row r unsolved, at the row r (from the leading run's last row to
+    the support's last) where the residual
+    |e_{r-1} f_{r-1} g_r + (d_r - s) f_r g_r + e_r f_r g_{r+1}|
+        / sqrt(g_r^2 sum_{i<=r} f_i^2 + f_r^2 sum_{i>r} g_i^2)
+    is smallest: the twisted factorization of T - s with twist index r
+    (Dhillon & Parlett, SIAM J. Matrix Anal. Appl. 25, 2004), where one
+    f and one g serve every r.  The runs' sums of squares are closed forms
+    (``_wall_squares``), so only the support is stepped, and the runs are
+    written only into ``basis``.  The runs solve their rows exactly, so the
+    Rayleigh quotient's numerator is the sum over the support rows and
+    their two neighbours.  A column that overflowed reads NaN.
+    """
+    n, k = diag.size, values.size
+    q = trail if trail else 1
+    p = min(lead + 1, n - q) if lead else 1
+    # f and g on rows p-2 .. n-q+1, a row outside the box a zero wall, side
+    # by side with g upside down, so that one loop steps both
+    m = n - q - p + 4
+    x = np.zeros((m, 2 * k))
+    f, g = x[:, :k], x[::-1, k:]
+    head = tail = np.ones(k)
+    if lead:
+        front = _wall(values, float(diag[0]), float(off[0]), p)
+        _wall_rows(front, f[:2], p - 1)
+        head = _wall_squares(front)
+    else:
+        f[1] = 1.0
+    if trail:
+        back = _wall(values, float(diag[-1]), float(off[-1]), q)
+        _wall_rows(back, g[:-3:-1], q - 1)
+        tail = _wall_squares(back)
+    else:
+        g[-2] = 1.0
+    e = np.concatenate([[0.0], off, [0.0]])   # e[i + 1] = e_i
+    a = np.subtract.outer(diag[p - 1:n - q + 1], values)   # rows p-1 .. n-q
+    cols = np.arange(k)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # Row i solved for its next entry: f_{i+1} = (-a_i/e_i) f_i
+        # + (-e_{i-1}/e_i) f_{i-1} forward, and the mirror image backward;
+        # step t of x takes f from row p-2+t and g from row n-q+1-t.
+        up, down = e[p:n - q + 2], e[p - 1:n - q + 1]
+        now = np.concatenate([a / -up[:, None], a[::-1] / -down[::-1, None]],
+                             axis=1)
+        prev = np.concatenate([np.repeat((down / -up)[:, None], k, axis=1),
+                               np.repeat((up / -down)[::-1, None], k, axis=1)],
+                              axis=1)
+        tmp = np.empty(2 * k)
+        for t in range(1, m - 2):
+            np.multiply(now[t - 1], x[t], out=x[t + 1])
+            np.multiply(prev[t - 1], x[t - 1], out=tmp)
+            x[t + 1] += tmp
+        # the twist rows r = p-1 .. n-q-1, at t = 1 .. m-3
+        fr, gr = f[1:-2], g[1:-2]
+        w = (gr * (e[p - 1:n - q, None] * f[:-3] + a[:-1] * fr)
+             + e[p:n - q + 1, None] * fr * g[2:-1])
+        before = np.cumsum(np.concatenate([head[None], f[2:-2] ** 2]), axis=0)
+        after = np.cumsum(np.concatenate(
+            [tail[None], g[-3:1:-1] ** 2]), axis=0)[::-1]
+        resid = np.abs(w) / np.sqrt(gr ** 2 * before + fr ** 2 * after)
+        resid[np.isnan(resid)] = math.inf
+        r = np.argmin(resid, axis=0)
+        scale = fr[r, cols] / gr[r, cols]
+        norm = np.sqrt(before[r, cols] + scale ** 2 * after[r, cols])
+        # The joined z on rows p-2 .. n-q+1 and its Rayleigh quotient.  The
+        # recurrence rounded d_i - s to a_i, which its residual in terms of
+        # a would not see, so the residual is formed as T z - s z.
+        z = np.where(np.arange(m)[:, None] <= r + 1, f, scale * g)
+        z /= norm
+        mid = z[1:-1]
+        step = np.sum(mid * ((diag[p - 1:n - q + 1, None] * mid
+                              + e[p - 1:n - q + 1, None] * z[:-2]
+                              + e[p:n - q + 2, None] * z[2:]) - values * mid),
+                      axis=0)
+        if basis is not None:
+            if lead:
+                _wall_rows(front, basis[:p], 1)
+                basis[:p] /= norm
+            else:
+                basis[0] = 1.0 / norm
+            basis[p:n - q] = z[2:-2]
+            if trail:
+                _wall_rows(back, basis[n - q:][::-1], 1)
+            else:
+                basis[-1] = 1.0
+            basis[n - q:] *= scale / norm
+    return np.where(np.isfinite(norm), resid[r, cols], math.nan), step
+
+
 def eigenpairs_below(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
     """The k lowest eigenvalues ``values`` of the tridiagonal (ascending)
     and an orthonormal basis of their invariant subspace, as an n x k
@@ -643,14 +831,23 @@ def eigenpairs_below(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
 
     The values are the caller's, as a ``box_levels`` window holds them: one
     vectorized solve on the Sturm sweep, to eps (max|d| + 2 max|e|) / 64.
-    This function builds the basis only, by inverse iteration (LAPACK
-    stein) at those values, called once per group of eigenvalues; a group
-    ends wherever consecutive eigenvalues lie at least
-    sqrt(eps) (max|d| + 2 max|e|) apart.  Vectors of different groups then
-    overlap by at most eps ||T|| / gap <= sqrt(eps), and that overlap lies
-    inside the subspace.  So U is orthonormal up to O(sqrt(eps)), and one
-    Cholesky QR (R = chol(U^T U), U <- U R^-1 in place), whose loss of
-    orthogonality is about eps cond(U)^2 (Fukaya et al., "CholeskyQR2",
+    This function builds the basis only.  The values fall into groups that
+    end wherever consecutive eigenvalues lie at least
+    sqrt(eps) (max|d| + 2 max|e|) apart.  Where T has a free run from a
+    wall (``_runs``), each value that is a group of its own gets its vector
+    in closed form on the runs, joined across the support at one twisted
+    row (``_twisted_columns``).  A single twisted solve carries the value's
+    error (up to about 1e-13 here) into the vector, divided by the gap to
+    the other eigenvalues, so the vectors are built twice: the first pass
+    gives each value's Rayleigh-quotient step from the support alone, and
+    the second builds the vectors at the stepped values.  Every other
+    group, and every column whose residual exceeds n eps (max|d| + 2 max|e|)
+    or that overflowed, takes inverse iteration (LAPACK stein), called once
+    per group.  Vectors of different groups then overlap by at most their
+    residual over the gap sqrt(eps) (max|d| + 2 max|e|), below n sqrt(eps),
+    and that overlap lies inside the subspace.  So U is well conditioned,
+    and one Cholesky QR (R = chol(U^T U), U <- U R^-1 in place), whose loss
+    of orthogonality is about eps cond(U)^2 (Fukaya et al., "CholeskyQR2",
     2014), makes the columns orthonormal without leaving the subspace.  Only
     the subspace is specified: a column is an eigenvector up to a mixing of
     that order.  Inverse iteration that does not converge, or a Gram matrix
@@ -660,13 +857,24 @@ def eigenpairs_below(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
     basis = np.empty((n, k), order="F")
     if k == 0:
         return values, basis
-    tol = math.sqrt(np.finfo(float).eps) * float(
-        np.abs(diag).max() + 2.0 * np.abs(off).max())
-    cuts = np.concatenate([[0], np.flatnonzero(np.diff(values) >= tol) + 1, [k]])
+    scale = float(np.abs(diag).max() + 2.0 * np.abs(off).max())
+    eps = np.finfo(float).eps
+    cuts = np.concatenate([[0], np.flatnonzero(
+        np.diff(values) >= math.sqrt(eps) * scale) + 1, [k]])
+    lead, trail = _runs(diag, off)
+    solved = np.zeros(k, dtype=bool)
+    if lead or trail:
+        tol = n * eps * scale
+        resid, step = _twisted_columns(diag, off, values, lead, trail)
+        resid, _ = _twisted_columns(diag, off, values + np.where(
+            resid <= tol, step, 0.0), lead, trail, basis)
+        solved = resid <= tol
     iblock = np.ones(n, dtype=np.int32)
     isplit = np.zeros(n, dtype=np.int32)
     isplit[0] = n
     for a, b in zip(cuts[:-1], cuts[1:]):
+        if b - a == 1 and solved[a]:
+            continue
         basis[:, a:b], info = dstein(diag, off, values[a:b], iblock, isplit)
         if info > 0:
             raise ConvergenceError(
@@ -675,8 +883,8 @@ def eigenpairs_below(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
     chol, info = dpotrf(basis.T @ basis)
     if info > 0:
         raise ConvergenceError(
-            f"Cholesky QR: the Gram matrix of the {k} inverse-iteration "
-            f"vectors is not positive definite at order {info}", math.nan)
+            f"Cholesky QR: the Gram matrix of the {k} basis vectors is not "
+            f"positive definite at order {info}", math.nan)
     return values, dtrsm(1.0, chol, basis, side=1, overwrite_b=1)
 
 

@@ -4,11 +4,12 @@ algebra.
 Oracles: the closed-form Dirichlet Laplacian spectrum, the textbook
 square-well bound-state count (matching equations solved by bisection), the
 known reflectionless-potential ground state, brute-force dense linear
-algebra cross-checking the rank-reduced band-spectra path, and individually
-reorthogonalized eigenvectors (LAPACK stein) with one sine SVD per side
-cross-checking its invariant-subspace basis and one-SVD reduction, and the
-row-by-row Sturm recurrence and LAPACK bisection (stebz) cross-checking the
-closed-form Sturm sweep's counts and eigenvalues.
+algebra cross-checking the rank-reduced band-spectra path, eigenvectors by
+inverse iteration in long double (and, on sectors with no free run, LAPACK
+stein) with one sine SVD per side cross-checking its invariant-subspace
+basis and one-SVD reduction, and the row-by-row Sturm recurrence and LAPACK
+bisection (stebz) cross-checking the closed-form Sturm sweep's counts and
+eigenvalues.
 """
 
 import math
@@ -44,7 +45,7 @@ from specdiff.schrodinger1d import (
     symmetry_pairing_report,
 )
 
-from potentials import ShiftedWell
+from potentials import ShiftedWell, SkewedGaussian
 
 
 def values_below(diag, off, level):
@@ -345,8 +346,10 @@ class TestTridiagonalPath:
         (ShiftedWell(center=0.7), 1.0, 1, 6.0, 0.02),
         (SquareWell(-2.0, 1.0), 1.0, 1, 6.01, 0.02),
         (PoschlTeller(1), 1.0, 0, 8.0, 0.05),
+        (SkewedGaussian(), 1.0, 1, 10.0, 0.05),
     ], ids=["j_plus", "j_minus", "j_zero", "p_equals_p0", "rank_p0_zero",
-            "both_ranks_zero", "one_sector", "even_n", "ulp_mirror"])
+            "both_ranks_zero", "one_sector", "even_n", "ulp_mirror",
+            "skewed_gaussian"])
     def test_band_spectra_matches_dense_path(self, potential, lam, index,
                                              half_length, h):
         box = BoxDiscretization.from_spacing(half_length, h)
@@ -475,15 +478,44 @@ def eigenvectors_at(diag, off, values):
     return vectors
 
 
-def reorthogonalized_band_spectra(box, potential, lam):
-    """The box reduction on ``eigenvectors_below``, with one sine SVD per
-    side and sector: (rank P, rank P0, d_nonzero, m_plus, m_minus)."""
+def long_double_eigenvectors(diag, off, values):
+    """Eigenvectors at the given (distinct) eigenvalues by two steps of
+    inverse iteration in long double from a seeded random start, one
+    LDL^T factorization of T - s per value, vectorized over the values.
+
+    A shift within 1e-13 of its eigenvalue and 1e-3 of the others leaves
+    1e-10 of the other eigenvectors after one step and 1e-20 after two, so
+    the vectors are the eigenvectors of T to long double's rounding
+    (eps 1.1e-19 on x86), whatever the shifts' last bits."""
+    ld = np.longdouble
+    d, e, s = diag.astype(ld), off.astype(ld), values.astype(ld)
+    pivots = np.empty((d.size, s.size), dtype=ld)
+    pivots[0] = d[0] - s
+    for i in range(1, d.size):
+        pivots[i] = (d[i] - s) - e[i - 1] ** 2 / pivots[i - 1]
+    x = np.random.default_rng(0).standard_normal(pivots.shape).astype(ld)
+    for _ in range(2):
+        for i in range(1, d.size):
+            x[i] -= e[i - 1] / pivots[i - 1] * x[i - 1]
+        x /= pivots
+        for i in range(d.size - 2, -1, -1):
+            x[i] -= e[i] / pivots[i] * x[i + 1]
+        x /= np.sqrt(np.sum(x * x, axis=0))
+    return x.astype(float)
+
+
+def reference_band_spectra(box, potential, lam, vectors_at):
+    """The box reduction on the vectors ``vectors_at(diag, off, values)``
+    at each sector's eigenvalues below lam (``values_below``),
+    orthonormalized by QR, with one sine SVD per side and sector:
+    (rank P, rank P0, d_nonzero, m_plus, m_minus)."""
     diag, off = hamiltonian_tridiagonal(box, potential)
     r0 = int(np.sum(free_levels(box) < lam))
     sectors = _mirror_sectors(diag, off)
     r, s_plus, s_minus = 0, [], []
     for first_mode, sector in enumerate(sectors, start=1):
-        _, u = eigenvectors_below(sector.diag, sector.off, lam)
+        values = values_below(sector.diag, sector.off, lam)
+        u, _ = np.linalg.qr(vectors_at(sector.diag, sector.off, values))
         modes = np.arange(first_mode, r0 + 1, len(sectors))
         rows = sector.diag.size
         u0 = sector.weight[:, None] * _sines(box.n, rows, modes, np.ones(rows))
@@ -501,6 +533,27 @@ def subspace_sines(u, v):
     return np.linalg.svd(u - v @ (v.T @ u), compute_uv=False)
 
 
+def assert_same_spectra(spectra, reference, tol):
+    r, r0, d, mp, mm = reference
+    assert (spectra.rank_p, spectra.rank_p0) == (r, r0)
+    for got, want in ((spectra.d_nonzero, d), (spectra.m_plus, mp),
+                      (spectra.m_minus, mm)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= tol
+
+
+def count_stein_columns(monkeypatch):
+    """Patch stein to record the number of vectors of each call."""
+    columns = []
+    stein = schrodinger1d.dstein
+
+    def counted(d, e, w, iblock, isplit):
+        columns.append(w.size)
+        return stein(d, e, w, iblock, isplit)
+    monkeypatch.setattr(schrodinger1d, "dstein", counted)
+    return columns
+
+
 class TestInvariantSubspaceBasis:
     @pytest.mark.parametrize("potential", [SquareWell(-2.0, 1.0),
                                            PoschlTeller(1),
@@ -509,19 +562,19 @@ class TestInvariantSubspaceBasis:
                              ids=["square_well", "poschl_teller", "gaussian",
                                   "shifted_well"])
     @pytest.mark.parametrize("half_length", [50.0, 100.0])
-    def test_matches_reorthogonalized_eigenvectors(self, potential,
-                                                   half_length):
+    def test_matches_long_double_eigenvectors(self, potential, half_length):
         box = BoxDiscretization.from_spacing(half_length, 0.02)
         spectra = band_spectra(box, potential, 1.0)
-        r, r0, d, mp, mm = reorthogonalized_band_spectra(box, potential, 1.0)
-        assert (spectra.rank_p, spectra.rank_p0) == (r, r0)
-        for got, want in ((spectra.d_nonzero, d), (spectra.m_plus, mp),
-                          (spectra.m_minus, mm)):
-            assert got.shape == want.shape
-            assert np.abs(got - want).max() <= 1e-12
+        oracle = []
+
+        def vectors_at(diag, off, values):
+            oracle.append(long_double_eigenvectors(diag, off, values))
+            return oracle[-1]
+        assert_same_spectra(spectra, reference_band_spectra(
+            box, potential, 1.0, vectors_at), 1e-12)
 
         diag, off = hamiltonian_tridiagonal(box, potential)
-        for sector in _mirror_sectors(diag, off):
+        for sector, vectors in zip(_mirror_sectors(diag, off), oracle):
             values, basis = eigenpairs_below(
                 sector.diag, sector.off,
                 values_below(sector.diag, sector.off, 1.0))
@@ -531,9 +584,22 @@ class TestInvariantSubspaceBasis:
                 sector.diag, sector.off)
             k = values.size
             assert np.abs(basis.T @ basis - np.eye(k)).max() <= 1e-14
-            # Against stein at the same shifts: stein's vectors follow the
-            # last bits of their shifts (shifts moved by 3e-13 move them by
-            # up to 1.3e-12), so a fixed bound holds only at equal shifts.
+            # The oracle is the eigenvectors themselves, not vectors that
+            # follow the shifts' last bits as stein's do (shifts moved by
+            # 3e-13 move those by up to 1.3e-12), so it bounds the error.
+            assert subspace_sines(basis, vectors).max() <= 1e-12
+
+    def test_run_free_sector_matches_stein(self, monkeypatch):
+        # No sector of this box has a free run, so every column is stein's.
+        box = BoxDiscretization.from_spacing(20.0, 0.05)
+        columns = count_stein_columns(monkeypatch)
+        diag, off = hamiltonian_tridiagonal(box, GaussianBump(-1.0, 10.0))
+        for sector in _mirror_sectors(diag, off):
+            assert schrodinger1d._runs(sector.diag, sector.off) == (0, 0)
+            values = values_below(sector.diag, sector.off, 1.0)
+            columns.clear()
+            _, basis = eigenpairs_below(sector.diag, sector.off, values)
+            assert values.size > 0 and sum(columns) == values.size
             vectors = eigenvectors_at(sector.diag, sector.off, values)
             assert subspace_sines(basis, vectors).max() <= 1e-12
 
@@ -558,21 +624,91 @@ class TestInvariantSubspaceBasis:
         assert subspace_sines(basis, vectors[:, :values.size]).max() <= 1e-12
 
     def test_unconverged_inverse_iteration_raises_typed(self, monkeypatch):
-        monkeypatch.setattr(
-            schrodinger1d, "dstein",
-            lambda d, e, w, iblock, isplit: (np.zeros((d.size, w.size)), 1))
+        calls = []
+
+        def unconverged(d, e, w, iblock, isplit):
+            calls.append(w.size)
+            return np.zeros((d.size, w.size)), 1
+        monkeypatch.setattr(schrodinger1d, "dstein", unconverged)
         diag, off = hamiltonian_tridiagonal(BoxDiscretization(5.0, 99),
                                             SquareWell(-2.0, 1.0))
         with pytest.raises(ConvergenceError):
             eigenpairs_below(diag, off, values_below(diag, off, 1.0))
+        assert calls
 
     def test_singular_gram_matrix_raises_typed(self, monkeypatch):
-        monkeypatch.setattr(
-            schrodinger1d, "dstein",
-            lambda d, e, w, iblock, isplit: (np.ones((d.size, w.size)), 0))
+        calls = []
+
+        def parallel(d, e, w, iblock, isplit):
+            calls.append(w.size)
+            return np.ones((d.size, w.size)), 0
+        monkeypatch.setattr(schrodinger1d, "dstein", parallel)
         box = BoxDiscretization(5.0, 99)
         with pytest.raises(ConvergenceError):
             band_spectra(box, SquareWell(-2.0, 1.0), 1.0)
+        assert calls
+
+    def test_singular_closed_form_gram_matrix_raises_typed(self,
+                                                           monkeypatch):
+        def parallel(diag, off, values, lead, trail, basis=None):
+            if basis is not None:
+                basis[:] = 1.0
+            return np.zeros(values.size), np.zeros(values.size)
+
+        def no_stein(*args):
+            raise AssertionError("a closed-form column went to stein")
+        monkeypatch.setattr(schrodinger1d, "_twisted_columns", parallel)
+        monkeypatch.setattr(schrodinger1d, "dstein", no_stein)
+        diag, off = hamiltonian_tridiagonal(
+            BoxDiscretization.from_spacing(20.0, 0.05), ShiftedWell(center=0.7))
+        with pytest.raises(ConvergenceError):
+            eigenpairs_below(diag, off, values_below(diag, off, 1.0))
+
+    def test_value_at_the_band_bottom(self, monkeypatch):
+        # tridiag(-1, 2, -1) with last diagonal 63/64 has the eigenvalue 0,
+        # the leading run's band bottom (mu = 0), with eigenvector i + 1.
+        diag = np.full(64, 2.0)
+        diag[-1] = 63.0 / 64.0
+        off = np.full(63, -1.0)
+        columns = count_stein_columns(monkeypatch)
+        values, basis = eigenpairs_below(diag, off, np.array([0.0]))
+        want = np.arange(1.0, 65.0)
+        assert columns == []
+        assert np.all(np.isfinite(basis))
+        assert np.abs(basis[:, 0] - want / np.linalg.norm(want)).max() <= 1e-15
+
+
+class TestClosedFormBasis:
+    """``eigenpairs_below`` builds every column of a sector with a free run
+    in closed form, but for groups of numerically equal values (at
+    L = 800 the lowest levels above 0 lie closer than sqrt(eps) ||T||);
+    the reduction on it matches the one on stein's vectors at the same
+    values."""
+
+    @pytest.mark.parametrize("potential, half_length", [
+        (SquareWell(50.0, 5.0), 20.0),
+        (SquareWell(5000.0, 1.0), 20.0),
+        (ShiftedWell(center=0.7), 20.0),
+        (ShiftedWell(center=3.0), 20.0),
+        (PoschlTeller(4), 20.0),
+        (GaussianBump(5.0, 2.0), 20.0),
+        (SquareWell(-2.0, 1.0), 800.0),
+    ], ids=["barrier", "tall_barrier", "shifted_well", "off_centre_well",
+            "poschl_teller_4", "gaussian_barrier", "square_well_l800"])
+    def test_matches_stein_basis(self, monkeypatch, potential, half_length):
+        box = BoxDiscretization.from_spacing(half_length, 0.05)
+        columns = count_stein_columns(monkeypatch)
+        spectra = band_spectra(box, potential, 1.0)
+        assert all(size > 1 for size in columns)
+        assert_same_spectra(spectra, reference_band_spectra(
+            box, potential, 1.0, eigenvectors_at), 1e-11)
+
+    @pytest.mark.parametrize("half_length", [50.0, 100.0, 200.0, 400.0])
+    def test_benchmark_boxes_take_no_stein(self, monkeypatch, half_length):
+        columns = count_stein_columns(monkeypatch)
+        spectra = band_spectra(BoxDiscretization.from_spacing(half_length, 0.02),
+                               SquareWell(-2.0, 1.0), 1.0)
+        assert spectra.rank_p > 0 and columns == []
 
 
 class TestOneSolvePerSector:

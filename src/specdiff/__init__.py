@@ -5,10 +5,10 @@ The library builds, at desk scale, the objects that connect perturbation
 theory to scattering theory in one dimension: conical Legendre functions and
 the half-Carleman kernel operator they diagonalize, the model operator
 (squared kernel tensored with a scattering-matrix factor), finite-box
-Schroedinger Hamiltonians with their spectral projections, and the 2x2
-scattering matrix computed by two independent routes.  The ``experiments``
-module orchestrates verification campaigns over these pieces and the ``cli``
-module exposes them as subcommands.
+Schroedinger Hamiltonians with the spectra of their projection difference,
+and the 2x2 scattering matrix computed by two independent routes.  The
+``experiments`` module orchestrates verification campaigns over these pieces
+and the ``cli`` module exposes them as subcommands.
 """
 
 from . import carleman, errors, experiments, scattering, schrodinger1d, specfun

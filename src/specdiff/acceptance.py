@@ -163,7 +163,7 @@ def criterion_6(seed: int = 0, reports=None) -> CriterionResult:
 
 
 # Criterion 8's verdicts that ask a box of L <= 200 for the L -> infinity
-# band edge; the box spectra themselves match the dense path.
+# band edge; the box spectra themselves match the tests' dense oracle.
 _BOX_SIZE_LIMITED = ("edge_deficit", "coverage_gap_monotone", "m_pm_top_deficit")
 
 

@@ -94,10 +94,6 @@ class ScatteringMatrix:
     matrix: np.ndarray
     unitarity_defect: float
 
-    @property
-    def symmetry_defect(self) -> float:
-        return float(abs(self.matrix[0, 1] - self.matrix[1, 0]))
-
     def det(self) -> complex:
         m = self.matrix
         return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]

@@ -1,40 +1,34 @@
 """Finite-box discretizations of the 1D Hamiltonians H0 = -d^2/dx^2 and
-H = H0 + V, their spectral projections, and the projection difference.
+H = H0 + V, the spectra of their projection difference, and the algebra of
+two projections.
 
 The box (-L, L) carries Dirichlet walls and a uniform grid of n interior
 points with spacing h = 2L/(n+1); H0 is the three-point Laplacian
 h^-2 tridiag(-1, 2, -1) whose eigenpairs are known in closed form, and V is
-sampled pointwise on the nodes.  Everything stays real symmetric.
+sampled pointwise on the nodes.  Everything stays real symmetric, and no
+n x n matrix is formed: the box layer (``hamiltonian_tridiagonal``,
+``count_below``, ``box_levels``, ``band_spectra``) works on the tridiagonal.
+It reads the spectra of D = P - P0, M+ = (I-P0) P (I-P0) and
+M- = P0 (I-P) P0 off the principal angles theta between ran P and ran P0
+and the index j = rank P - rank P0 (Halmos, "Two subspaces", Trans. AMS
+144, 1969): up to zeros,
+D ~ +-sin theta + sign(j) 1_{|j|} and M+- ~ sin^2 theta + 1_{|j|}, the
+index part in M+ for j > 0 and in M- for j < 0.  The sines come from
+singular values, accurate at small angles where sqrt(1 - cos^2) cancels
+(Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002).  The angles depend
+on the subspace ran P only, so the box layer takes an orthonormal basis of
+it (``eigenpairs_below``, at eigenvalues that ``box_levels`` solved), not
+reorthogonalized eigenvectors: where the block has a free run from a wall,
+each vector is written in closed form on the runs (sin, or sinh below the
+band) and stepped by the three-term recurrence over the support only,
+joined at one twisted row; inverse iteration (LAPACK stein) per group of
+eigenvalues builds the rest, and one Cholesky QR makes them orthonormal.
+Per block one compact-WY QR of the larger side plus the SVD of its k x k R
+gives the sines of both sides.  The tests check the box layer against
+dense n x n projections from a full eigendecomposition.
 
-Two computational paths coexist:
-
-* a dense path (``build_h0`` / ``build_h`` / ``eigendecompose`` /
-  ``spectral_projection`` ...) that materializes n x n matrices and is the
-  reference implementation for desk-scale boxes, and
-* a tridiagonal path (``hamiltonian_tridiagonal``, ``count_below``,
-  ``box_levels``, ``band_spectra``) that never forms an n x n matrix.  It
-  reads the spectra of D = P - P0, M+ = (I-P0) P (I-P0) and
-  M- = P0 (I-P) P0 off the principal angles theta between ran P and ran P0
-  and the index j = rank P - rank P0 (Halmos, "Two subspaces", Trans. AMS
-  144, 1969): up to zeros,
-  D ~ +-sin theta + sign(j) 1_{|j|} and M+- ~ sin^2 theta + 1_{|j|}, the
-  index part in M+ for j > 0 and in M- for j < 0.  The sines come from
-  singular values, accurate at small angles where sqrt(1 - cos^2) cancels
-  (Knyazev & Argentati, SIAM J. Sci. Comput. 23, 2002).  The angles
-  depend on the subspace ran P only, so the tridiagonal path takes an
-  orthonormal basis of it (``eigenpairs_below``, at eigenvalues that
-  ``box_levels`` solved), not reorthogonalized eigenvectors: where the
-  block has a free run from a wall, each vector is written in closed form
-  on the runs (sin, or sinh below the band) and stepped by the three-term
-  recurrence over the support only, joined at one twisted row; inverse
-  iteration (LAPACK stein) per group of eigenvalues builds the rest, and
-  one Cholesky QR makes them orthonormal.  Per block one compact-WY QR of
-  the larger side plus the SVD of its k x k R gives the sines of both
-  sides.  The two paths agree to rounding and are cross-checked in the
-  tests.
-
-The tridiagonal path's counts and eigenvalues come from Sturm (LDL^T)
-sweeps on a vector of shifts (``_SturmSweep``).  Outside the potential's
+The box layer's counts and eigenvalues come from Sturm (LDL^T) sweeps on
+a vector of shifts (``_SturmSweep``).  Outside the potential's
 floating-point support the rows of a box are bitwise those of the free
 Laplacian, so its leading and trailing constant runs are free blocks
 tridiag(beta, alpha, beta).  Swept from its wall, such a block's negative
@@ -66,7 +60,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dgeqrt, dpotrf, dstein
 
@@ -78,15 +71,9 @@ __all__ = [
     "SquareWell",
     "PoschlTeller",
     "GaussianBump",
-    "SymmetricOperator",
-    "EigenData",
     "ProjectionDifference",
     "PairingReport",
     "BandSpectra",
-    "build_h0",
-    "build_h",
-    "eigendecompose",
-    "spectral_projection",
     "projection_difference",
     "m_plus_minus",
     "symmetry_pairing_report",
@@ -233,30 +220,6 @@ class GaussianBump(Potential):
 
 
 @dataclass(frozen=True)
-class SymmetricOperator:
-    """Dense real symmetric operator with a label for error messages."""
-
-    matrix: np.ndarray
-    label: str
-
-
-@dataclass(frozen=True)
-class EigenData:
-    """Full spectral decomposition: sorted eigenvalues, orthonormal columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def residual(self, matrix: np.ndarray) -> float:
-        r = matrix @ self.vectors - self.vectors * self.values[None, :]
-        return float(np.linalg.norm(r) / max(np.linalg.norm(matrix), 1e-300))
-
-    def orthonormality_defect(self) -> float:
-        g = self.vectors.T @ self.vectors
-        return float(np.linalg.norm(g - np.eye(g.shape[0])))
-
-
-@dataclass(frozen=True)
 class ProjectionDifference:
     """D = P - P0, with its sorted eigenvalues."""
 
@@ -273,27 +236,6 @@ def hamiltonian_tridiagonal(box: BoxDiscretization,
         diag = diag + potential(box.grid)
     off = np.full(box.n - 1, -1.0 / h ** 2)
     return diag, off
-
-
-def _dense_from_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    m = np.diag(diag)
-    idx = np.arange(diag.size - 1)
-    m[idx, idx + 1] = off
-    m[idx + 1, idx] = off
-    return m
-
-
-def build_h0(box: BoxDiscretization) -> SymmetricOperator:
-    """Dense three-point Dirichlet Laplacian h^-2 tridiag(-1, 2, -1)."""
-    diag, off = hamiltonian_tridiagonal(box)
-    return SymmetricOperator(_dense_from_tridiagonal(diag, off), "H0")
-
-
-def build_h(box: BoxDiscretization, potential: Potential) -> SymmetricOperator:
-    """Dense H = H0 + diag(V(x_i))."""
-    diag, off = hamiltonian_tridiagonal(box, potential)
-    return SymmetricOperator(_dense_from_tridiagonal(diag, off),
-                             f"H0+{potential.kind}")
 
 
 def free_levels(box: BoxDiscretization) -> np.ndarray:
@@ -315,42 +257,6 @@ def _sines(n: int, rows: int, modes: np.ndarray,
     out *= math.sqrt(2.0 / (n + 1))
     out *= weight[:, None]
     return out
-
-
-def eigendecompose(op: SymmetricOperator) -> EigenData:
-    """Full dense symmetric eigendecomposition (LAPACK), validated against
-    the residual and orthonormality contracts of EigenData."""
-    values, vectors = eigh(op.matrix)
-    eig = EigenData(values=values, vectors=vectors)
-    resid = eig.residual(op.matrix)
-    ortho = eig.orthonormality_defect()
-    if resid > 1e-10 or ortho > 1e-10:
-        raise ConvergenceError(
-            f"eigendecomposition of {op.label} failed its accuracy contract "
-            f"(residual {resid:.3e}, orthonormality {ortho:.3e})",
-            max(resid, ortho))
-    return eig
-
-
-LEVEL_GAP = 1e-9   # the level guard's distance, relative to the spectral scale
-
-
-def spectral_projection(eig: EigenData, fermi_level: float) -> np.ndarray:
-    """Orthogonal projection onto the eigenvectors below the Fermi level.
-
-    The level must keep a relative distance of at least ``LEVEL_GAP`` times
-    the spectral scale from every eigenvalue, otherwise membership would be
-    numerically ambiguous.
-    """
-    scale = float(np.abs(eig.values).max())
-    gap = np.abs(eig.values - fermi_level)
-    j = int(np.argmin(gap))
-    if gap[j] < LEVEL_GAP * scale:
-        raise LevelCollisionError(
-            f"fermi level {fermi_level} is within {gap[j]:.3e} of eigenvalue "
-            f"{eig.values[j]:.12g}; nudge it by at least half the local spacing")
-    sel = eig.vectors[:, eig.values < fermi_level]
-    return sel @ sel.T
 
 
 def projection_difference(p: np.ndarray, p0: np.ndarray) -> ProjectionDifference:
@@ -428,8 +334,8 @@ _BLOCK_ROWS = 64
 # 64 to 256 shifts, 16 rows for 1024 shifts and 250 rows for the one shift
 # of ``count_below``.
 _MIN_RUN = 48
-# Multisection: each bracket gets at least _SECTIONS - 1 points per round
-# and the round about _SECTION_POINTS points in all.
+# Multisection: the first round puts _SECTION_POINTS - 1 points in the
+# Gershgorin interval, every later round _SECTIONS - 1 in each open bracket.
 _SECTIONS = 8
 _SECTION_POINTS = 256
 # A bracket closes at eps (max|d| + 2 max|e|) / _NARROWING, below the
@@ -600,16 +506,21 @@ class _SturmSweep:
         Every bracket starts as the Gershgorin interval.  Each round
         multisects the distinct brackets (wanted indices that are not yet
         isolated share theirs) and keeps, per index j, the last point with
-        count <= j and the first with count > j.  A bracket closes at
-        eps (max|d| + 2 max|e|) / _NARROWING, or at 4 eps times its ends'
-        magnitude if that is wider, and its midpoint is returned.
+        count <= j and the first with count > j.  The first round, where
+        every index shares the Gershgorin bracket, puts _SECTION_POINTS - 1
+        points in it, and every later round _SECTIONS - 1 points in each
+        bracket, so a bracket's path depends on its index only: an
+        eigenvalue is the same to the last bit whichever other indices the
+        call asks for.  A bracket closes at eps (max|d| + 2 max|e|) /
+        _NARROWING, or at 4 eps times its ends' magnitude if that is wider,
+        and its midpoint is returned.
         """
         want = np.arange(first, last + 1)
         pad = 4.0 * self.tol + 1e-300
         lo = np.full(want.size, self.bounds[0] - pad)
         hi = np.full(want.size, self.bounds[1] + pad)
         eps = np.finfo(float).eps
-        for _ in range(_MAX_ROUNDS):
+        for rounds in range(_MAX_ROUNDS):
             active = np.flatnonzero(hi - lo > np.maximum(
                 self.tol / _NARROWING,
                 4.0 * eps * np.maximum(np.abs(lo), np.abs(hi))))
@@ -618,7 +529,7 @@ class _SturmSweep:
             ulo, head, inv = np.unique(lo[active], return_index=True,
                                        return_inverse=True)
             uhi = hi[active][head]
-            parts = max(_SECTIONS, _SECTION_POINTS // ulo.size)
+            parts = _SECTIONS if rounds else _SECTION_POINTS
             grid = ulo[:, None] + (uhi - ulo)[:, None] * (
                 np.arange(1, parts) / parts)
             counts = self.count(grid.ravel()).reshape(grid.shape)[inv]
@@ -996,6 +907,9 @@ def _neighbours(values: np.ndarray, first: int, lam: float):
     below = float(values[i - 1]) if i else -math.inf
     above = float(values[i]) if i < values.size else math.inf
     return first + i, below, above
+
+
+LEVEL_GAP = 1e-9   # the level guard's distance, relative to the spectral scale
 
 
 @dataclass(frozen=True)

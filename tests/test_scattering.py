@@ -130,7 +130,7 @@ class TestOdeRoute:
         want = matching_oracle(-2.0, 1.0, lam)
         assert np.abs(s.matrix - want).max() <= 1e-8
         assert s.unitarity_defect <= 1e-8
-        assert s.symmetry_defect <= 1e-8
+        assert abs(s.matrix[0, 1] - s.matrix[1, 0]) <= 1e-8
 
     @pytest.mark.parametrize("lam", [0.3, 1.3, 3.0])
     def test_shifted_well_pins_channel_order(self, lam):
@@ -470,6 +470,25 @@ class TestEigenphases:
         want = np.sin(np.abs(phases.thetas) / 2.0)
         assert np.abs(phases.kappas - want).max() <= 1e-14
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_refuses_non_unitary_matrix(self, n):
+        # SkewedGaussian's T is not symmetric, so S is unitary only to the
+        # quadrature error: 6.7e-3 at 8 nodes, 4.4e-2 at 16.
+        s = s_matrix_stationary(SkewedGaussian(), 1.0, n_nodes=n)
+        assert s.unitarity_defect > 1e-3
+        with pytest.raises(DomainError, match="violates unitarity"):
+            eigenphases(s)
+
+    def test_accepts_settled_matrix(self):
+        # At 64 nodes the defect is 1.8e-11, and the phases are the ODE
+        # route's to the stationary route's support truncation.
+        s = s_matrix_stationary(SkewedGaussian(), 1.0, n_nodes=64)
+        assert s.unitarity_defect <= 1e-10
+        got = eigenphases(s).kappas
+        want = eigenphases(s_matrix_ode(SkewedGaussian(), 1.0)).kappas
+        assert got.shape == want.shape == (2,)
+        assert np.abs(got - want).max() <= 1e-6
+
 
 class TestHoelderContinuity:
     def test_quotient_stable_and_unitary_across_band(self):
@@ -481,7 +500,7 @@ class TestHoelderContinuity:
             for lam in lams:
                 s = s_matrix_ode(pot, lam)
                 assert s.unitarity_defect <= 1e-8
-                assert s.symmetry_defect <= 1e-8
+                assert abs(s.matrix[0, 1] - s.matrix[1, 0]) <= 1e-8
                 mats.append(s.matrix)
             sup = 0.0
             for (l1, m1), (l2, m2) in zip(zip(lams, mats), zip(lams[1:], mats[1:])):
@@ -598,7 +617,8 @@ class TestWindowedCounting:
         for lam in self.GRID:
             got = smeared_spectral_shift(potential, lam, box, levels)
             assert abs(got - alternation_shift(ev, ev0, lam, sectors)) <= 1e-9
-            assert abs(got - smeared_spectral_shift(potential, lam, box)) <= 1e-9
+            # an eigenvalue does not depend on the window that solved it
+            assert got == smeared_spectral_shift(potential, lam, box)
             assert sum(h[0] for h, _ in levels.at(lam)) == \
                 int(np.sum(ev < lam))
 

@@ -3,13 +3,13 @@ algebra.
 
 Oracles: the closed-form Dirichlet Laplacian spectrum, the textbook
 square-well bound-state count (matching equations solved by bisection), the
-known reflectionless-potential ground state, brute-force dense linear
-algebra cross-checking the rank-reduced band-spectra path, eigenvectors by
-inverse iteration in long double (and, on sectors with no free run, LAPACK
-stein) with one sine SVD per side cross-checking its invariant-subspace
-basis and one-SVD reduction, and the row-by-row Sturm recurrence and LAPACK
-bisection (stebz) cross-checking the closed-form Sturm sweep's counts and
-eigenvalues.
+known reflectionless-potential ground state, dense n x n projections from a
+full LAPACK eigendecomposition (``dense.py``) cross-checking the box layer's
+band spectra, eigenvectors by inverse iteration in long double (and, on
+sectors with no free run, LAPACK stein) with one sine SVD per side
+cross-checking its invariant-subspace basis and one-SVD reduction, and the
+row-by-row Sturm recurrence and LAPACK bisection (stebz) cross-checking the
+closed-form Sturm sweep's counts and eigenvalues.
 """
 
 import math
@@ -31,20 +31,17 @@ from specdiff.schrodinger1d import (
     _mirror_sectors,
     _sines,
     band_spectra,
-    build_h,
-    build_h0,
     box_levels,
     count_below,
-    eigendecompose,
     eigenpairs_below,
     free_levels,
     hamiltonian_tridiagonal,
     m_plus_minus,
     projection_difference,
-    spectral_projection,
     symmetry_pairing_report,
 )
 
+from dense import dense_tridiagonal, projection_below
 from potentials import ShiftedWell, SkewedGaussian
 
 
@@ -121,7 +118,7 @@ class TestBox:
 class TestHamiltonians:
     def test_h0_closed_form_spectrum(self):
         box = BoxDiscretization(5.0, 120)
-        ev = np.linalg.eigvalsh(build_h0(box).matrix)
+        ev = np.linalg.eigvalsh(dense_tridiagonal(*hamiltonian_tridiagonal(box)))
         want = np.sort(dirichlet_spectrum(box))
         assert np.abs(ev - want).max() <= 1e-10 * want.max()
 
@@ -133,13 +130,14 @@ class TestHamiltonians:
 
     def test_h0_symmetric_exactly(self):
         box = BoxDiscretization(3.0, 64)
-        m = build_h0(box).matrix
+        m = dense_tridiagonal(*hamiltonian_tridiagonal(box))
         assert np.array_equal(m, m.T)
 
     def test_h_with_zero_potential_matches_h0(self):
         box = BoxDiscretization(3.0, 64)
-        h = build_h(box, GaussianBump(amplitude=0.0)).matrix
-        assert np.array_equal(h, build_h0(box).matrix)
+        for h, h0 in zip(hamiltonian_tridiagonal(box, GaussianBump(amplitude=0.0)),
+                         hamiltonian_tridiagonal(box)):
+            assert np.array_equal(h, h0)
 
     def test_poschl_teller_bound_state(self):
         box = BoxDiscretization(20.0, 2000)
@@ -168,74 +166,50 @@ class TestHamiltonians:
         assert got[0] == got[-1] == 0.0
 
 
-class TestEigendecompose:
+class TestDenseOracle:
     def test_laplacian_closed_form(self):
+        # H0's projection below a level is onto the free sines below it.
         box = BoxDiscretization(4.0, 80)
-        op = build_h0(box)
-        eig = eigendecompose(op)
+        h0 = dense_tridiagonal(*hamiltonian_tridiagonal(box))
         want = np.sort(dirichlet_spectrum(box))
-        assert np.abs(eig.values - want).max() <= 1e-10 * want.max()
-        assert eig.residual(op.matrix) <= 1e-10
-        assert eig.orthonormality_defect() <= 1e-10
-
-    def test_diagonal_matrix(self):
-        d = np.arange(16.0)
-        from specdiff.schrodinger1d import SymmetricOperator
-        eig = eigendecompose(SymmetricOperator(np.diag(d), "diag"))
-        assert np.abs(eig.values - d).max() == 0.0
-
-    def test_cross_solver_agreement(self):
-        rng = np.random.default_rng(17)
-        a = rng.standard_normal((50, 50))
-        a = 0.5 * (a + a.T)
-        from specdiff.schrodinger1d import SymmetricOperator
-        eig = eigendecompose(SymmetricOperator(a, "rand"))
-        vals2 = np.linalg.eigvalsh(a)
-        assert np.abs(eig.values - vals2).max() <= 1e-9 * np.abs(vals2).max()
+        u0 = _sines(box.n, box.n, np.arange(1, 11), np.ones(box.n))
+        p0 = projection_below(h0, 0.5 * (want[9] + want[10]))
+        assert np.abs(p0 - u0 @ u0.T).max() <= 1e-12
 
 
 class TestProjections:
-    def _eigendata(self, n=24, seed=4):
+    def _matrix(self, n=24, seed=4):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n))
         a = 0.5 * (a + a.T)
-        from specdiff.schrodinger1d import SymmetricOperator
-        return eigendecompose(SymmetricOperator(a, "rand")), a
+        return a, np.linalg.eigvalsh(a)
 
     def test_projection_extremes(self):
-        eig, a = self._eigendata()
-        below = spectral_projection(eig, eig.values[0] - 1.0)
+        a, values = self._matrix()
+        below = projection_below(a, values[0] - 1.0)
         assert np.abs(below).max() == 0.0
-        above = spectral_projection(eig, eig.values[-1] + 1.0)
+        above = projection_below(a, values[-1] + 1.0)
         assert np.abs(above - np.eye(a.shape[0])).max() <= 1e-12
 
     def test_projection_trace_counts(self):
-        eig, _ = self._eigendata()
-        level = 0.5 * (eig.values[9] + eig.values[10])
-        p = spectral_projection(eig, level)
+        a, values = self._matrix()
+        p = projection_below(a, 0.5 * (values[9] + values[10]))
         assert abs(np.trace(p) - 10.0) <= 1e-10
         assert np.abs(p @ p - p).max() <= 1e-10
 
-    def test_level_collision_rejected(self):
-        eig, _ = self._eigendata()
-        with pytest.raises(LevelCollisionError) as err:
-            spectral_projection(eig, eig.values[3])
-        assert f"{eig.values[3]:.12g}" in str(err.value)
-
     def test_difference_of_equal_projections_is_zero(self):
-        eig, _ = self._eigendata()
-        level = 0.5 * (eig.values[4] + eig.values[5])
-        p = spectral_projection(eig, level)
+        a, values = self._matrix()
+        p = projection_below(a, 0.5 * (values[4] + values[5]))
         d = projection_difference(p, p)
         assert np.abs(d.matrix).max() == 0.0
 
     def test_zero_potential_difference_is_zero(self):
         box = BoxDiscretization(5.0, 100)
-        eig0 = eigendecompose(build_h0(box))
-        eig1 = eigendecompose(build_h(box, GaussianBump(amplitude=0.0)))
-        level = 1.0
-        d = projection_difference(spectral_projection(eig1, level),
-                                  spectral_projection(eig0, level))
+        h = dense_tridiagonal(*hamiltonian_tridiagonal(
+            box, GaussianBump(amplitude=0.0)))
+        h0 = dense_tridiagonal(*hamiltonian_tridiagonal(box))
+        d = projection_difference(projection_below(h, 1.0),
+                                  projection_below(h0, 1.0))
         assert np.abs(d.eigenvalues).max() <= 1e-10
 
     def test_rotated_rank_one_angles(self):
@@ -321,10 +295,7 @@ class TestTridiagonalPath:
     def test_free_sines_are_eigenvectors(self):
         box = BoxDiscretization(8.0, 200)
         diag, off = hamiltonian_tridiagonal(box)
-        h = np.diag(diag)
-        idx = np.arange(box.n - 1)
-        h[idx, idx + 1] = off
-        h[idx + 1, idx] = off
+        h = dense_tridiagonal(diag, off)
         u = _sines(box.n, box.n, np.arange(1, 8), np.ones(box.n))
         levels = free_levels(box)[:7]
         resid = np.linalg.norm(h @ u - u * levels[None, :])
@@ -355,10 +326,10 @@ class TestTridiagonalPath:
         box = BoxDiscretization.from_spacing(half_length, h)
         spectra = band_spectra(box, potential, lam)
 
-        eig0 = eigendecompose(build_h0(box))
-        eig1 = eigendecompose(build_h(box, potential))
-        p = spectral_projection(eig1, lam)
-        p0 = spectral_projection(eig0, lam)
+        p = projection_below(dense_tridiagonal(
+            *hamiltonian_tridiagonal(box, potential)), lam)
+        p0 = projection_below(dense_tridiagonal(*hamiltonian_tridiagonal(box)),
+                              lam)
         d_dense = np.linalg.eigvalsh(p - p0)
         assert np.abs(np.sort(spectra.d_full) - np.sort(d_dense)).max() <= 1e-10
 
@@ -619,7 +590,7 @@ class TestInvariantSubspaceBasis:
                                          values_below(diag, off, level))
         assert values.size == 2 * (i + 1)
         assert np.abs(basis.T @ basis - np.eye(values.size)).max() <= 1e-14
-        want_values, vectors = eigh(schrodinger1d._dense_from_tridiagonal(diag, off))
+        want_values, vectors = eigh(dense_tridiagonal(diag, off))
         assert np.abs(values - want_values[:values.size]).max() <= 1e-13
         assert subspace_sines(basis, vectors[:, :values.size]).max() <= 1e-12
 
@@ -1040,6 +1011,23 @@ class TestSturmKernel:
         got = schrodinger1d.eigenvalues_by_index(diag, off, 0, want.size - 1)
         exact = (0.5 * (lo + hi)).astype(float)
         assert np.abs(got - exact).max() <= eigenvalue_tol(diag, off) / 16
+
+    @pytest.mark.parametrize("potential", [SquareWell(-2.0, 1.0),
+                                           PoschlTeller(1),
+                                           GaussianBump(-1.0, 1.0)],
+                             ids=["square_well", "poschl_teller", "gaussian"])
+    def test_eigenvalues_do_not_depend_on_the_window(self, potential):
+        # An eigenvalue is a function of the tridiagonal and its index: the
+        # same bits whichever other indices the call asks for.
+        box = BoxDiscretization.from_spacing(50.0, 0.02)
+        for sector in _mirror_sectors(*hamiltonian_tridiagonal(box, potential)):
+            d, e = sector.diag, sector.off
+            wide = schrodinger1d.eigenvalues_by_index(d, e, 0, 40)
+            assert np.array_equal(
+                schrodinger1d.eigenvalues_by_index(d, e, 10, 30), wide[10:31])
+            for j in (0, 5, 20, 33):
+                assert schrodinger1d.eigenvalues_by_index(d, e, j, j)[0] == \
+                    wide[j]
 
     def test_double_eigenvalues(self):
         # Two equal free chains joined by a zero coupling: every eigenvalue

@@ -28,7 +28,9 @@ gives the sines of both sides.  The tests check the box layer against
 dense n x n projections from a full eigendecomposition.
 
 The box layer's counts and eigenvalues come from Sturm (LDL^T) sweeps on
-a vector of shifts (``_SturmSweep``).  Outside the potential's
+a vector of shifts (``SturmSweep``), one per sector and call, built once
+and shared by ``count_below``, ``eigenvalues_by_index`` and
+``eigenpairs_below``, which read the runs off it.  Outside the potential's
 floating-point support the rows of a box are bitwise those of the free
 Laplacian, so its leading and trailing constant runs are free blocks
 tridiag(beta, alpha, beta).  Swept from its wall, such a block's negative
@@ -79,6 +81,7 @@ __all__ = [
     "symmetry_pairing_report",
     "hamiltonian_tridiagonal",
     "free_levels",
+    "SturmSweep",
     "count_below",
     "BoxLevels",
     "box_levels",
@@ -353,17 +356,6 @@ def _run_length(diag: np.ndarray, off: np.ndarray) -> int:
     return same.size if same.all() else int(np.argmin(same))
 
 
-def _runs(diag: np.ndarray, off: np.ndarray):
-    """(lead, trail): the leading run is rows 0..lead, equal to row 0 bit for
-    bit, and the trailing run the last ``trail`` rows, equal to the last row
-    and disjoint from the leading run; a run shorter than ``_MIN_RUN`` rows
-    counts as 0."""
-    lead = _run_length(diag, off)
-    lead = lead if lead >= _MIN_RUN else 0
-    trail = min(_run_length(diag[::-1], off[::-1]), diag.size - 1 - lead)
-    return lead, trail if trail >= _MIN_RUN else 0
-
-
 def _band(shifts: np.ndarray, alpha, beta: float):
     """(shift inside the band (alpha - 2|beta|, alpha + 2|beta|), theta,
     u = (1 - c)/2) per shift, with c = (alpha - s)/(2|beta|) = cos theta
@@ -451,28 +443,34 @@ def _support_step(t, shifts, diag: np.ndarray, e2: np.ndarray):
     return neg, t.copy()
 
 
-class _SturmSweep:
-    """Sturm counts and eigenvalues of one symmetric tridiagonal T.
+class SturmSweep:
+    """Sturm counts and eigenvalues of one symmetric tridiagonal T (``diag``,
+    ``off``), with its runs and ``scale`` = max|d| + 2 max|e|: one per box
+    sector, shared by its counts, eigenvalues and eigenvectors.
 
     The leading run (rows 0..lead, equal to row 0 bit for bit) and the
-    trailing run (the last ``trail`` rows, equal to the last row) are free
-    blocks, each swept from its wall (``_wall_run``): its negative pivots
-    are its closed-form eigenvalues below s.  The support between them is
-    swept row by row (``_support_step``) from the leading block's last
-    pivot, and the trailing block's top pivot u joins the support's last
-    row r as the Schur term -e_r^2/u.  This twisted factorization of T - s
-    has the inertia of T - s (Sylvester), so its negative pivots number the
+    trailing run (the last ``trail`` rows, equal to the last row and
+    disjoint from the leading run) are free blocks, each swept from its
+    wall (``_wall_run``): its negative pivots are its closed-form
+    eigenvalues below s.  The support between them is swept row by row
+    (``_support_step``) from the leading block's last pivot, and the
+    trailing block's top pivot u joins the support's last row r as the
+    Schur term -e_r^2/u.  This twisted factorization of T - s has the
+    inertia of T - s (Sylvester), so its negative pivots number the
     eigenvalues below s.  With no support row between the blocks the twist
     row is the leading block's last.  A run shorter than ``_MIN_RUN`` rows
-    joins the support.
+    counts as 0 and joins the support.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
         n = diag.size
-        lead, trail = _runs(diag, off)
+        self.diag, self.off = diag, off
+        lead = _run_length(diag, off)
+        lead = lead if lead >= _MIN_RUN else 0
+        trail = min(_run_length(diag[::-1], off[::-1]), n - 1 - lead)
+        trail = trail if trail >= _MIN_RUN else 0
         self.lead, self.trail = lead, trail
-        self.first = float(diag[0])
-        self.lead_entries = (self.first, float(off[0])) if lead else None
+        self.lead_entries = (float(diag[0]), float(off[0])) if lead else None
         self.trail_entries = ((float(diag[-1]), float(off[-1])) if trail
                               else None)
         self.support = (diag[lead + 1:n - trail], off[lead:n - 1 - trail] ** 2)
@@ -481,8 +479,9 @@ class _SturmSweep:
         radius[1:] += np.abs(off)
         self.bounds = (float((diag - radius).min()),
                        float((diag + radius).max()))
-        self.tol = np.finfo(float).eps * float(
-            np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))
+        self.scale = float(np.abs(diag).max()
+                           + 2.0 * np.abs(off).max(initial=0.0))
+        self.tol = np.finfo(float).eps * self.scale
 
     def count(self, shifts) -> np.ndarray:
         """The number of eigenvalues below each shift."""
@@ -490,7 +489,7 @@ class _SturmSweep:
         if self.lead:
             neg, t = _wall_run(shifts, *self.lead_entries, self.lead + 1)
         else:
-            t = self.first - shifts + 0.0      # a zero pivot is +0.0: positive
+            t = self.diag[0] - shifts + 0.0    # a zero pivot is +0.0: positive
             neg = (t < 0.0).astype(np.int64)
         c, t = _support_step(t, shifts, *self.support)
         neg += c
@@ -544,11 +543,11 @@ class _SturmSweep:
             float((hi - lo).max()))
 
 
-def count_below(diag: np.ndarray, off: np.ndarray, level: float) -> int:
-    """Number of eigenvalues of the tridiagonal below ``level``: the
-    negative pivots of the (Sturm) sweep of T - level, in which each
-    constant run of the tridiagonal counts its own closed-form eigenvalues
-    below the level (``_SturmSweep``).
+def count_below(sweep: SturmSweep, level: float) -> int:
+    """Number of eigenvalues of the sweep's tridiagonal T below ``level``:
+    the negative pivots of the (Sturm) sweep of T - level, in which each
+    constant run of T counts its own closed-form eigenvalues below the
+    level (``SturmSweep``).
 
     The count is that of T - level perturbed by rounding of about
     eps (max|d| + 2 max|e|), so a level that close to an eigenvalue may
@@ -556,7 +555,7 @@ def count_below(diag: np.ndarray, off: np.ndarray, level: float) -> int:
     levels ``LEVEL_GAP`` of the spectral scale away from the box's
     eigenvalues.
     """
-    return int(_SturmSweep(diag, off).count([level])[0])
+    return int(sweep.count([level])[0])
 
 
 class _Wall(NamedTuple):
@@ -634,8 +633,8 @@ def _wall_squares(wall: _Wall) -> np.ndarray:
                     np.where(band, sines, sinhs))
 
 
-def _twisted_columns(diag: np.ndarray, off: np.ndarray, values: np.ndarray,
-                     lead: int, trail: int, basis: np.ndarray | None = None):
+def _twisted_columns(sweep: SturmSweep, values: np.ndarray,
+                     basis: np.ndarray | None = None):
     """Vectors z, one per value, with (T - s) z = 0 on every row but one:
     (each column's residual ||(T - s) z|| / ||z||, its Rayleigh-quotient
     step z^T (T - s) z / ||z||^2).  With ``basis`` given, the unit vectors
@@ -659,6 +658,7 @@ def _twisted_columns(diag: np.ndarray, off: np.ndarray, values: np.ndarray,
     Rayleigh quotient's numerator is the sum over the support rows and
     their two neighbours.  A column that overflowed reads NaN.
     """
+    diag, off, lead, trail = sweep.diag, sweep.off, sweep.lead, sweep.trail
     n, k = diag.size, values.size
     q = trail if trail else 1
     p = min(lead + 1, n - q) if lead else 1
@@ -669,13 +669,13 @@ def _twisted_columns(diag: np.ndarray, off: np.ndarray, values: np.ndarray,
     f, g = x[:, :k], x[::-1, k:]
     head = tail = np.ones(k)
     if lead:
-        front = _wall(values, float(diag[0]), float(off[0]), p)
+        front = _wall(values, *sweep.lead_entries, p)
         _wall_rows(front, f[:2], p - 1)
         head = _wall_squares(front)
     else:
         f[1] = 1.0
     if trail:
-        back = _wall(values, float(diag[-1]), float(off[-1]), q)
+        back = _wall(values, *sweep.trail_entries, q)
         _wall_rows(back, g[:-3:-1], q - 1)
         tail = _wall_squares(back)
     else:
@@ -735,17 +735,17 @@ def _twisted_columns(diag: np.ndarray, off: np.ndarray, values: np.ndarray,
     return np.where(np.isfinite(norm), resid[r, cols], math.nan), step
 
 
-def eigenpairs_below(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
-    """The k lowest eigenvalues ``values`` of the tridiagonal (ascending)
-    and an orthonormal basis of their invariant subspace, as an n x k
-    Fortran array.
+def eigenpairs_below(sweep: SturmSweep, values: np.ndarray):
+    """The k lowest eigenvalues ``values`` of the sweep's tridiagonal
+    (ascending) and an orthonormal basis of their invariant subspace, as an
+    n x k Fortran array.
 
     The values are the caller's, as a ``box_levels`` window holds them: one
-    vectorized solve on the Sturm sweep, to eps (max|d| + 2 max|e|) / 64.
+    vectorized solve on the same sweep, to eps (max|d| + 2 max|e|) / 64.
     This function builds the basis only.  The values fall into groups that
     end wherever consecutive eigenvalues lie at least
-    sqrt(eps) (max|d| + 2 max|e|) apart.  Where T has a free run from a
-    wall (``_runs``), each value that is a group of its own gets its vector
+    sqrt(eps) (max|d| + 2 max|e|) apart.  Where the sweep has a free run
+    from a wall, each value that is a group of its own gets its vector
     in closed form on the runs, joined across the support at one twisted
     row (``_twisted_columns``).  A single twisted solve carries the value's
     error (up to about 1e-13 here) into the vector, divided by the gap to
@@ -764,21 +764,20 @@ def eigenpairs_below(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
     that order.  Inverse iteration that does not converge, or a Gram matrix
     that is not numerically positive definite, raises ConvergenceError.
     """
+    diag, off = sweep.diag, sweep.off
     n, k = diag.size, values.size
     basis = np.empty((n, k), order="F")
     if k == 0:
         return values, basis
-    scale = float(np.abs(diag).max() + 2.0 * np.abs(off).max())
     eps = np.finfo(float).eps
     cuts = np.concatenate([[0], np.flatnonzero(
-        np.diff(values) >= math.sqrt(eps) * scale) + 1, [k]])
-    lead, trail = _runs(diag, off)
+        np.diff(values) >= math.sqrt(eps) * sweep.scale) + 1, [k]])
     solved = np.zeros(k, dtype=bool)
-    if lead or trail:
-        tol = n * eps * scale
-        resid, step = _twisted_columns(diag, off, values, lead, trail)
-        resid, _ = _twisted_columns(diag, off, values + np.where(
-            resid <= tol, step, 0.0), lead, trail, basis)
+    if sweep.lead or sweep.trail:
+        tol = n * eps * sweep.scale
+        resid, step = _twisted_columns(sweep, values)
+        resid, _ = _twisted_columns(sweep, values + np.where(
+            resid <= tol, step, 0.0), basis)
         solved = resid <= tol
     iblock = np.ones(n, dtype=np.int32)
     isplit = np.zeros(n, dtype=np.int32)
@@ -799,12 +798,11 @@ def eigenpairs_below(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
     return values, dtrsm(1.0, chol, basis, side=1, overwrite_b=1)
 
 
-def eigenvalues_by_index(diag: np.ndarray, off: np.ndarray, i_lo: int, i_hi: int):
-    """Eigenvalues with (0-based) indices i_lo..i_hi of the tridiagonal,
-    from one vectorized solve on the Sturm sweep (``_SturmSweep``)."""
-    i_lo = max(i_lo, 0)
-    i_hi = min(i_hi, diag.size - 1)
-    return _SturmSweep(diag, off).eigenvalues(i_lo, i_hi)
+def eigenvalues_by_index(sweep: SturmSweep, i_lo: int, i_hi: int):
+    """Eigenvalues with (0-based) indices i_lo..i_hi of the sweep's
+    tridiagonal, i_hi clipped to the last, from one vectorized solve on the
+    sweep (``SturmSweep.eigenvalues``)."""
+    return sweep.eigenvalues(i_lo, min(i_hi, sweep.diag.size - 1))
 
 
 @dataclass(frozen=True)
@@ -813,8 +811,12 @@ class BandSpectra:
 
     ``d_nonzero`` holds +-sin theta and the index values sign(j) on
     ran P + ran P0; D is zero on its complement, which contributes
-    ``zero_multiplicity`` exact zeros.  ``m_plus`` and ``m_minus`` hold the
-    squared sines seen from ran P and ran P0, without their trivial kernels.
+    ``zero_multiplicity`` exact zeros; d_nonzero.size + zero_multiplicity
+    = n.  Past rank_p + rank_p0 = n, ran P and ran P0 meet in at least the
+    excess, where each direction is one zero of D but a sine 0 on each
+    side, so d_nonzero drops the excess of values nearest 0 and
+    zero_multiplicity is 0.  ``m_plus`` and ``m_minus`` hold the squared
+    sines seen from ran P and ran P0, without their trivial kernels.
     All arrays ascend.  For a mirror-symmetric box they merge the even and
     odd parity sectors, whose angles are disjoint parts of the same set and
     whose ranks add up to ``rank_p`` and ``rank_p0``.
@@ -839,7 +841,10 @@ class BandSpectra:
 
 class _Sector(NamedTuple):
     """One reflection block of a tridiagonal on n nodes, in the orthonormal
-    basis (e_i +- e_{n-1-i})/sqrt(2), i < n//2, plus e_centre for odd n.
+    basis (e_i +- e_{n-1-i})/sqrt(2), i < n//2, plus e_centre for odd n, as
+    its Sturm sweep; a ``box_levels`` window adds the H eigenvalues
+    ``values`` with sector indices first, first + 1, ..., and all the
+    sector's closed-form H0 levels ``free``.
 
     ``modes`` are the 1-based numbers k of the free modes the block holds,
     ascending: every k for a single block, the odd k for the even block and
@@ -847,10 +852,12 @@ class _Sector(NamedTuple):
     full-grid vector into sector coordinates (sqrt 2, the centre row 1).
     """
 
-    diag: np.ndarray
-    off: np.ndarray
+    sweep: SturmSweep
     modes: np.ndarray
     weight: np.ndarray
+    first: int = 0
+    values: np.ndarray | None = None
+    free: np.ndarray | None = None
 
 
 def _mirror_sectors(diag: np.ndarray, off: np.ndarray) -> list[_Sector]:
@@ -865,7 +872,7 @@ def _mirror_sectors(diag: np.ndarray, off: np.ndarray) -> list[_Sector]:
     tol = 8.0 * np.finfo(float).eps * float(np.abs(diag).max())
     if (np.abs(diag - diag[::-1]).max() > tol
             or np.abs(off - off[::-1]).max() > tol):
-        return [_Sector(diag, off, np.arange(1, n + 1), np.ones(n))]
+        return [_Sector(SturmSweep(diag, off), np.arange(n) + 1, np.ones(n))]
     m = n // 2
     root2 = math.sqrt(2.0)
     odd_k, even_k = np.arange(1, n + 1, 2), np.arange(2, n + 1, 2)
@@ -876,27 +883,16 @@ def _mirror_sectors(diag: np.ndarray, off: np.ndarray) -> list[_Sector]:
         even_off[-1] *= root2
         weight = np.full(m + 1, root2)
         weight[-1] = 1.0
-        return [_Sector(diag[:m + 1], even_off, odd_k, weight),
-                _Sector(diag[:m], off[:m - 1], even_k, np.full(m, root2))]
+        return [_Sector(SturmSweep(diag[:m + 1], even_off), odd_k, weight),
+                _Sector(SturmSweep(diag[:m], off[:m - 1]), even_k, weight[:m])]
     # Even n: the coupling e across the middle folds onto the last diagonal.
     e = off[m - 1]
     even_diag, odd_diag = diag[:m].copy(), diag[:m].copy()
     even_diag[-1] += e
     odd_diag[-1] -= e
     weight = np.full(m, root2)
-    return [_Sector(even_diag, off[:m - 1], odd_k, weight),
-            _Sector(odd_diag, off[:m - 1], even_k, weight)]
-
-
-class _SectorLevels(NamedTuple):
-    """One parity sector with the levels a window needs: the H eigenvalues
-    with sector indices first, first + 1, ..., and all the sector's
-    closed-form H0 levels."""
-
-    sector: _Sector
-    first: int
-    values: np.ndarray
-    free: np.ndarray
+    return [_Sector(SturmSweep(even_diag, off[:m - 1]), odd_k, weight),
+            _Sector(SturmSweep(odd_diag, off[:m - 1]), even_k, weight)]
 
 
 def _neighbours(values: np.ndarray, first: int, lam: float):
@@ -951,11 +947,11 @@ def box_levels(box: BoxDiscretization, potential: Potential | None,
     Per sector of ``_mirror_sectors`` (a box that is not mirror-symmetric is
     one sector), the Sturm counts a = #eig < lo and b = #eig < hi pick the
     indices a-1..b: the last eigenvalue below lo to the first at or above
-    hi, computed by one vectorized solve on the sector's Sturm sweep
-    (``eigenvalues_by_index``).  lo = -inf gives a = 0, so the window
-    (-inf, hi] holds every eigenvalue below hi.  The sector's H0 levels are
-    its free modes in closed form.  A sector may end inside the window; its
-    neighbours there are infinite.
+    hi, computed by one vectorized solve (``eigenvalues_by_index``); the
+    counts and the solve share the sector's sweep, kept for the basis.
+    lo = -inf gives a = 0, so the window (-inf, hi] holds every eigenvalue
+    below hi.  The sector's H0 levels are its free modes in closed form.  A
+    sector may end inside the window; its neighbours there are infinite.
     """
     if not lo <= hi:
         raise DomainError(f"empty level window [{lo}, {hi}]")
@@ -963,12 +959,12 @@ def box_levels(box: BoxDiscretization, potential: Potential | None,
     free = free_levels(box)
     levels = []
     for sector in _mirror_sectors(diag, off):
-        a = count_below(sector.diag, sector.off, lo)
-        b = a if hi == lo else count_below(sector.diag, sector.off, hi)
+        a = count_below(sector.sweep, lo)
+        b = a if hi == lo else count_below(sector.sweep, hi)
         first = max(a - 1, 0)
-        levels.append(_SectorLevels(
-            sector, first, eigenvalues_by_index(sector.diag, sector.off, first, b),
-            free[sector.modes - 1]))
+        levels.append(sector._replace(
+            first=first, values=eigenvalues_by_index(sector.sweep, first, b),
+            free=free[sector.modes - 1]))
     return BoxLevels(lo, hi, float(free[-1]), tuple(levels))
 
 
@@ -1033,21 +1029,22 @@ def band_spectra(box: BoxDiscretization, potential: Potential,
     """
     levels = box_levels(box, potential, -math.inf, fermi_level)
     r, r0, s_plus, s_minus = 0, 0, [], []
-    for window, ((k, _, _), (k0, _, _)) in zip(levels.sectors,
+    for sector, ((k, _, _), (k0, _, _)) in zip(levels.sectors,
                                                levels.at(fermi_level)):
-        sector = window.sector
-        _, u = eigenpairs_below(sector.diag, sector.off, window.values[:k])
-        u0 = _sines(box.n, sector.diag.size, sector.modes[:k0], sector.weight)
+        _, u = eigenpairs_below(sector.sweep, sector.values[:k])
+        u0 = _sines(box.n, sector.weight.size, sector.modes[:k0],
+                    sector.weight)
         plus, minus = _sector_sines(u, u0)
         s_plus.append(plus)
         s_minus.append(minus)
         r, r0 = r + k, r0 + k0
         del u, u0  # free this sector's blocks before the next one's
     s_plus, s_minus = np.concatenate(s_plus), np.concatenate(s_minus)
-
+    # past r + r0 = n, one sine 0 goes per direction in ran P and ran P0
+    d = np.sort(np.concatenate([s_plus, -s_minus]))
     return BandSpectra(
         rank_p=r, rank_p0=r0,
-        d_nonzero=np.sort(np.concatenate([s_plus, -s_minus])),
+        d_nonzero=np.delete(d, np.argsort(np.abs(d))[:max(r + r0 - box.n, 0)]),
         m_plus=np.sort(s_plus ** 2), m_minus=np.sort(s_minus ** 2),
-        zero_multiplicity=box.n - r - r0,
+        zero_multiplicity=max(box.n - r - r0, 0),
     )

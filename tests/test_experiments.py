@@ -312,6 +312,16 @@ class TestBandFillingCampaign:
 
 
 class TestBandFillingSpecialCases:
+    def test_ranks_past_n_run(self):
+        # n = 399 with rank P = rank P0 = 232: ran P and ran P0 meet
+        report = run_experiment(config_from_dict({
+            "experiment": "BandFilling", "lambda_grid": [1000.3],
+            "box_sequence": [[10.0, 399]]}))
+        (rec,) = [r for r in report.records if r["case"] == "box"]
+        assert rec["rank_p"] + rec["rank_p0"] > rec["n"]
+        assert rec["max_abs_eig_d"] <= 1.0
+        assert report.passed
+
     def test_zero_potential_is_trivial(self):
         cfg = config_from_dict({
             "experiment": "BandFilling",

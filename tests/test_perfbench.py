@@ -27,8 +27,10 @@ def test_perfbench_selftest_passes():
 
 def test_tracer_counts_box_eigenvectors(monkeypatch):
     # A ``--trace 1`` run reads the basis size off each eigenpairs_below
-    # result; a signature change there would break it unseen, since the
-    # self-test traces only smeared_spectral_shift.
+    # result, and the box layer's per-layer metrics off the count_below,
+    # eigenvalues_by_index and eigenpairs_below spans; a signature change
+    # or a call that leaves the module globals would break them unseen,
+    # since the self-test traces only smeared_spectral_shift.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import layers
     from tracing import Tracer
@@ -44,7 +46,19 @@ def test_tracer_counts_box_eigenvectors(monkeypatch):
         tracer.restore()
     assert schrodinger1d.eigenpairs_below is original
     spans = tracer.arrays()
-    calls = int((spans["name_id"] == tracer.names.index(
-        "schrodinger1d.eigenpairs_below")).sum())
-    assert calls == 2                       # one per parity sector
+    names = [tracer.names[i] for i in spans["name_id"]]
+
+    def ancestors(i):
+        while spans["parent"][i] >= 0:
+            i = spans["parent"][i]
+            yield names[i]
+    for layer in ("count_below", "eigenvalues_by_index", "eigenpairs_below"):
+        found = [i for i, name in enumerate(names)
+                 if name == f"schrodinger1d.{layer}"]
+        assert found, layer
+        assert all("schrodinger1d.band_spectra" in ancestors(i)
+                   for i in found), layer
+    # one solve and one basis per parity sector
+    assert names.count("schrodinger1d.eigenvalues_by_index") == 2
+    assert names.count("schrodinger1d.eigenpairs_below") == 2
     assert tracer.counters["eigenvectors"] == spectra.rank_p > 0

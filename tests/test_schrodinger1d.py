@@ -28,6 +28,7 @@ from specdiff.schrodinger1d import (
     GaussianBump,
     PoschlTeller,
     SquareWell,
+    SturmSweep,
     _mirror_sectors,
     _sines,
     band_spectra,
@@ -45,11 +46,11 @@ from dense import dense_tridiagonal, projection_below
 from potentials import ShiftedWell, SkewedGaussian
 
 
-def values_below(diag, off, level):
+def values_below(sweep, level):
     """The eigenvalues below ``level`` as a ``box_levels`` window solves
-    them: the Sturm count, then one solve by index."""
+    them: the Sturm count, then one solve by index, on one sweep."""
     return schrodinger1d.eigenvalues_by_index(
-        diag, off, 0, count_below(diag, off, level) - 1)
+        sweep, 0, count_below(sweep, level) - 1)
 
 
 def dirichlet_spectrum(box):
@@ -142,7 +143,7 @@ class TestHamiltonians:
     def test_poschl_teller_bound_state(self):
         box = BoxDiscretization(20.0, 2000)
         diag, off = hamiltonian_tridiagonal(box, PoschlTeller(strength=1))
-        vals = values_below(diag, off, 0.0)
+        vals = values_below(SturmSweep(diag, off), 0.0)
         assert vals.size == 1
         assert abs(vals[0] + 1.0) <= 0.02
 
@@ -151,7 +152,7 @@ class TestHamiltonians:
     def test_square_well_bound_count(self, depth, half_width):
         box = BoxDiscretization(20.0, 2000)
         diag, off = hamiltonian_tridiagonal(box, SquareWell(depth, half_width))
-        got = count_below(diag, off, -1e-9)
+        got = count_below(SturmSweep(diag, off), -1e-9)
         assert got == square_well_bound_count(depth, half_width)
 
     def test_poschl_teller_samples_large_box_silently(self):
@@ -275,19 +276,19 @@ class TestTwoProjectionAlgebra:
 class TestTridiagonalPath:
     def test_sturm_count_matches_closed_form(self):
         box = BoxDiscretization(8.0, 400)
-        diag, off = hamiltonian_tridiagonal(box)
+        sweep = SturmSweep(*hamiltonian_tridiagonal(box))
         levels = free_levels(box)
         rng = np.random.default_rng(9)
         for lam in rng.uniform(0.1, 30.0, size=12):
-            assert count_below(diag, off, lam) == int(np.sum(levels < lam))
+            assert count_below(sweep, lam) == int(np.sum(levels < lam))
 
     def test_level_guard_returns_sturm_count_or_raises_typed(self):
         box = BoxDiscretization(8.0, 400)
         well = SquareWell(-2.0, 1.0)
-        diag, off = hamiltonian_tridiagonal(box, well)
+        sweep = SturmSweep(*hamiltonian_tridiagonal(box, well))
         lam = 3.3
         assert sum(h[0] for h, _ in box_levels(box, well, lam, lam).at(lam)) \
-            == count_below(diag, off, lam)
+            == count_below(sweep, lam)
         collision = float(free_levels(box)[5])
         with pytest.raises(LevelCollisionError):
             box_levels(box, well, collision, collision).at(collision)
@@ -343,6 +344,24 @@ class TestTridiagonalPath:
         assert spectra.trace_d == round(np.trace(p - p0)) == index
         assert abs(spectra.d_full.sum() - spectra.trace_d) <= 1e-10
 
+    # Past rank P + rank P0 = n the ranges meet: n = 399 with ranks 200 + 200
+    # at lambda = 801.3, 232 + 232 at 1000.3 and 335 + 335 at 1500.7.
+    @pytest.mark.parametrize("potential", [SquareWell(),
+                                           GaussianBump(-1.0, 1.0)],
+                             ids=["square_well", "gaussian"])
+    @pytest.mark.parametrize("lam", [801.3, 1000.3, 1500.7])
+    def test_ranks_past_n_match_dense_path(self, potential, lam):
+        box = BoxDiscretization.from_spacing(10.0, 0.05)
+        spectra = band_spectra(box, potential, lam)
+        assert spectra.rank_p + spectra.rank_p0 > box.n
+        assert spectra.d_nonzero.size + spectra.zero_multiplicity == box.n
+        p = projection_below(dense_tridiagonal(
+            *hamiltonian_tridiagonal(box, potential)), lam)
+        p0 = projection_below(dense_tridiagonal(*hamiltonian_tridiagonal(box)),
+                              lam)
+        assert np.abs(spectra.d_full - np.linalg.eigvalsh(p - p0)).max() \
+            <= 1e-12
+
     @pytest.mark.parametrize("potential", [SquareWell(-2.0, 1.0),
                                            PoschlTeller(1),
                                            GaussianBump(-1.0, 1.0)],
@@ -353,7 +372,8 @@ class TestTridiagonalPath:
         monkeypatch.setattr(
             schrodinger1d, "_mirror_sectors",
             lambda diag, off: [schrodinger1d._Sector(
-                diag, off, np.arange(1, diag.size + 1), np.ones(diag.size))])
+                SturmSweep(diag, off), np.arange(1, diag.size + 1),
+                np.ones(diag.size))])
         whole = band_spectra(box, potential, 1.0)
         assert (split.rank_p, split.rank_p0, split.zero_multiplicity) == \
             (whole.rank_p, whole.rank_p0, whole.zero_multiplicity)
@@ -383,7 +403,7 @@ class TestMirrorSectors:
         diag, off = hamiltonian_tridiagonal(box, potential)
         sectors = _mirror_sectors(diag, off)
         assert len(sectors) == 2
-        assert sum(s.diag.size for s in sectors) == box.n
+        assert sum(s.sweep.diag.size for s in sectors) == box.n
 
     def test_asymmetric_boxes_stay_whole(self):
         box = BoxDiscretization.from_spacing(8.0, 0.05)
@@ -399,8 +419,8 @@ class TestMirrorSectors:
         box = BoxDiscretization(5.0, n)
         diag, off = hamiltonian_tridiagonal(box, SquareWell(-2.0, 1.0))
         sectors = _mirror_sectors(diag, off)
-        union = np.sort(np.concatenate([eigvalsh_tridiagonal(s.diag, s.off)
-                                        for s in sectors]))
+        union = np.sort(np.concatenate([
+            eigvalsh_tridiagonal(s.sweep.diag, s.sweep.off) for s in sectors]))
         want = eigvalsh_tridiagonal(diag, off)
         assert np.abs(union - want).max() <= 1e-12 * np.abs(want).max()
         # Each sector of H0 holds its free modes: the odd k in the even
@@ -410,7 +430,7 @@ class TestMirrorSectors:
                                  (1, 2)):
             assert np.array_equal(sector.modes,
                                   np.arange(first, box.n + 1, 2))
-            got = eigvalsh_tridiagonal(sector.diag, sector.off)
+            got = eigvalsh_tridiagonal(sector.sweep.diag, sector.sweep.off)
             assert np.abs(got - free[sector.modes - 1]).max() <= \
                 1e-12 * free[-1]
 
@@ -485,10 +505,11 @@ def reference_band_spectra(box, potential, lam, vectors_at):
     sectors = _mirror_sectors(diag, off)
     r, s_plus, s_minus = 0, [], []
     for first_mode, sector in enumerate(sectors, start=1):
-        values = values_below(sector.diag, sector.off, lam)
-        u, _ = np.linalg.qr(vectors_at(sector.diag, sector.off, values))
+        values = values_below(sector.sweep, lam)
+        u, _ = np.linalg.qr(vectors_at(sector.sweep.diag, sector.sweep.off,
+                                       values))
         modes = np.arange(first_mode, r0 + 1, len(sectors))
-        rows = sector.diag.size
+        rows = sector.sweep.diag.size
         u0 = sector.weight[:, None] * _sines(box.n, rows, modes, np.ones(rows))
         c = u.T @ u0
         s_plus.append(np.linalg.svd(u - u0 @ c.T, compute_uv=False))
@@ -546,13 +567,12 @@ class TestInvariantSubspaceBasis:
 
         diag, off = hamiltonian_tridiagonal(box, potential)
         for sector, vectors in zip(_mirror_sectors(diag, off), oracle):
-            values, basis = eigenpairs_below(
-                sector.diag, sector.off,
-                values_below(sector.diag, sector.off, 1.0))
-            want_values, _ = eigenvectors_below(sector.diag, sector.off, 1.0)
+            sweep = sector.sweep
+            values, basis = eigenpairs_below(sweep, values_below(sweep, 1.0))
+            want_values, _ = eigenvectors_below(sweep.diag, sweep.off, 1.0)
             assert values.shape == want_values.shape
             assert np.abs(values - want_values).max() <= eigenvalue_tol(
-                sector.diag, sector.off)
+                sweep.diag, sweep.off)
             k = values.size
             assert np.abs(basis.T @ basis - np.eye(k)).max() <= 1e-14
             # The oracle is the eigenvectors themselves, not vectors that
@@ -566,12 +586,13 @@ class TestInvariantSubspaceBasis:
         columns = count_stein_columns(monkeypatch)
         diag, off = hamiltonian_tridiagonal(box, GaussianBump(-1.0, 10.0))
         for sector in _mirror_sectors(diag, off):
-            assert schrodinger1d._runs(sector.diag, sector.off) == (0, 0)
-            values = values_below(sector.diag, sector.off, 1.0)
+            sweep = sector.sweep
+            assert (sweep.lead, sweep.trail) == (0, 0)
+            values = values_below(sweep, 1.0)
             columns.clear()
-            _, basis = eigenpairs_below(sector.diag, sector.off, values)
+            _, basis = eigenpairs_below(sweep, values)
             assert values.size > 0 and sum(columns) == values.size
-            vectors = eigenvectors_at(sector.diag, sector.off, values)
+            vectors = eigenvectors_at(sweep.diag, sweep.off, values)
             assert subspace_sines(basis, vectors).max() <= 1e-12
 
     @pytest.mark.parametrize("coupling", [1e-14, 1e-10, 1e-6])
@@ -586,8 +607,8 @@ class TestInvariantSubspaceBasis:
         single = eigvalsh_tridiagonal(d, e)
         i = 40 + int(np.argmax(np.diff(single[40:80])))
         level = 0.5 * (single[i] + single[i + 1])
-        values, basis = eigenpairs_below(diag, off,
-                                         values_below(diag, off, level))
+        sweep = SturmSweep(diag, off)
+        values, basis = eigenpairs_below(sweep, values_below(sweep, level))
         assert values.size == 2 * (i + 1)
         assert np.abs(basis.T @ basis - np.eye(values.size)).max() <= 1e-14
         want_values, vectors = eigh(dense_tridiagonal(diag, off))
@@ -601,10 +622,10 @@ class TestInvariantSubspaceBasis:
             calls.append(w.size)
             return np.zeros((d.size, w.size)), 1
         monkeypatch.setattr(schrodinger1d, "dstein", unconverged)
-        diag, off = hamiltonian_tridiagonal(BoxDiscretization(5.0, 99),
-                                            SquareWell(-2.0, 1.0))
+        sweep = SturmSweep(*hamiltonian_tridiagonal(BoxDiscretization(5.0, 99),
+                                                    SquareWell(-2.0, 1.0)))
         with pytest.raises(ConvergenceError):
-            eigenpairs_below(diag, off, values_below(diag, off, 1.0))
+            eigenpairs_below(sweep, values_below(sweep, 1.0))
         assert calls
 
     def test_singular_gram_matrix_raises_typed(self, monkeypatch):
@@ -621,7 +642,7 @@ class TestInvariantSubspaceBasis:
 
     def test_singular_closed_form_gram_matrix_raises_typed(self,
                                                            monkeypatch):
-        def parallel(diag, off, values, lead, trail, basis=None):
+        def parallel(sweep, values, basis=None):
             if basis is not None:
                 basis[:] = 1.0
             return np.zeros(values.size), np.zeros(values.size)
@@ -630,10 +651,10 @@ class TestInvariantSubspaceBasis:
             raise AssertionError("a closed-form column went to stein")
         monkeypatch.setattr(schrodinger1d, "_twisted_columns", parallel)
         monkeypatch.setattr(schrodinger1d, "dstein", no_stein)
-        diag, off = hamiltonian_tridiagonal(
-            BoxDiscretization.from_spacing(20.0, 0.05), ShiftedWell(center=0.7))
+        sweep = SturmSweep(*hamiltonian_tridiagonal(
+            BoxDiscretization.from_spacing(20.0, 0.05), ShiftedWell(center=0.7)))
         with pytest.raises(ConvergenceError):
-            eigenpairs_below(diag, off, values_below(diag, off, 1.0))
+            eigenpairs_below(sweep, values_below(sweep, 1.0))
 
     def test_value_at_the_band_bottom(self, monkeypatch):
         # tridiag(-1, 2, -1) with last diagonal 63/64 has the eigenvalue 0,
@@ -642,7 +663,8 @@ class TestInvariantSubspaceBasis:
         diag[-1] = 63.0 / 64.0
         off = np.full(63, -1.0)
         columns = count_stein_columns(monkeypatch)
-        values, basis = eigenpairs_below(diag, off, np.array([0.0]))
+        values, basis = eigenpairs_below(SturmSweep(diag, off),
+                                         np.array([0.0]))
         want = np.arange(1.0, 65.0)
         assert columns == []
         assert np.all(np.isfinite(basis))
@@ -685,36 +707,67 @@ class TestClosedFormBasis:
 class TestOneSolvePerSector:
     """``band_spectra`` reads each sector's eigenvalues off one window
     (-inf, lambda] of ``box_levels``; ``eigenpairs_below`` only builds the
+    basis.  Each sector's Sturm sweep, and with it the scan for its runs,
+    is built once per call and shared by the counts, the solve and the
     basis."""
 
     BOX = BoxDiscretization.from_spacing(20.0, 0.05)
-
-    @pytest.mark.parametrize("potential, sectors", [
+    SECTORS = pytest.mark.parametrize("potential, sectors", [
         (SquareWell(-2.0, 1.0), 2), (ShiftedWell(center=0.7), 1)],
         ids=["square_well", "shifted_well"])
+
+    @SECTORS
     def test_one_multisection_per_sector(self, monkeypatch, potential,
                                          sectors):
         solves = []
-        solve = schrodinger1d._SturmSweep.eigenvalues
+        solve = SturmSweep.eigenvalues
 
         def counted(sweep, first, last):
             solves.append(first)
             return solve(sweep, first, last)
-        monkeypatch.setattr(schrodinger1d._SturmSweep, "eigenvalues", counted)
+        monkeypatch.setattr(SturmSweep, "eigenvalues", counted)
         spectra = band_spectra(self.BOX, potential, 1.0)
         assert solves == [0] * sectors
         assert spectra.rank_p > 0
 
-    def test_basis_builds_no_sweep(self, monkeypatch):
-        diag, off = hamiltonian_tridiagonal(self.BOX, SquareWell(-2.0, 1.0))
-        values = values_below(diag, off, 1.0)
+    @SECTORS
+    @pytest.mark.parametrize("call", ["band_spectra", "box_levels",
+                                      "smeared_spectral_shift"])
+    def test_one_sweep_per_sector(self, monkeypatch, potential, sectors,
+                                  call):
+        from specdiff import scattering
+        built, scanned = [], []
+        init, run_length = SturmSweep.__init__, schrodinger1d._run_length
+
+        def counted_init(sweep, diag, off):
+            built.append(diag.size)
+            init(sweep, diag, off)
+
+        def counted_scan(diag, off):
+            scanned.append(diag.size)
+            return run_length(diag, off)
+        monkeypatch.setattr(SturmSweep, "__init__", counted_init)
+        monkeypatch.setattr(schrodinger1d, "_run_length", counted_scan)
+        {"band_spectra": lambda: band_spectra(self.BOX, potential, 1.0),
+         "box_levels": lambda: box_levels(self.BOX, potential, 0.5, 2.2),
+         "smeared_spectral_shift": lambda: scattering.smeared_spectral_shift(
+             potential, 1.01, self.BOX)}[call]()
+        assert len(built) == sectors
+        # a scan of the runs reads from both walls: two _run_length calls
+        assert len(scanned) == 2 * sectors
+
+    def test_basis_builds_no_new_sweep(self, monkeypatch):
+        sweep = SturmSweep(*hamiltonian_tridiagonal(self.BOX,
+                                                    SquareWell(-2.0, 1.0)))
+        values = values_below(sweep, 1.0)
 
         def no_sweep(*args):
             raise AssertionError("eigenpairs_below built a Sturm sweep")
-        monkeypatch.setattr(schrodinger1d, "_SturmSweep", no_sweep)
-        got, basis = eigenpairs_below(diag, off, values)
+        monkeypatch.setattr(SturmSweep, "__init__", no_sweep)
+        monkeypatch.setattr(schrodinger1d, "_run_length", no_sweep)
+        got, basis = eigenpairs_below(sweep, values)
         assert got is values
-        assert basis.shape == (diag.size, values.size)
+        assert basis.shape == (sweep.diag.size, values.size)
 
     # A sector with a leading run, one with no run, and a box that is one
     # sector with both runs.
@@ -724,13 +777,12 @@ class TestOneSolvePerSector:
         (ShiftedWell(center=0.7), (True, True)),
     ], ids=["square_well_sector", "wide_gaussian_sector", "shifted_well_box"])
     def test_count_below_minus_infinity_is_zero(self, potential, runs):
-        sector = _mirror_sectors(*hamiltonian_tridiagonal(self.BOX,
-                                                          potential))[0]
-        sweep = schrodinger1d._SturmSweep(sector.diag, sector.off)
+        sweep = _mirror_sectors(*hamiltonian_tridiagonal(self.BOX,
+                                                         potential))[0].sweep
         assert (sweep.lead > 0, sweep.trail > 0) == runs
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert count_below(sector.diag, sector.off, -math.inf) == 0
+            assert count_below(sweep, -math.inf) == 0
 
 
 def sturm_count_loop(diag, off, level):
@@ -786,7 +838,7 @@ def every_run_sweep(diag, off):
     """The Sturm sweep with every constant run, however short, stepped in
     closed form."""
     with mock.patch.object(schrodinger1d, "_MIN_RUN", 1):
-        return schrodinger1d._SturmSweep(diag, off)
+        return SturmSweep(diag, off)
 
 
 def with_runs(lead, trail, rng, support=7):
@@ -814,7 +866,7 @@ def kernel_cases():
             for k, sector in enumerate(_mirror_sectors(
                     *hamiltonian_tridiagonal(box, potential))):
                 cases.append((f"{potential.kind}-n{box.n}-sector{k}",
-                              sector.diag, sector.off))
+                              sector.sweep.diag, sector.sweep.off))
     box = BoxDiscretization.from_spacing(6.0, 0.02)
     cases.append(("shifted_well", *hamiltonian_tridiagonal(
         box, ShiftedWell(center=0.7))))
@@ -844,7 +896,7 @@ class TestSturmKernel:
     selection)."""
 
     def test_runs_are_found(self):
-        sweeps = {name: (schrodinger1d._SturmSweep(d, e),
+        sweeps = {name: (SturmSweep(d, e),
                          every_run_sweep(d, e))
                   for name, d, e in KERNEL_CASES}
         for lead in (0, 1, 2):
@@ -878,7 +930,8 @@ class TestSturmKernel:
             rng.uniform(diag.min() - 3.0, diag.max() + 3.0, 25),
             rng.uniform(-3.0, 4.0, 25)])
         monkeypatch.setattr(schrodinger1d, "_MIN_RUN", min_run)
-        got = schrodinger1d._SturmSweep(diag, off).count(shifts)
+        sweep = SturmSweep(diag, off)
+        got = sweep.count(shifts)
         checked = 0
         for s, count in zip(shifts, got):
             want, last = sturm_count_loop(diag, off, s)
@@ -886,7 +939,7 @@ class TestSturmKernel:
                 continue   # s is an eigenvalue to the last bit
             assert count == want, s
             if min_run > 1:
-                assert count_below(diag, off, s) == want, s
+                assert count_below(sweep, s) == want, s
             checked += 1
         assert checked >= shifts.size - 2
 
@@ -942,6 +995,7 @@ class TestSturmKernel:
         # side; from eigenvalue_tol on, the count is the recurrence's.
         n = diag.size
         away = eigenvalue_tol(diag, off)
+        sweep = SturmSweep(diag, off)
         for j in (0, n // 3, n - 1):
             lam = float(eigvalsh_tridiagonal(diag, off, select="i",
                                              select_range=(j, j),
@@ -950,17 +1004,17 @@ class TestSturmKernel:
             for _ in range(4):
                 near = np.nextafter(near, np.inf)
                 for level in (near, 2.0 * lam - near):
-                    assert count_below(diag, off, level) in (j, j + 1)
+                    assert count_below(sweep, level) in (j, j + 1)
             for level, want in ((lam - away, j), (lam + away, j + 1)):
                 assert sturm_count_loop(diag, off, level)[0] == want
-                assert count_below(diag, off, level) == want
+                assert count_below(sweep, level) == want
 
     def test_zero_pivot_counts_the_inertia(self):
         # The free Laplacian at its band centre: the first pivot is 0 and
         # half of the spectrum lies below.
         diag, off = np.full(40, 2.0), np.full(39, -1.0)
         assert sturm_count_loop(diag, off, 2.0)[0] == 20
-        assert count_below(diag, off, 2.0) == 20
+        assert count_below(SturmSweep(diag, off), 2.0) == 20
         assert np.count_nonzero(eigvalsh_tridiagonal(diag, off) < 2.0) == 20
 
     @pytest.mark.parametrize("name, diag, off", KERNEL_CASES,
@@ -968,9 +1022,10 @@ class TestSturmKernel:
     def test_eigenvalues_match_bisection(self, name, diag, off):
         n = diag.size
         tol = eigenvalue_tol(diag, off)
+        sweep = SturmSweep(diag, off)
         for i_lo, i_hi in ((0, min(n, 40) - 1),
                            (n // 3, min(n // 3 + 9, n - 1)), (n - 5, n - 1)):
-            got = schrodinger1d.eigenvalues_by_index(diag, off, i_lo, i_hi)
+            got = schrodinger1d.eigenvalues_by_index(sweep, i_lo, i_hi)
             want = eigvalsh_tridiagonal(diag, off, select="i",
                                         select_range=(i_lo, i_hi))
             assert got.shape == want.shape
@@ -978,7 +1033,7 @@ class TestSturmKernel:
         level = float(eigvalsh_tridiagonal(diag, off, select="i",
                                            select_range=(n // 4, n // 4))[0])
         level += 1e-6 * (abs(level) + 1.0)
-        values = values_below(diag, off, level)
+        values = values_below(sweep, level)
         lower = float(diag.min() - 2.0 * np.abs(off).max() - 1.0)
         want = eigvalsh_tridiagonal(diag, off, select="v",
                                     select_range=(lower, level))
@@ -1008,7 +1063,8 @@ class TestSturmKernel:
                     count += t < 0
             above = count > want
             lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
-        got = schrodinger1d.eigenvalues_by_index(diag, off, 0, want.size - 1)
+        got = schrodinger1d.eigenvalues_by_index(SturmSweep(diag, off), 0,
+                                                 want.size - 1)
         exact = (0.5 * (lo + hi)).astype(float)
         assert np.abs(got - exact).max() <= eigenvalue_tol(diag, off) / 16
 
@@ -1021,12 +1077,12 @@ class TestSturmKernel:
         # same bits whichever other indices the call asks for.
         box = BoxDiscretization.from_spacing(50.0, 0.02)
         for sector in _mirror_sectors(*hamiltonian_tridiagonal(box, potential)):
-            d, e = sector.diag, sector.off
-            wide = schrodinger1d.eigenvalues_by_index(d, e, 0, 40)
+            sweep = sector.sweep
+            wide = schrodinger1d.eigenvalues_by_index(sweep, 0, 40)
             assert np.array_equal(
-                schrodinger1d.eigenvalues_by_index(d, e, 10, 30), wide[10:31])
+                schrodinger1d.eigenvalues_by_index(sweep, 10, 30), wide[10:31])
             for j in (0, 5, 20, 33):
-                assert schrodinger1d.eigenvalues_by_index(d, e, j, j)[0] == \
+                assert schrodinger1d.eigenvalues_by_index(sweep, j, j)[0] == \
                     wide[j]
 
     def test_double_eigenvalues(self):
@@ -1034,7 +1090,7 @@ class TestSturmKernel:
         # is exactly double, so no count isolates one.
         diag = np.full(40, 2.0)
         off = np.concatenate([np.full(19, -1.0), [0.0], np.full(19, -1.0)])
-        got = schrodinger1d.eigenvalues_by_index(diag, off, 0, 39)
+        got = schrodinger1d.eigenvalues_by_index(SturmSweep(diag, off), 0, 39)
         want = eigvalsh_tridiagonal(diag, off, select="i",
                                     select_range=(0, 39))
         assert np.abs(got - want).max() <= eigenvalue_tol(diag, off)
@@ -1043,7 +1099,7 @@ class TestSturmKernel:
         monkeypatch.setattr(schrodinger1d, "_MAX_ROUNDS", 2)
         diag, off = KERNEL_CASES[0][1:]
         with pytest.raises(ConvergenceError):
-            schrodinger1d.eigenvalues_by_index(diag, off, 0, 9)
+            schrodinger1d.eigenvalues_by_index(SturmSweep(diag, off), 0, 9)
 
     def test_scattering_keeps_count_below(self):
         # perfbench's selftest reads this import by name

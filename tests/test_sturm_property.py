@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from specdiff import schrodinger1d
-from specdiff.schrodinger1d import _SturmSweep, count_below
+from specdiff.schrodinger1d import SturmSweep, count_below
 
 from test_schrodinger1d import sturm_count_loop
 
@@ -44,6 +44,6 @@ def test_count_matches_row_recurrence(alpha, beta, sign, lead, trail,
         # A function-scoped monkeypatch fixture trips Hypothesis' health
         # check, so the patch lives in the test body.
         with mock.patch.object(schrodinger1d, "_MIN_RUN", 1):
-            every_run = _SturmSweep(diag, off)
+            every_run = SturmSweep(diag, off)
         assert every_run.count([shift[pick]])[0] == want
-        assert count_below(diag, off, shift[pick]) == want
+        assert count_below(SturmSweep(diag, off), shift[pick]) == want

@@ -23,9 +23,11 @@ each vector is written in closed form on the runs (sin, or sinh below the
 band) and stepped by the three-term recurrence over the support only,
 joined at one twisted row; inverse iteration (LAPACK stein) per group of
 eigenvalues builds the rest, and one Cholesky QR makes them orthonormal.
-Per block one compact-WY QR of the larger side plus the SVD of its k x k R
-gives the sines of both sides.  The tests check the box layer against
-dense n x n projections from a full eigendecomposition.
+The sines on the runs and in U0 come from angle-addition tables.  Per block
+one in-place GEMM forms the larger side, (I-P0) U or (I-P) U0, and one
+compact-WY QR of it plus the SVD of its k x k R gives the sines of both
+sides.  The tests check the box layer against dense n x n projections from
+a full eigendecomposition.
 
 The box layer's counts and eigenvalues come from Sturm (LDL^T) sweeps on
 a vector of shifts (``SturmSweep``), one per sector and call, built once
@@ -62,7 +64,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dgeqrt, dpotrf, dstein
 
 from .errors import ConvergenceError, DomainError, LevelCollisionError
@@ -248,17 +250,52 @@ def free_levels(box: BoxDiscretization) -> np.ndarray:
     return (2.0 / h ** 2) * (1.0 - np.cos(k * np.pi / (box.n + 1)))
 
 
+# Sine tables are written by angle addition in blocks of this many rows.
+_SINE_ROWS = 128
+
+
+def _add_angles(out: np.ndarray, coarse, fine) -> None:
+    """out[b B + r] <- sin a_b cos c_r + cos a_b sin c_r = sin(a_b + c_r),
+    B = _SINE_ROWS, from the tables coarse = (sin a, cos a), one row per
+    block, and fine = (sin c, cos c), Fortran arrays laid out like a block
+    of the Fortran basis; a caller may fold factors into them.  Two
+    multiplies and an add per entry replace a libm sin, many times dearer."""
+    (sin_a, cos_a), (sin_c, cos_c) = coarse, fine
+    tmp = np.empty_like(sin_c)
+    for b, start in enumerate(range(0, out.shape[0], _SINE_ROWS)):
+        block = out[start:start + _SINE_ROWS]
+        m = block.shape[0]
+        np.multiply(cos_c[:m], sin_a[b], out=block)
+        np.multiply(sin_c[:m], cos_a[b], out=tmp[:m])
+        block += tmp[:m]
+
+
+def _half_turns(rows: np.ndarray, modes: np.ndarray, n1: int):
+    """(sin, cos) of pi i k / n1 for rows i and columns k, Fortran arrays.
+    The exact integer i k mod 2 n1 is h half turns plus a with |a| <= n1/2,
+    so the rounded angle pi a / n1 is off by at most about 2 ulps of pi/2,
+    and (-1)^h is the sign of both."""
+    t = np.asfortranarray(np.multiply.outer(rows, modes)) % (2 * n1)
+    turns = (2 * t + n1) // (2 * n1)
+    angle = (math.pi / n1) * (t - turns * n1)
+    sign = np.where(turns == 1, -1.0, 1.0)
+    return sign * np.sin(angle), sign * np.cos(angle)
+
+
 def _sines(n: int, rows: int, modes: np.ndarray,
            weight: np.ndarray) -> np.ndarray:
     """Rows i = 1..rows of the free modes k in ``modes`` on an n-point box,
-    times ``weight[i - 1]``, built in place in one Fortran buffer."""
-    out = np.multiply.outer(np.arange(1, rows + 1), modes,
-                            out=np.empty((rows, modes.size), order="F"))
-    out *= np.pi
-    out /= n + 1
-    np.sin(out, out=out)
-    out *= math.sqrt(2.0 / (n + 1))
-    out *= weight[:, None]
+    sqrt(2/(n+1)) sin(pi i k/(n+1)) weight[i - 1], as one Fortran array,
+    each entry within a few ulps: angle addition (``_add_angles``) over
+    i = c + r with exact phases (``_half_turns``), sqrt(2/(n+1)) weight[0]
+    folded into the coarse tables; only rows of other weights are rescaled."""
+    out = np.empty((rows, modes.size), order="F")
+    sin_a, cos_a = _half_turns(np.arange(1, rows + 1, _SINE_ROWS), modes, n + 1)
+    scale = math.sqrt(2.0 / (n + 1)) * weight[0]
+    _add_angles(out, (scale * sin_a, scale * cos_a),
+                _half_turns(np.arange(min(rows, _SINE_ROWS)), modes, n + 1))
+    other = np.flatnonzero(weight != weight[0])
+    out[other] *= (weight[other] / weight[0])[:, None]
     return out
 
 
@@ -512,8 +549,12 @@ class SturmSweep:
         eigenvalue is the same to the last bit whichever other indices the
         call asks for.  A bracket closes at eps (max|d| + 2 max|e|) /
         _NARROWING, or at 4 eps times its ends' magnitude if that is wider,
-        and its midpoint is returned.
+        and its midpoint is returned.  An index below 0 or past the last
+        raises DomainError.
         """
+        if first < 0 or last >= self.diag.size:
+            raise DomainError(f"eigenvalue indices {first}..{last} outside "
+                              f"0..{self.diag.size - 1}")
         want = np.arange(first, last + 1)
         pad = 4.0 * self.tol + 1e-300
         lo = np.full(want.size, self.bounds[0] - pad)
@@ -591,19 +632,28 @@ def _wall(values: np.ndarray, alpha: float, beta: float, rows: int) -> _Wall:
                  run(flip != (beta > 0.0)))
 
 
-def _wall_rows(wall: _Wall, out: np.ndarray, first: int) -> None:
-    """out[j] <- the run's row first + j (counted from 1 at the wall), in
-    place; ``out`` may be any view, such as rows of the Fortran basis."""
-    i = np.arange(first, first + out.shape[0], dtype=float)
-    np.multiply.outer(i, wall.angle, out=out)
-    band, rows = wall.band, wall.rows
-    np.sin(out[:, band], out=out[:, band])
+def _wall_rows(wall: _Wall, out: np.ndarray, first: int, factor=1.0) -> None:
+    """out[j] <- ``factor`` (a scalar or one per column) times the run's row
+    first + j (counted from 1 at the wall), in place; ``out`` may be any
+    view, such as rows of the Fortran basis, read backwards or not.  The
+    band columns sin(i theta) come from angle addition (``_add_angles``)
+    with i = c + r, the factor folded into the coarse tables."""
+    i = np.arange(first, first + out.shape[0])
+    band, rows, theta = wall.band, wall.rows, wall.angle[wall.band]
+    factor = np.broadcast_to(factor, wall.angle.shape)
+    phase = np.multiply.outer(i[::_SINE_ROWS], theta)
+    fine = np.asfortranarray(np.multiply.outer(
+        np.arange(min(i.size, _SINE_ROWS)), theta))
+    _add_angles(out[:, band], (factor[band] * np.sin(phase),
+                               factor[band] * np.cos(phase)),
+                (np.sin(fine), np.cos(fine)))
     with np.errstate(divide="ignore", invalid="ignore"):
         for part in (slice(0, band.start), slice(band.stop, None)):
-            x, mu = out[:, part], wall.angle[part]
-            top = rows * mu
-            x[:] = np.where(mu > 0.0, np.exp(x - top) * (
-                np.expm1(-2.0 * x) / np.expm1(-2.0 * top)), i[:, None] / rows)
+            mu = wall.angle[part]
+            x, top = i[:, None] * mu, rows * mu
+            out[:, part] = np.where(mu > 0.0, np.exp(x - top) * (
+                np.expm1(-2.0 * x) / np.expm1(-2.0 * top)), i[:, None] / rows
+            ) * factor[part]
     out[first % 2::2, wall.alt] *= -1.0   # the rows i even
 
 
@@ -722,16 +772,14 @@ def _twisted_columns(sweep: SturmSweep, values: np.ndarray,
                       axis=0)
         if basis is not None:
             if lead:
-                _wall_rows(front, basis[:p], 1)
-                basis[:p] /= norm
+                _wall_rows(front, basis[:p], 1, 1.0 / norm)
             else:
                 basis[0] = 1.0 / norm
             basis[p:n - q] = z[2:-2]
             if trail:
-                _wall_rows(back, basis[n - q:][::-1], 1)
+                _wall_rows(back, basis[n - q:][::-1], 1, scale / norm)
             else:
-                basis[-1] = 1.0
-            basis[n - q:] *= scale / norm
+                basis[-1] = scale / norm
     return np.where(np.isfinite(norm), resid[r, cols], math.nan), step
 
 
@@ -801,7 +849,7 @@ def eigenpairs_below(sweep: SturmSweep, values: np.ndarray):
 def eigenvalues_by_index(sweep: SturmSweep, i_lo: int, i_hi: int):
     """Eigenvalues with (0-based) indices i_lo..i_hi of the sweep's
     tridiagonal, i_hi clipped to the last, from one vectorized solve on the
-    sweep (``SturmSweep.eigenvalues``)."""
+    sweep (``SturmSweep.eigenvalues``); i_lo < 0 raises DomainError."""
     return sweep.eigenvalues(i_lo, min(i_hi, sweep.diag.size - 1))
 
 
@@ -990,17 +1038,18 @@ def _sector_sines(u: np.ndarray, u0: np.ndarray):
     with more columns has |j| = |rank P - rank P0| more values at 1.  So the
     singular values of that side give both: the other side is the same
     values without the |j| largest.  The side is formed in place of U or U0
-    (both Fortran arrays) and overwritten by its QR (``_singular_values``).
+    (both Fortran arrays) by one dgemm with beta = 1, U <- U - U0 (U^T U0)^T
+    or U0 <- U0 - U (U^T U0), with no n x k temporary, and overwritten by
+    its QR (``_singular_values``).
     """
     c = u.T @ u0
     j = u.shape[1] - u0.shape[1]
-    if j >= 0:
-        u -= u0 @ c.T
-        s = _singular_values(u)
-        return s, s[j:]
-    u0 -= u @ c
-    s = _singular_values(u0)
-    return s[-j:], s
+    side = u if j >= 0 else u0
+    if c.size:   # dgemm takes no empty operand
+        side = (dgemm(-1.0, u0, c, 1.0, u, trans_b=1, overwrite_c=1) if j >= 0
+                else dgemm(-1.0, u, c, 1.0, u0, overwrite_c=1))
+    s = _singular_values(side)
+    return (s, s[j:]) if j >= 0 else (s[-j:], s)
 
 
 def band_spectra(box: BoxDiscretization, potential: Potential,

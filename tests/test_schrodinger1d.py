@@ -13,6 +13,7 @@ closed-form Sturm sweep's counts and eigenvalues.
 """
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -703,6 +704,99 @@ class TestClosedFormBasis:
                                SquareWell(-2.0, 1.0), 1.0)
         assert spectra.rank_p > 0 and columns == []
 
+    @pytest.mark.parametrize("potential", [SquareWell(-2.0, 1.0),
+                                           GaussianBump(-1.0, 1.0)],
+                             ids=["square_well", "gaussian"])
+    def test_peak_memory_is_bounded(self, potential):
+        # numpy reports its buffers to tracemalloc.  A sector's U and U0 take
+        # n k 8 / 4 bytes each, so one sector's pair is half of n k 8; the
+        # measured peak is 0.63 to 0.65 of it, and 0.86 to 0.87 when
+        # (I - P0) U took an n x k temporary.
+        box = BoxDiscretization.from_spacing(100.0, 0.02)
+        band_spectra(box, potential, 1.0)
+        tracemalloc.start()
+        try:
+            spectra = band_spectra(box, potential, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spectra.rank_p > 50
+        assert peak <= 0.7 * box.n * spectra.rank_p * 8
+
+
+def wall_rows_reference(wall, first, rows):
+    """The run's rows first .. first + rows - 1 with one libm sine per
+    entry, and the sinh columns and the sign as ``_Wall`` states them."""
+    i = np.arange(first, first + rows, dtype=float)
+    x = np.multiply.outer(i, wall.angle)
+    x[:, wall.band] = np.sin(x[:, wall.band])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for part in (slice(0, wall.band.start), slice(wall.band.stop, None)):
+            mu, top = wall.angle[part], wall.rows * wall.angle[part]
+            x[:, part] = np.where(mu > 0.0, np.exp(x[:, part] - top) * (
+                np.expm1(-2.0 * x[:, part]) / np.expm1(-2.0 * top)),
+                i[:, None] / wall.rows)
+    x[first % 2::2, wall.alt] *= -1.0   # the rows i even
+    return x
+
+
+class TestSineTables:
+    """The run rows and U0 come from angle-addition tables: U0 against
+    mpmath, and the run rows against one libm sine per entry."""
+
+    def test_free_sines_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        # the even sector of the L = 400, h = 0.02 box: rows i = 1..20000,
+        # odd modes, weight sqrt 2 but 1 on the centre row
+        n, rows = 39999, 20000
+        rng = np.random.default_rng(23)
+        modes = np.sort(rng.choice(np.arange(1, n + 1, 2), 48, replace=False))
+        weight = np.full(rows, math.sqrt(2.0))
+        weight[-1] = 1.0
+        u0 = _sines(n, rows, modes, weight)
+        i = np.concatenate([rng.integers(0, rows, 1999), [rows - 1]])
+        j = rng.integers(0, modes.size, i.size)
+        root = math.sqrt(2.0 / (n + 1))
+        with mpmath.workdps(30):
+            want = [float(mpmath.sinpi(mpmath.mpf(int(a + 1) * int(modes[b]))
+                                       / (n + 1))) for a, b in zip(i, j)]
+        err = np.abs(u0[i, j] / (root * weight[i]) - want)
+        assert err.max() <= 2e-15
+
+    @pytest.mark.parametrize("beta", [-400.0, 400.0], ids=["beta_neg",
+                                                           "beta_pos"])
+    @pytest.mark.parametrize("rows, first, reverse", [
+        (300, 1, False), (300, 1, True), (0, 299, False), (1, 299, False),
+        (2, 299, False), (2, 299, True), (128, 7, False)],
+        ids=["300", "300_reversed", "0", "1", "2", "2_reversed", "128"])
+    def test_wall_rows_match_libm(self, beta, rows, first, reverse):
+        # band 0..1600 about alpha = 800: the columns below 0 take sinh,
+        # 0 the linear rows i/rows, and the values past 800 the mirrored
+        # shift, whose rows alternate in sign for beta < 0
+        values = np.array([-5.0, -1e-3, 0.0, 1e-9, 0.5, 100.0, 700.0, 900.0,
+                           1500.0, 1599.999, 1601.0, 1700.0])
+        wall = schrodinger1d._wall(values, 800.0, beta, 300)
+        assert wall.band == slice(3, 10)
+        assert wall.alt == (slice(7, 12) if beta < 0 else slice(0, 7))
+        factor = np.linspace(0.5, 2.0, values.size)
+        want = wall_rows_reference(wall, first, rows)
+        buf = np.full((rows, values.size), np.nan, order="F")
+        out = buf[::-1] if reverse else buf
+        schrodinger1d._wall_rows(wall, out, first)
+        band = wall.band
+        phase = np.abs(np.multiply.outer(np.arange(first, first + rows),
+                                         wall.angle[band]))
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(out[:, band] - want[:, band])
+                      <= 4.0 * eps * (1.0 + phase))
+        for part in (slice(0, band.start), slice(band.stop, None)):
+            assert np.array_equal(out[:, part], want[:, part])
+        schrodinger1d._wall_rows(wall, out, first, factor)
+        assert np.all(np.abs(out[:, band] - factor[band] * want[:, band])
+                      <= 4.0 * eps * factor[band] * (1.0 + phase))
+        for part in (slice(0, band.start), slice(band.stop, None)):
+            assert np.array_equal(out[:, part], want[:, part] * factor[part])
+
 
 class TestOneSolvePerSector:
     """``band_spectra`` reads each sector's eigenvalues off one window
@@ -1100,6 +1194,18 @@ class TestSturmKernel:
         diag, off = KERNEL_CASES[0][1:]
         with pytest.raises(ConvergenceError):
             schrodinger1d.eigenvalues_by_index(SturmSweep(diag, off), 0, 9)
+
+    def test_indices_outside_the_spectrum_raise_typed(self):
+        # No count is ever <= -1, so index -1's bracket would close on the
+        # Gershgorin end (-3.5e-15 on this free Laplacian) and pass for an
+        # eigenvalue.
+        sweep = SturmSweep(np.full(40, 2.0), np.full(39, -1.0))
+        with pytest.raises(DomainError):
+            schrodinger1d.eigenvalues_by_index(sweep, -1, 1)
+        for first, last in ((-1, 1), (-1, -1), (0, 40)):
+            with pytest.raises(DomainError):
+                sweep.eigenvalues(first, last)
+        assert schrodinger1d.eigenvalues_by_index(sweep, 0, 1).size == 2
 
     def test_scattering_keeps_count_below(self):
         # perfbench's selftest reads this import by name

@@ -198,7 +198,7 @@ def criterion_10(seed: int = 0, reports=None) -> CriterionResult:
     first = bundle(shared.get)
     second = bundle(lambda name: run_experiment(_config(name, seed)))
     passed = first == second
-    detail = (f"two full campaign bundles, {len(first)} bytes each, "
+    detail = (f"two full bundles of {len(CAMPAIGNS)} campaign reports, "
               f"{'identical' if passed else 'DIFFER'} with timing excluded")
     return CriterionResult(10, "report determinism", passed, detail,
                            time.perf_counter() - t0)

@@ -740,14 +740,14 @@ def _twisted_columns(sweep: SturmSweep, values: np.ndarray,
         up, down = e[p:n - q + 2], e[p - 1:n - q + 1]
         now = np.concatenate([a / -up[:, None], a[::-1] / -down[::-1, None]],
                              axis=1)
-        prev = np.concatenate([np.repeat((down / -up)[:, None], k, axis=1),
-                               np.repeat((up / -down)[::-1, None], k, axis=1)],
-                              axis=1)
-        tmp = np.empty(2 * k)
+        # one ratio per row and side, broadcast over the values
+        prev = np.stack([down / -up, (up / -down)[::-1]], axis=1)[:, :, None]
+        sides = x.reshape(m, 2, k)
+        tmp = np.empty((2, k))
         for t in range(1, m - 2):
             np.multiply(now[t - 1], x[t], out=x[t + 1])
-            np.multiply(prev[t - 1], x[t - 1], out=tmp)
-            x[t + 1] += tmp
+            np.multiply(prev[t - 1], sides[t - 1], out=tmp)
+            sides[t + 1] += tmp
         # the twist rows r = p-1 .. n-q-1, at t = 1 .. m-3
         fr, gr = f[1:-2], g[1:-2]
         w = (gr * (e[p - 1:n - q, None] * f[:-3] + a[:-1] * fr)
@@ -1031,25 +1031,36 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.triu(qr[:k]), compute_uv=False)
 
 
-def _sector_sines(u: np.ndarray, u0: np.ndarray):
-    """The sines s+ of (I-P0) U and s- of (I-P) U0 for orthonormal U, U0.
+# Free modes per block of U0 in ``_sector_sines``, whose peak is U and one
+# such block; blocks of 16 took 10-18% longer at L = 400, h = 0.02.
+_MODE_BLOCK = 32
 
-    Off {0, 1} the two sides have the same singular values, and the side
-    with more columns has |j| = |rank P - rank P0| more values at 1.  So the
-    singular values of that side give both: the other side is the same
-    values without the |j| largest.  The side is formed in place of U or U0
-    (both Fortran arrays) by one dgemm with beta = 1, U <- U - U0 (U^T U0)^T
-    or U0 <- U0 - U (U^T U0), with no n x k temporary, and overwritten by
-    its QR (``_singular_values``).
+
+def _sector_sines(u: np.ndarray, n: int, modes: np.ndarray,
+                  weight: np.ndarray):
+    """The sines s+ of (I-P0) U and s- of (I-P) U0 for an orthonormal U (a
+    Fortran array) and U0, the sector's free modes ``modes`` (``_sines``).
+
+    (I-P0) U is formed in place of U by block modified Gram-Schmidt
+    (Stewart, SIAM J. Sci. Comput. 31, 2008): for each block B of
+    _MODE_BLOCK modes of U0, U <- U - B (U^T B)^T by one dgemm with
+    beta = 1.  Each block is built when it is needed and dropped before the
+    next, so U0 never exists whole, and U is overwritten by its QR
+    (``_singular_values``).  Off {0, 1} the two sides have the same
+    singular values, and the side with more columns has |j| =
+    |rank P - rank P0| more values at 1.  So s- is s+ without its j largest
+    for j >= 0, and s+ with |j| exact ones added for j < 0.
     """
-    c = u.T @ u0
-    j = u.shape[1] - u0.shape[1]
-    side = u if j >= 0 else u0
-    if c.size:   # dgemm takes no empty operand
-        side = (dgemm(-1.0, u0, c, 1.0, u, trans_b=1, overwrite_c=1) if j >= 0
-                else dgemm(-1.0, u, c, 1.0, u0, overwrite_c=1))
-    s = _singular_values(side)
-    return (s, s[j:]) if j >= 0 else (s[-j:], s)
+    j = u.shape[1] - modes.size
+    if u.shape[1]:   # dgemm takes no empty operand
+        for start in range(0, modes.size, _MODE_BLOCK):
+            block = _sines(n, u.shape[0], modes[start:start + _MODE_BLOCK],
+                           weight)
+            c = dgemm(1.0, u, block, trans_a=1)
+            u = dgemm(-1.0, block, c, 1.0, u, trans_b=1, overwrite_c=1)
+            del block
+    s = _singular_values(u)
+    return (s, s[j:]) if j >= 0 else (s, np.concatenate([np.ones(-j), s]))
 
 
 def band_spectra(box: BoxDiscretization, potential: Potential,
@@ -1061,7 +1072,9 @@ def band_spectra(box: BoxDiscretization, potential: Potential,
     depend on the subspaces only, so U need not consist of eigenvectors.
     The singular values of (I-P0) U and (I-P) U0 are the principal-angle
     sines seen from either side, the index values 1 included on the larger
-    side; one QR and a k x k SVD per sector give both (``_sector_sines``).
+    side.  Per sector, (I-P0) U is formed in place of U with U0 built a
+    block of modes at a time, so the sector's peak is U and one block;
+    one QR and a k x k SVD of it give both sides (``_sector_sines``).
 
     A mirror-symmetric box (max|d_i - d_{n-1-i}| <= 8 eps max|d|, see
     ``_mirror_sectors``) is reduced once per parity sector, each of half
@@ -1074,20 +1087,19 @@ def band_spectra(box: BoxDiscretization, potential: Potential,
     sectors and, per sector, the counts k and k0 of H and H0 levels below
     lambda and the k eigenvalues, each sector solved once: its lowest k
     window values go to ``eigenpairs_below`` and its first k0 free modes
-    to U0.
+    to ``_sector_sines``.
     """
     levels = box_levels(box, potential, -math.inf, fermi_level)
     r, r0, s_plus, s_minus = 0, 0, [], []
     for sector, ((k, _, _), (k0, _, _)) in zip(levels.sectors,
                                                levels.at(fermi_level)):
         _, u = eigenpairs_below(sector.sweep, sector.values[:k])
-        u0 = _sines(box.n, sector.weight.size, sector.modes[:k0],
-                    sector.weight)
-        plus, minus = _sector_sines(u, u0)
+        plus, minus = _sector_sines(u, box.n, sector.modes[:k0],
+                                    sector.weight)
         s_plus.append(plus)
         s_minus.append(minus)
         r, r0 = r + k, r0 + k0
-        del u, u0  # free this sector's blocks before the next one's
+        del u  # free this sector's basis before the next one's
     s_plus, s_minus = np.concatenate(s_plus), np.concatenate(s_minus)
     # past r + r0 = n, one sine 0 goes per direction in ran P and ran P0
     d = np.sort(np.concatenate([s_plus, -s_minus]))

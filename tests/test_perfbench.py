@@ -62,3 +62,17 @@ def test_tracer_counts_box_eigenvectors(monkeypatch):
     assert names.count("schrodinger1d.eigenvalues_by_index") == 2
     assert names.count("schrodinger1d.eigenpairs_below") == 2
     assert tracer.counters["eigenvectors"] == spectra.rank_p > 0
+
+
+def test_box_bands_pass_matches_reference(monkeypatch):
+    # The benchmark checks every box-bands record against the stored
+    # reference to 1e-9; the self-test checks only the checker, so a box
+    # layer change that moves a record would otherwise pass here unseen.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    inputs = workloads.make_inputs("box-bands", 0)
+    cases = workloads.run_pass("box-bands", inputs, lambda: None)
+    problems = workloads.check_pass("box-bands", inputs, cases)
+    assert len(problems) == len(inputs["reference"]) + 1
+    assert not any(problems), problems

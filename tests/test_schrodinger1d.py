@@ -308,7 +308,9 @@ class TestTridiagonalPath:
     # (every principal angle zero), rank P0 = 0, and rank P = rank P0 = 0;
     # then one box per shape of the sector split: no mirror symmetry (one
     # sector), even n (no centre node), and a diagonal that is mirror
-    # symmetric only to 1 ulp.
+    # symmetric only to 1 ulp.  At lambda = 1500 each sector holds about 75
+    # free modes, three blocks of U0, for j > 0 and j < 0; a barrier over
+    # the whole box gives rank P = 0 < rank P0.
     @pytest.mark.parametrize("potential, lam, index, half_length, h", [
         (SquareWell(-2.0, 1.0), 1.0, 1, 6.0, 0.02),
         (SquareWell(2.0, 1.0), 1.0, -1, 6.0, 0.02),
@@ -320,9 +322,13 @@ class TestTridiagonalPath:
         (SquareWell(-2.0, 1.0), 1.0, 1, 6.01, 0.02),
         (PoschlTeller(1), 1.0, 0, 8.0, 0.05),
         (SkewedGaussian(), 1.0, 1, 10.0, 0.05),
+        (SquareWell(-400.0, 1.0), 1500.0, 4, 6.0, 0.02),
+        (SquareWell(400.0, 1.0), 1500.0, -3, 6.0, 0.02),
+        (SquareWell(10.0, 10.0), 1.0, -3, 6.0, 0.02),
     ], ids=["j_plus", "j_minus", "j_zero", "p_equals_p0", "rank_p0_zero",
             "both_ranks_zero", "one_sector", "even_n", "ulp_mirror",
-            "skewed_gaussian"])
+            "skewed_gaussian", "j_plus_blocks", "j_minus_blocks",
+            "rank_p_zero"])
     def test_band_spectra_matches_dense_path(self, potential, lam, index,
                                              half_length, h):
         box = BoxDiscretization.from_spacing(half_length, h)
@@ -704,15 +710,20 @@ class TestClosedFormBasis:
                                SquareWell(-2.0, 1.0), 1.0)
         assert spectra.rank_p > 0 and columns == []
 
-    @pytest.mark.parametrize("potential", [SquareWell(-2.0, 1.0),
-                                           GaussianBump(-1.0, 1.0)],
-                             ids=["square_well", "gaussian"])
-    def test_peak_memory_is_bounded(self, potential):
-        # numpy reports its buffers to tracemalloc.  A sector's U and U0 take
-        # n k 8 / 4 bytes each, so one sector's pair is half of n k 8; the
-        # measured peak is 0.63 to 0.65 of it, and 0.86 to 0.87 when
-        # (I - P0) U took an n x k temporary.
-        box = BoxDiscretization.from_spacing(100.0, 0.02)
+    # numpy reports its buffers to tracemalloc.  A sector's U takes
+    # n k 8 / 4 bytes.  At L = 100, h = 0.02 a sector's U0 is one block of
+    # modes, and the peak is 0.63 to 0.65 of n k 8 (0.86 to 0.87 when
+    # (I - P0) U took an n x k temporary).  At L = 400, h = 0.05 (n =
+    # 15,999) it is four blocks, and the peak is 0.34 of n k 8 (0.56 when a
+    # sector's U0 was built whole).
+    @pytest.mark.parametrize("potential, half_length, h, bound", [
+        (SquareWell(-2.0, 1.0), 100.0, 0.02, 0.7),
+        (GaussianBump(-1.0, 1.0), 100.0, 0.02, 0.7),
+        (SquareWell(-2.0, 1.0), 400.0, 0.05, 0.4),
+        (SquareWell(2.0), 400.0, 0.05, 0.4),
+    ], ids=["square_well", "gaussian", "well_u0_blocks", "barrier_u0_blocks"])
+    def test_peak_memory_is_bounded(self, potential, half_length, h, bound):
+        box = BoxDiscretization.from_spacing(half_length, h)
         band_spectra(box, potential, 1.0)
         tracemalloc.start()
         try:
@@ -721,7 +732,7 @@ class TestClosedFormBasis:
         finally:
             tracemalloc.stop()
         assert spectra.rank_p > 50
-        assert peak <= 0.7 * box.n * spectra.rank_p * 8
+        assert peak <= bound * box.n * spectra.rank_p * 8
 
 
 def wall_rows_reference(wall, first, rows):

@@ -22,7 +22,9 @@ Eigenfunctions: f_t(u) = P_{-1/2+it}(a/u) / u satisfies
 (1/pi) int_0^a f_t(v) / (x + v) dv = f_t(x) / cosh(pi t), the generalized
 eigenfunction relation of the half-Carleman operator at eigenvalue
 1/cosh(pi t).  Since f_t(u) ~ u^{-1/2} log u near 0, quadrature for this
-relation uses the graded mesh.
+relation uses the graded mesh.  ``mehler_residual`` takes a scalar t or an
+array of t; an array goes through the conical series in one pass, one row
+of residuals per t.
 """
 
 from __future__ import annotations
@@ -156,23 +158,35 @@ def carleman_squared(grid: QuadratureGrid) -> KernelOperator:
     return KernelOperator(grid, _symmetrize(grid, K), KernelKind.CARLEMAN_SQUARED)
 
 
-def _mehler_samples(a: float, t: float, u: np.ndarray) -> np.ndarray:
+def _mehler_samples(a: float, t, u: np.ndarray) -> np.ndarray:
     """Samples of f_t(u) = P_{-1/2+it}(a/u)/u, the generalized eigenfunction
-    of the half-Carleman operator on (0, a) with eigenvalue 1/cosh(pi t)."""
-    if not (0.0 < t <= T_MAX):
-        raise DomainError(f"Mehler eigenfunction: t={t} outside (0, {T_MAX:g}]")
-    return conical_values(t, a / u)[0] / u
+    of the half-Carleman operator on (0, a) with eigenvalue 1/cosh(pi t):
+    one row per entry of t (shape t.shape + u.shape), from one conical
+    evaluation over all of them."""
+    t = np.asarray(t, dtype=float)
+    outside = ~((0.0 < t) & (t <= T_MAX))
+    if outside.any():
+        raise DomainError(f"Mehler eigenfunction: t={t[outside].flat[0]} "
+                          f"outside (0, {T_MAX:g}]")
+    return conical_values(t[..., None], a / u)[0] / u
 
 
-def mehler_residual(a: float, t: float, grid: QuadratureGrid,
+def mehler_residual(a: float, t, grid: QuadratureGrid,
                     eval_points) -> np.ndarray:
     """Relative residual |(C f_t)(x) - f_t(x)/cosh(pi t)| / |f_t(x)| at the
-    given interior points, with (C f_t) evaluated by quadrature on the grid."""
+    given interior points, with (C f_t) evaluated by quadrature on the grid.
+
+    ``t`` is a scalar or an array; the result has shape t.shape +
+    (points,), and each row holds the bits of its scalar-t call."""
     xs = np.atleast_1d(np.asarray(eval_points, dtype=float))
+    t = np.asarray(t, dtype=float)
     samples = _mehler_samples(a, t, np.concatenate([grid.nodes, xs]))
-    f, fx = samples[:grid.n], samples[grid.n:]
-    cf = np.array([np.sum(grid.weights * f / (xv + grid.nodes)) / math.pi for xv in xs])
-    return np.abs(cf - fx / math.cosh(math.pi * t)) / np.abs(fx)
+    f, fx = samples[..., :grid.n], samples[..., grid.n:]
+    cf = np.sum(grid.weights * f[..., None, :] / (xs[:, None] + grid.nodes),
+                axis=-1) / math.pi
+    # math.cosh per entry, as a scalar-t call takes it.
+    cosh = np.array([math.cosh(math.pi * s) for s in t.flat]).reshape(t.shape)
+    return np.abs(cf - fx / cosh[..., None]) / np.abs(fx)
 
 
 @dataclass(frozen=True)

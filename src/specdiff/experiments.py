@@ -416,14 +416,15 @@ def run_specfun_audit(config: ExperimentConfig) -> ExperimentReport:
     g, tol = config.grids, config.tolerances
 
     with report.case():
+        ts = np.asarray(g["seam_t"], dtype=float)
         xs = np.linspace(g["seam_x_lo"], g["seam_x_hi"], int(g["seam_points"]))
+        near, near_imag = specfun.conical_p_near_one(ts[:, None], xs)
+        far, far_imag = specfun.conical_p_far_branch(ts[:, None], xs)
+        diffs = np.max(np.abs(near - far), axis=1)
+        imags = np.maximum(np.max(near_imag, axis=1), np.max(far_imag, axis=1))
         worst = 0.0
         worst_imag = 0.0
-        for t in g["seam_t"]:
-            near, near_imag = specfun.conical_p_near_one(t, xs)
-            far, far_imag = specfun.conical_p_far_branch(t, xs)
-            diff_t = float(np.max(np.abs(near - far)))
-            imag_t = float(max(np.max(near_imag), np.max(far_imag)))
+        for t, diff_t, imag_t in zip(ts, diffs.tolist(), imags.tolist()):
             worst = max(worst, diff_t)
             worst_imag = max(worst_imag, imag_t)
             report.records.append({
@@ -489,20 +490,24 @@ def run_carleman_mehler(config: ExperimentConfig) -> ExperimentReport:
 
     window = g["window"]
     xs = np.linspace(window[0] * a, window[1] * a, int(g["window_points"]))
+    # One pass over every t per panel count; the records stay t-major.
+    ts = np.asarray(g["mehler_t"], dtype=float)
+    panel_counts = [int(p) for p in g["mehler_panels"]]
+    nodes, by_panels = [], []
+    for panels in panel_counts:
+        with report.case():
+            grid = carleman.composite_graded_grid(a, panels=panels, order=order)
+            by_panels.append(carleman.mehler_residual(a, ts, grid, xs).max(axis=1))
+            nodes.append(grid.n)
     all_monotone = True
     worst_final = 0.0
-    for t in g["mehler_t"]:
-        resids = []
-        with report.case():
-            for panels in g["mehler_panels"]:
-                grid = carleman.composite_graded_grid(a, panels=int(panels),
-                                                      order=order)
-                r = float(carleman.mehler_residual(a, float(t), grid, xs).max())
-                resids.append(r)
-                report.records.append({
-                    "case": "mehler", "t": float(t), "panels": int(panels),
-                    "nodes": grid.n, "max_rel_residual": r,
-                })
+    for t, row in zip(ts, np.column_stack(by_panels)):
+        resids = row.tolist()
+        for panels, n_nodes, r in zip(panel_counts, nodes, resids):
+            report.records.append({
+                "case": "mehler", "t": float(t), "panels": panels,
+                "nodes": n_nodes, "max_rel_residual": r,
+            })
         noise = 1.0 + tol["refinement_noise"]
         monotone = all(resids[i + 1] <= resids[i] * noise
                        for i in range(len(resids) - 1))

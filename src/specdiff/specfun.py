@@ -33,14 +33,18 @@ between this limit and a direct evaluation (the function is even in t).
 Array API.  ``hyp2f1`` and ``conical_values`` take numpy arrays and
 broadcast them; a scalar input gives a scalar output.  The series run on
 all elements at once with masked convergence: each element stops on its own
-rule (three consecutive terms below ``SERIES_RTOL`` times its running sum)
-and leaves the active set, so every element gets, bit for bit, the value it
-gets when evaluated alone.  ``conical_values(t, x)`` picks the
-representation per point and evaluates G(t) on ``t`` as given, before
-broadcasting: on a grid ``conical_values(ts[:, None], xs)`` that is one
-Gamma pair per t, not per point.  The forced representations
-``conical_p_near_one`` and ``conical_p_far_branch`` run the same kernels on
-every point and return the same ``(value, imag_residual)`` pair.
+rule (three consecutive terms below ``SERIES_RTOL`` times its running sum),
+its value is stored at that step, and finished elements are dropped from
+the working arrays in batches, once a quarter of them has finished.  So
+every element gets, bit for bit, the value it gets when evaluated alone.
+A call takes about as many numpy operations per term whatever its width,
+so callers pass a whole (t, x) grid in one call, not one call per t.
+``conical_values(t, x)`` picks the representation per point and evaluates
+G(t) on ``t`` as given, before broadcasting: on a grid
+``conical_values(ts[:, None], xs)`` that is one Gamma pair per t, not per
+point.  The forced representations ``conical_p_near_one`` and
+``conical_p_far_branch`` run the same kernels on every point and return the
+same ``(value, imag_residual)`` pair.
 """
 
 from __future__ import annotations
@@ -108,8 +112,12 @@ def hyp2f1(a, b, c, z):
 
     Restricted to |z| <= 0.9 where the plain series is the right tool.  Each
     element stops once three consecutive terms fall below 1e-16 of its own
-    running sum (robust against an early small term) and then leaves the
-    active set; elements with z == 0 are exactly 1.
+    running sum (robust against an early small term), and its sum is stored
+    at that step; elements with z == 0 are exactly 1.  A finished element
+    stays in the working arrays, its later terms ignored and unchecked for
+    overflow, until a quarter of the working set has finished; then all the
+    finished ones are dropped at once, which saves a copy of every working
+    array per step on grids where elements finish a few at a time.
     """
     a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))
     a, b, c, z = np.broadcast_arrays(a, b, c, np.asarray(z))
@@ -132,9 +140,11 @@ def hyp2f1(a, b, c, z):
     term = np.ones(live.size, dtype=complex)
     last_magnitude = np.ones(live.size)
     small_run = np.zeros(live.size, dtype=int)
+    pending = np.ones(live.size, dtype=bool)
+    n_pending = live.size
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(SERIES_CAP):
-            if live.size == 0:
+            if n_pending == 0:
                 break
             # Not in place: numpy's in-place complex product takes another
             # path for one-element arrays, and each element must get the same
@@ -142,23 +152,28 @@ def hyp2f1(a, b, c, z):
             term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0)) * z)
             magnitude = np.abs(term)
             if not np.isfinite(magnitude).all():
-                overflow = ~np.isfinite(magnitude)
-                raise ConvergenceError("hyp2f1 series overflowed",
-                                       float(last_magnitude[overflow][0]))
+                overflow = ~np.isfinite(magnitude) & pending
+                if overflow.any():
+                    raise ConvergenceError("hyp2f1 series overflowed",
+                                           float(last_magnitude[overflow][0]))
             last_magnitude = magnitude
             total += term
             small_run = np.where(magnitude <= SERIES_RTOL * np.abs(total),
                                  small_run + 1, 0)
             done = small_run == 3
             if done.any():
+                done &= pending
                 flat[live[done]] = total[done]
-                keep = ~done
-                live, a, b, c, z, total, term, last_magnitude, small_run = (
-                    v[keep] for v in (live, a, b, c, z, total, term,
-                                      last_magnitude, small_run))
-    if live.size:
+                pending &= ~done
+                n_pending -= np.count_nonzero(done)
+                if 4 * n_pending <= 3 * live.size:
+                    live, a, b, c, z, total, term, last_magnitude, small_run = (
+                        v[pending] for v in (live, a, b, c, z, total, term,
+                                             last_magnitude, small_run))
+                    pending = np.ones(live.size, dtype=bool)
+    if n_pending:
         raise ConvergenceError("hyp2f1 series did not converge within the term cap",
-                               float(np.max(last_magnitude)))
+                               float(np.max(last_magnitude[pending])))
     return out[()]
 
 

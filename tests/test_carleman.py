@@ -175,6 +175,28 @@ class TestMehler:
         with pytest.raises(DomainError):
             mehler_residual(1.0, 17.0, grid, xs)
 
+    def test_t_array_rows_equal_scalar_calls(self):
+        # One conical pass over every t gives each row the bits of its
+        # scalar-t call, on a coarse and a fine mesh and at the ends of
+        # the t range.
+        a = 1.0
+        ts = np.array([1e-4, 0.5, 1.0, 2.0, 7.5, 16.0])
+        xs = np.linspace(0.2, 0.8, 13)
+        for panels in (20, 80):
+            grid = composite_graded_grid(a, panels=panels, order=10)
+            rows = mehler_residual(a, ts, grid, xs)
+            assert rows.shape == (ts.size, xs.size)
+            for t, row in zip(ts, rows):
+                assert np.array_equal(row, mehler_residual(a, t, grid, xs))
+        assert mehler_residual(a, 1.0, grid, xs).shape == xs.shape
+
+    @pytest.mark.parametrize("bad", [0.0, 16.5])
+    def test_t_array_domain_guard(self, bad):
+        grid = composite_graded_grid(1.0, panels=10, order=4)
+        xs = np.linspace(0.2, 0.8, 3)
+        with pytest.raises(DomainError, match="t="):
+            mehler_residual(1.0, np.array([0.5, bad, 2.0]), grid, xs)
+
 
 class TestGammaMatrix:
     def test_identity_scattering_gives_zero(self):

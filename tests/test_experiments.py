@@ -7,6 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from specdiff import carleman, specfun
 from specdiff.errors import ConfigError, DomainError, LevelCollisionError
 from specdiff.experiments import (
     POTENTIALS,
@@ -248,6 +249,49 @@ class TestReports:
         report = ExperimentReport(experiment="x", config={})
         with pytest.raises(ConfigError):
             emit_report(report, "yaml", "/tmp/r.yaml")
+
+
+class TestConicalCampaignBatching:
+    def test_seam_records_match_per_t_forced_calls(self):
+        cfg = config_from_dict({
+            "experiment": "SpecfunAudit",
+            "grids": {"seam_t": [0.0, 5e-4, 1.0, 16.0], "seam_points": 21,
+                      "bound_samples": 20, "bound_n_t": 4},
+        })
+        g = cfg.grids
+        xs = np.linspace(g["seam_x_lo"], g["seam_x_hi"], g["seam_points"])
+        want = []
+        for t in g["seam_t"]:
+            near, near_imag = specfun.conical_p_near_one(t, xs)
+            far, far_imag = specfun.conical_p_far_branch(t, xs)
+            want.append({
+                "case": "seam", "t": float(t), "x_lo": float(g["seam_x_lo"]),
+                "x_hi": float(g["seam_x_hi"]), "points": int(g["seam_points"]),
+                "max_branch_diff": float(np.max(np.abs(near - far))),
+                "max_imag_residual": float(max(np.max(near_imag),
+                                               np.max(far_imag))),
+            })
+        report = run_specfun_audit(cfg)
+        assert [r for r in report.records if r["case"] == "seam"] == want
+
+    def test_mehler_records_are_t_major_and_match_scalar_calls(self):
+        cfg = config_from_dict({
+            "experiment": "CarlemanMehler",
+            "grids": {"n": 40, "mehler_t": [0.5, 2.0, 1.0],
+                      "mehler_panels": [10, 20], "window_points": 5},
+        })
+        report = run_experiment(cfg)
+        assert len(report.per_case_seconds) == 3
+        mehler = [r for r in report.records if r["case"] == "mehler"]
+        assert [(r["t"], r["panels"]) for r in mehler] == [
+            (0.5, 10), (0.5, 20), (2.0, 10), (2.0, 20), (1.0, 10), (1.0, 20)]
+        xs = np.linspace(0.2, 0.8, 5)
+        for r in mehler:
+            grid = carleman.composite_graded_grid(1.0, panels=r["panels"],
+                                                  order=10)
+            assert r["nodes"] == grid.n
+            assert r["max_rel_residual"] == float(
+                carleman.mehler_residual(1.0, r["t"], grid, xs).max())
 
 
 class TestVerdictTraceability:

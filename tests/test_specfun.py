@@ -19,6 +19,8 @@ from scipy.integrate import quad
 import specdiff
 from specdiff.errors import ConvergenceError, DomainError
 from specdiff.specfun import (
+    SERIES_CAP,
+    SERIES_RTOL,
     check_conical_bounds,
     conical_p_far_branch,
     conical_p_near_one,
@@ -38,6 +40,20 @@ def series_oracle(a, b, c, z, terms=200):
         total += term
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
     return total
+
+
+def stopping_step(a, b, c, z):
+    """The term index at which the series stops: the third consecutive
+    term below SERIES_RTOL of the running sum (Python complex arithmetic,
+    so it may differ from the numpy kernel's count by a step)."""
+    total, term, run = 1.0 + 0.0j, 1.0 + 0.0j, 0
+    for n in range(SERIES_CAP):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        total += term
+        run = run + 1 if abs(term) <= SERIES_RTOL * abs(total) else 0
+        if run == 3:
+            return n
+    raise AssertionError("no stop within the term cap")
 
 
 class TestHyp2f1:
@@ -366,6 +382,48 @@ class TestArrayKernels:
             conical_p_near_one(1.0, [1.5, 3.0])
         with pytest.raises(DomainError):
             conical_p_far_branch(1.0, [1.0, 2.0])
+
+    def test_mixed_convergence_elements_equal_lone_elements(self):
+        # Elements that stop after a few terms beside elements that need
+        # hundreds: finished elements stay in the working arrays until a
+        # quarter of them has finished, and no element's bits may notice.
+        rng = np.random.default_rng(25)
+        ts = rng.permutation(np.linspace(0.0, 16.0, 120))
+        zs = np.geomspace(1e-6, 0.9, 120) * np.where(np.arange(120) % 2, 1.0, -1.0)
+        a, b = 0.5 - 1j * ts, 0.5 + 1j * ts
+        steps = np.array([stopping_step(ak, bk, 1.0, zk)
+                          for ak, bk, zk in zip(a, b, zs)])
+        assert steps.min() <= 8 and steps.max() >= 300
+        # On most steps where elements finish, they are under a quarter of
+        # the unfinished ones, so the working arrays are not compacted then.
+        finish_steps, finished = np.unique(steps, return_counts=True)
+        unfinished = np.array([np.sum(steps >= n) for n in finish_steps])
+        assert np.mean(4 * finished < unfinished) > 0.8
+        grid = hyp2f1(a, b, 1.0, zs)
+        for k in range(ts.size):
+            assert hyp2f1(a[k], b[k], 1.0, zs[k]) == grid[k]
+
+    def test_overflow_in_one_element_of_many_raises(self):
+        z = np.full(500, 0.5)
+        a = np.full(500, 1.5 + 0.5j)
+        a[250] = 1e200
+        with pytest.raises(ConvergenceError) as err:
+            hyp2f1(a, a, 1.5, z)
+        with pytest.raises(ConvergenceError) as lone:
+            hyp2f1(a[250], a[250], 1.5, z[250])
+        assert err.value.last_term == lone.value.last_term
+
+    def test_finished_element_that_would_overflow_later_does_not_raise(self):
+        # b = -1 ends the series after one term; the factor (a+n)(b+n) of
+        # a = 1e307 overflows some twenty steps later, while the slow
+        # elements still run and the finished one is not yet dropped.
+        a = np.concatenate([[1e307], np.full(9, 0.5 - 8j)])
+        b = np.concatenate([[-1.0], np.full(9, 0.5 + 8j)])
+        z = np.concatenate([[0.5], np.full(9, -0.9)])
+        grid = hyp2f1(a, b, 1.5, z)
+        assert grid[0] == hyp2f1(1e307, -1.0, 1.5, 0.5)
+        assert grid[0] == 1.0 - 1e307 / 3.0
+        assert grid[1] == hyp2f1(a[1], b[1], 1.5, z[1])
 
     def test_nonconvergence_in_array_carries_last_term(self):
         with pytest.raises(ConvergenceError) as err:

@@ -20,8 +20,9 @@ Report schema (JSON, ``format_version = 1``)::
 The ``timing`` block is the only nondeterministic part; reports stripped of
 it are byte-identical across runs with equal config and seed.  Numeric
 fields are serialized with 17 significant digits, which round-trips IEEE
-doubles exactly.  CSV output is one row per record in record order; the
-column order is the record key order of the campaign:
+doubles exactly.  CSV output is one row per record in record order; its
+columns are the union of record keys in first-seen order, a cell empty
+where its record lacks the key.  The record keys, in order:
 
     SpecfunAudit    seam rows:  case, t, x_lo, x_hi, points,
                                 max_branch_diff, max_imag_residual
@@ -365,11 +366,12 @@ def report_json(report: ExperimentReport, include_timing: bool = True) -> str:
 
 
 def report_csv(report: ExperimentReport) -> str:
-    """One row per record; a string cell holding a comma, a double quote or
-    a newline is quoted (RFC 4180)."""
+    """One row per record, the columns the union of record keys in
+    first-seen order, empty where a record lacks the key; a string cell
+    holding a comma, a double quote or a newline is quoted (RFC 4180)."""
     if not report.records:
         return ""
-    columns = list(report.records[0].keys())
+    columns = list(dict.fromkeys(key for rec in report.records for key in rec))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)

@@ -16,8 +16,8 @@ Route 1 (``s_matrix_ode``): integrate -u'' + V u = lam u across the support
 with a fixed-step RK4 scheme, segmented at the potential's jump points so the
 integrator never steps across a discontinuity.  The equation is linear with
 real coefficients, so each RK4 step is a real 2x2 transfer matrix; the steps
-of a segment are built at once and multiplied pairwise.  The product of the
-segments, one forward propagator per energy, fixes both columns of S.
+of a segment are built and multiplied in blocks of fixed size.  The product
+of the segments, one forward propagator per energy, fixes both columns of S.
 
 Route 2 (``s_matrix_stationary``): the on-shell formula
 
@@ -119,6 +119,11 @@ class StationaryOperators:
     condition_number: float
 
 
+# RK4 steps are built and multiplied in blocks of this many, about 160 bytes
+# of arrays per step, so a segment's memory does not grow with its length.
+_RK4_BLOCK = 1 << 14
+
+
 def _rk4_segment(potential, lam: float, x0: float, x1: float,
                  step: float) -> np.ndarray:
     """Real 2x2 propagator of (u, u') under RK4 for u'' = (V - lam) u across
@@ -126,22 +131,33 @@ def _rk4_segment(potential, lam: float, x0: float, x1: float,
 
     The equation is linear with real coefficients, so each step is a real
     2x2 map M_i: the RK4 stages, applied to the basis columns (1, 0) and
-    (0, 1) for all steps at once, give its columns.  The maps are then
-    multiplied pairwise, M_{N-1} ... M_1 M_0 in log2(N) rounds.  Stage
-    points are clamped a hair inside the segment so that one-sided values
-    are used at jump locations sitting on segment ends.
+    (0, 1) for a block of ``_RK4_BLOCK`` steps at once, give its columns.
+    A block's maps are multiplied pairwise in log2 rounds, the block products
+    in order: M_{N-1} ... M_1 M_0.  Stage points are clamped a hair inside
+    the segment so that one-sided values are used at jump locations sitting
+    on segment ends.
     """
     length = abs(x1 - x0)
     nsteps = max(1, math.ceil(length / step))
     h = (x1 - x0) / nsteps
     lo, hi = min(x0, x1), max(x0, x1)
     eps = 1e-12 * length
-    xs = x0 + h * np.arange(nsteps)
 
     def coefficient(x):
         return np.asarray(potential(np.clip(x, lo + eps, hi - eps)), dtype=float) - lam
-    ca, cm, cb = coefficient(xs), coefficient(xs + h / 2), coefficient(xs + h)
 
+    product = None
+    for start in range(0, nsteps, _RK4_BLOCK):
+        xs = x0 + h * np.arange(start, min(start + _RK4_BLOCK, nsteps))
+        block = _rk4_product(h, coefficient(xs), coefficient(xs + h / 2),
+                             coefficient(xs + h))
+        product = block if product is None else block @ product
+    return product
+
+
+def _rk4_product(h: float, ca, cm, cb) -> np.ndarray:
+    """M_{m-1} ... M_0 for the RK4 step maps of u'' = c u whose coefficient
+    takes the values ca, cm and cb at the start, middle and end of step i."""
     def rk4_step(u, du):
         k1u, k1d = du, ca * u
         k2u = du + 0.5 * h * k1d
@@ -153,8 +169,8 @@ def _rk4_segment(potential, lam: float, x0: float, x1: float,
         return (u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u),
                 du + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d))
 
-    one, zero = np.ones(nsteps), np.zeros(nsteps)
-    maps = np.empty((nsteps, 2, 2))
+    one, zero = np.ones(ca.size), np.zeros(ca.size)
+    maps = np.empty((ca.size, 2, 2))
     maps[:, 0, 0], maps[:, 1, 0] = rk4_step(one, zero)
     maps[:, 0, 1], maps[:, 1, 1] = rk4_step(zero, one)
     while len(maps) > 1:

@@ -1,6 +1,5 @@
 """Finite-box discretizations of the 1D Hamiltonians H0 = -d^2/dx^2 and
-H = H0 + V, the spectra of their projection difference, and the algebra of
-two projections.
+H = H0 + V, and the spectra of their projection difference.
 
 The box (-L, L) carries Dirichlet walls and a uniform grid of n interior
 points with spacing h = 2L/(n+1); H0 is the three-point Laplacian
@@ -75,12 +74,7 @@ __all__ = [
     "SquareWell",
     "PoschlTeller",
     "GaussianBump",
-    "ProjectionDifference",
-    "PairingReport",
     "BandSpectra",
-    "projection_difference",
-    "m_plus_minus",
-    "symmetry_pairing_report",
     "hamiltonian_tridiagonal",
     "free_levels",
     "SturmSweep",
@@ -224,14 +218,6 @@ class GaussianBump(Potential):
         return self.width * math.sqrt(math.log(abs(self.amplitude) / tol))
 
 
-@dataclass(frozen=True)
-class ProjectionDifference:
-    """D = P - P0, with its sorted eigenvalues."""
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-
-
 def hamiltonian_tridiagonal(box: BoxDiscretization,
                             potential: Potential | None = None):
     """(diagonal, off-diagonal) arrays of H0 + V on the box grid."""
@@ -297,71 +283,6 @@ def _sines(n: int, rows: int, modes: np.ndarray,
     other = np.flatnonzero(weight != weight[0])
     out[other] *= (weight[other] / weight[0])[:, None]
     return out
-
-
-def projection_difference(p: np.ndarray, p0: np.ndarray) -> ProjectionDifference:
-    """D = P - P0; its spectrum lives in [-1, 1] (enforced)."""
-    _require_projection(p, "P")
-    _require_projection(p0, "P0")
-    d = p - p0
-    ev = np.linalg.eigvalsh(d)
-    if ev[0] < -1.0 - 1e-10 or ev[-1] > 1.0 + 1e-10:
-        raise DomainError(
-            f"projection difference spectrum [{ev[0]:.6g}, {ev[-1]:.6g}] "
-            "escapes [-1, 1]; the inputs cannot both be orthogonal projections")
-    return ProjectionDifference(d, ev)
-
-
-def _require_projection(p: np.ndarray, name: str, tol: float = 1e-10):
-    if np.abs(p - p.T).max() > tol:
-        raise DomainError(f"{name} is not symmetric")
-    if np.abs(p @ p - p).max() > tol:
-        raise DomainError(f"{name} is not idempotent")
-
-
-def m_plus_minus(p: np.ndarray, p0: np.ndarray):
-    """The compressions M+ = (I-P0) P (I-P0) and M- = P0 (I-P) P0.
-
-    Exact algebra gives D^2 = M+ + M- for D = P - P0, independent of where
-    the projections came from.
-    """
-    _require_projection(p, "P")
-    _require_projection(p0, "P0")
-    eye = np.eye(p.shape[0])
-    q0 = eye - p0
-    m_plus = q0 @ p @ q0
-    m_minus = p0 @ (eye - p) @ p0
-    return m_plus, m_minus
-
-
-@dataclass(frozen=True)
-class PairingReport:
-    """Matching of interior D-eigenvalues into (-mu, +mu) pairs."""
-
-    pairs: np.ndarray            # shape (k, 2): matched (positive, -negative)
-    max_pair_error: float
-    unpaired: np.ndarray         # interior eigenvalues without a partner
-
-
-def symmetry_pairing_report(diff, epsilon: float) -> PairingReport:
-    """Pair eigenvalues of D inside (-1+eps, -eps) U (eps, 1-eps) as -mu, +mu.
-
-    On the orthogonal complement of the (+-1)-eigenspaces, D is unitarily
-    equivalent to -D, so interior spectrum must be symmetric; leftover
-    unpaired values indicate a defect.  Accepts a ProjectionDifference or a
-    bare eigenvalue array.
-    """
-    if not (0.0 < epsilon < 0.5):
-        raise DomainError("pairing epsilon must lie in (0, 0.5)")
-    ev = diff.eigenvalues if isinstance(diff, ProjectionDifference) \
-        else np.asarray(diff, dtype=float)
-    pos = np.sort(ev[(ev > epsilon) & (ev < 1.0 - epsilon)])
-    neg = np.sort(-ev[(ev < -epsilon) & (ev > -1.0 + epsilon)])
-    k = min(pos.size, neg.size)
-    pairs = np.column_stack([pos[:k], neg[:k]]) if k else np.empty((0, 2))
-    err = float(np.abs(pairs[:, 0] - pairs[:, 1]).max()) if k else 0.0
-    unpaired = np.concatenate([pos[k:], neg[k:]])
-    return PairingReport(pairs=pairs, max_pair_error=err, unpaired=unpaired)
 
 
 # --- Sturm sweeps with closed-form runs ------------------------------------

@@ -1,6 +1,7 @@
-"""The box layer's dense oracle: a tridiagonal as an n x n matrix, and the
+"""The box layer's dense oracle: a tridiagonal as an n x n matrix, the
 orthogonal projection onto its eigenvectors below a level from LAPACK's
-full symmetric eigensolver."""
+full symmetric eigensolver, and the compressions of a pair of
+projections."""
 
 import numpy as np
 from scipy.linalg import eigh
@@ -18,3 +19,9 @@ def projection_below(matrix, level):
     values, vectors = eigh(matrix)
     below = vectors[:, values < level]
     return below @ below.T
+
+
+def compressions(p, p0):
+    """M+ = (I-P0) P (I-P0) and M- = P0 (I-P) P0 for n x n projections."""
+    eye = np.eye(p.shape[0])
+    return (eye - p0) @ p @ (eye - p0), p0 @ (eye - p) @ p0

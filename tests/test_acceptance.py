@@ -22,6 +22,7 @@ judge it, plus one fresh run per campaign for criterion 10.
 import collections
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from specdiff import acceptance, scattering
@@ -72,6 +73,29 @@ def test_criterion_05_projection_algebra():
     result = _run(acceptance.criterion_5)
     assert result.elapsed < 5.0
     assert result.passed, result.detail
+
+
+def _drop_partner(ev):
+    return np.delete(ev, np.flatnonzero(ev > 1e-6)[0])
+
+
+def _nudge_partner(ev):
+    ev = ev.copy()
+    ev[np.flatnonzero(ev > 1e-6)[0]] += 1e-6
+    return ev
+
+
+@pytest.mark.parametrize("damage, observed", [(_drop_partner, "1"),
+                                              (_nudge_partner, "1e-06")],
+                         ids=["unpaired", "mismatched"])
+def test_criterion_05_fails_on_broken_pairing(monkeypatch, damage, observed):
+    # An interior eigenvalue of D without its partner -mu counts as error 1.
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda d: damage(eigvalsh(d)))
+    result = acceptance.criterion_5(seed=SEED)
+    assert not result.passed
+    assert result.detail.endswith(
+        f"max pairing error={observed} (tol 1e-8)"), result.detail
 
 
 def test_criterion_06_scattering_two_routes():

@@ -1,5 +1,7 @@
 """Tests for campaign configs, reports, and serialization."""
 
+import csv
+import io
 import json
 import math
 import pathlib
@@ -232,6 +234,22 @@ class TestReports:
         emit_report(report, "csv", path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + len(report.records)
+
+    def test_csv_columns_are_the_union_of_record_keys(self):
+        # Seam and bound rows have different keys; each row keeps its own.
+        report = run_specfun_audit(small_audit_config())
+        header, *rows = csv.reader(io.StringIO(report_csv(report)))
+        assert header == ["case", "t", "x_lo", "x_hi", "points",
+                          "max_branch_diff", "max_imag_residual", "t_max",
+                          "n_x", "n_t", "uniform_sup", "holder_sup"]
+        bounds = [dict(zip(header, row)) for row in rows
+                  if row[0] == "bounds"]
+        assert bounds
+        for row, rec in zip(bounds, (r for r in report.records
+                                     if r["case"] == "bounds")):
+            assert float(row["uniform_sup"]) == rec["uniform_sup"]
+            assert float(row["holder_sup"]) == rec["holder_sup"]
+            assert row["max_branch_diff"] == ""
 
     def test_empty_records_still_valid(self):
         report = ExperimentReport(experiment="x", config={"seed": 0})

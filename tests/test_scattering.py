@@ -13,6 +13,7 @@ windowed counting.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,30 @@ class TestRk4Product:
         m = _rk4_segment(barrier, 0.5, 0.0, x1, 0.01)
         want = rk4_loop(barrier, 0.5, 0.0, x1, 0.01, *y)
         assert np.abs(m @ np.array(y) - np.array(want)).max() <= 1e-15
+
+    @pytest.mark.parametrize("block, x1", [(1, 0.037), (2, 0.037), (3, 0.037),
+                                           (7, 1.0), (64, -1.0)])
+    def test_blocked_product_matches_step_loop(self, monkeypatch, block, x1):
+        # 4 steps in blocks of 1, 2 and 3 (a short last block); 100 steps
+        # in 15 blocks of 7 and 2 of 64, either direction.
+        monkeypatch.setattr(scattering, "_RK4_BLOCK", block)
+        barrier, y = GaussianBump(amplitude=1.0), (0.3 + 0.2j, -1.1j)
+        m = _rk4_segment(barrier, 0.5, 0.0, x1, 0.01)
+        want = rk4_loop(barrier, 0.5, 0.0, x1, 0.01, *y)
+        assert np.abs(m @ np.array(y) - np.array(want)).max() <= 1e-14
+
+    def test_peak_memory_does_not_grow_with_support(self):
+        # A Gaussian of width 1000 takes 1.4 million RK4 steps at lam = 1,
+        # about 230 MB of numpy buffers if all were built at once.
+        pot = GaussianBump(-1.0, 1000.0)
+        tracemalloc.start()
+        try:
+            s = s_matrix_ode(pot, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.unitarity_defect <= 1e-8
+        assert peak <= 8e6
 
 
 class TestStationaryRoute:

@@ -1,5 +1,5 @@
-"""Tests for the box Hamiltonians, projections, and the two-projection
-algebra.
+"""Tests for the box Hamiltonians and the spectra of their projection
+difference.
 
 Oracles: the closed-form Dirichlet Laplacian spectrum, the textbook
 square-well bound-state count (matching equations solved by bisection), the
@@ -38,12 +38,9 @@ from specdiff.schrodinger1d import (
     eigenpairs_below,
     free_levels,
     hamiltonian_tridiagonal,
-    m_plus_minus,
-    projection_difference,
-    symmetry_pairing_report,
 )
 
-from dense import dense_tridiagonal, projection_below
+from dense import compressions, dense_tridiagonal, projection_below
 from potentials import ShiftedWell, SkewedGaussian
 
 
@@ -199,80 +196,6 @@ class TestProjections:
         assert abs(np.trace(p) - 10.0) <= 1e-10
         assert np.abs(p @ p - p).max() <= 1e-10
 
-    def test_difference_of_equal_projections_is_zero(self):
-        a, values = self._matrix()
-        p = projection_below(a, 0.5 * (values[4] + values[5]))
-        d = projection_difference(p, p)
-        assert np.abs(d.matrix).max() == 0.0
-
-    def test_zero_potential_difference_is_zero(self):
-        box = BoxDiscretization(5.0, 100)
-        h = dense_tridiagonal(*hamiltonian_tridiagonal(
-            box, GaussianBump(amplitude=0.0)))
-        h0 = dense_tridiagonal(*hamiltonian_tridiagonal(box))
-        d = projection_difference(projection_below(h, 1.0),
-                                  projection_below(h0, 1.0))
-        assert np.abs(d.eigenvalues).max() <= 1e-10
-
-    def test_rotated_rank_one_angles(self):
-        for phi in (0.2, 0.7, 1.2):
-            c, s = math.cos(phi), math.sin(phi)
-            r = np.array([[c, -s], [s, c]])
-            p0 = np.diag([1.0, 0.0])
-            p = r @ p0 @ r.T
-            d = projection_difference(p, p0)
-            want = np.array([-abs(s), abs(s)])
-            assert np.abs(np.sort(d.eigenvalues) - want).max() <= 1e-12
-
-
-class TestTwoProjectionAlgebra:
-    def _random_projections(self, dim, r1, r2, seed):
-        rng = np.random.default_rng(seed)
-        q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        return q1[:, :r1] @ q1[:, :r1].T, q2[:, :r2] @ q2[:, :r2].T
-
-    def test_dsquared_identity(self):
-        p, p0 = self._random_projections(50, 10, 17, seed=1)
-        d = p - p0
-        mp, mm = m_plus_minus(p, p0)
-        assert np.linalg.norm(d @ d - (mp + mm)) <= 1e-12
-
-    def test_equal_projections_give_zero(self):
-        p, _ = self._random_projections(30, 8, 8, seed=2)
-        mp, mm = m_plus_minus(p, p)
-        assert np.abs(mp).max() <= 1e-12
-        assert np.abs(mm).max() <= 1e-12
-
-    def test_compressions_are_psd_contractions(self):
-        p, p0 = self._random_projections(40, 12, 9, seed=3)
-        for m in m_plus_minus(p, p0):
-            ev = np.linalg.eigvalsh(m)
-            assert ev[0] >= -1e-12
-            assert ev[-1] <= 1.0 + 1e-12
-
-    def test_pairing_on_rotation_toy(self):
-        phi = 0.9
-        c, s = math.cos(phi), math.sin(phi)
-        r = np.array([[c, -s], [s, c]])
-        p0 = np.diag([1.0, 0.0])
-        d = projection_difference(r @ p0 @ r.T, p0)
-        rep = symmetry_pairing_report(d, 0.05)
-        assert rep.pairs.shape == (1, 2)
-        assert rep.max_pair_error <= 1e-12
-        assert rep.unpaired.size == 0
-
-    def test_pairing_on_zero_difference(self):
-        p, _ = self._random_projections(20, 6, 6, seed=5)
-        d = projection_difference(p, p)
-        rep = symmetry_pairing_report(d, 0.05)
-        assert rep.pairs.shape[0] == 0
-        assert rep.unpaired.size == 0
-
-    def test_pairing_epsilon_guard(self):
-        with pytest.raises(DomainError):
-            symmetry_pairing_report(np.array([0.5, -0.5]), 0.7)
-
 
 class TestTridiagonalPath:
     def test_sturm_count_matches_closed_form(self):
@@ -341,8 +264,8 @@ class TestTridiagonalPath:
         d_dense = np.linalg.eigvalsh(p - p0)
         assert np.abs(np.sort(spectra.d_full) - np.sort(d_dense)).max() <= 1e-10
 
-        mp, mm = m_plus_minus(p, p0)
-        for small, dense in ((spectra.m_plus, mp), (spectra.m_minus, mm)):
+        for small, dense in zip((spectra.m_plus, spectra.m_minus),
+                                compressions(p, p0)):
             got = np.sort(small)[::-1]
             want = np.sort(np.linalg.eigvalsh(dense))[::-1]
             # dense spectrum carries extra exact zeros; compare the head
@@ -393,9 +316,13 @@ class TestTridiagonalPath:
     def test_interior_pairing_on_benchmark_box(self):
         box = BoxDiscretization.from_spacing(100.0, 0.05)
         spectra = band_spectra(box, SquareWell(-2.0, 1.0), 1.0)
-        rep = symmetry_pairing_report(spectra.d_full, 0.05)
-        assert rep.unpaired.size == 0
-        assert rep.max_pair_error <= 1e-8
+        # Inside (-0.95, -0.05) U (0.05, 0.95) the eigenvalues of D come in
+        # pairs -mu, +mu.
+        d = spectra.d_full
+        pos = np.sort(d[(d > 0.05) & (d < 0.95)])
+        neg = np.sort(-d[(d < -0.05) & (d > -0.95)])
+        assert pos.size == neg.size > 0
+        assert np.abs(pos - neg).max() <= 1e-8
 
 
 class TestMirrorSectors:

@@ -122,7 +122,8 @@ def _potential_from_args(args) -> dict:
 def _run_scatter(args) -> int:
     pot = experiments.potential_from_dict(_potential_from_args(args))
     s_ode = scattering.s_matrix_ode(pot, args.energy)
-    s_stat = scattering.s_matrix_stationary(pot, args.energy)
+    s_stat, ops = scattering.s_matrix_stationary(pot, args.energy,
+                                                 return_operators=True)
     phases = scattering.eigenphases(s_ode)
     if not args.quiet:
         with np.printoptions(precision=10, suppress=False):
@@ -133,6 +134,10 @@ def _run_scatter(args) -> int:
                   f"stationary {s_stat.unitarity_defect:.3e}")
             print(f"cross-method |S_ode - S_stationary|: "
                   f"{np.linalg.norm(s_ode.matrix - s_stat.matrix):.3e}")
+            trail = ", ".join(f"{n}: {d:.3e}" for n, d in ops.refinement)
+            print(f"stationary route: {ops.nodes.size} nodes, condition "
+                  f"number {ops.condition_number:.3e}, refinement "
+                  f"(nodes: |dS|) {trail}")
             print(f"eigenphases: {phases.thetas}")
             print(f"band radii kappa_n: {phases.kappas}")
     return EXIT_OK

@@ -38,7 +38,9 @@ rounding for the even and the piecewise-constant potentials here at any
 node count, and spectrally small otherwise (an asymmetric smooth well:
 4e-2 at 16 nodes, 4e-13 at 64).  One dense LU solves I + T J, and LAPACK
 gecon estimates the condition number from that LU for the singularity
-guard.  ``N_CAP`` bounds the node count and so the n x n system's memory.
+guard.  ``N_CAP`` bounds the node count, and so both the n x n system's
+memory and that of the panel rules, which are built once per order and kept
+for the process: at most 67 MB at the cap, 0.18 MB for the default ladders.
 
 Spectral shift.  The integer count -(#eig(H) < lam) + (#eig(H0) < lam) on a
 Dirichlet box equals -trace(D) exactly but carries O(1) truncation jitter.
@@ -53,9 +55,10 @@ which a campaign computes once for all its energies.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -84,6 +87,7 @@ UNITARITY_TOL_ODE = 1e-8
 UNITARITY_TOL_STATIONARY = 1e-6
 COND_GUARD = 1e12
 REFINE_TARGET, N_START, N_CAP = 1e-4, 16, 1024    # see s_matrix_stationary
+_RULE_CACHE = 8                                   # orders N_START ... N_CAP, one to spare
 PHASE_TOL = 1e-6                                  # see eigenphases
 ODE_SUPPORT_TOL, ODE_STEP = 1e-11, 0.01           # see s_matrix_ode
 
@@ -117,6 +121,9 @@ class StationaryOperators:
     j_diag: np.ndarray          # sign V at nodes
     z_rows: np.ndarray          # 2 x n energy-shell rows
     condition_number: float
+    # (total nodes, |S - S_previous|) per ladder rung after the first;
+    # empty for an explicit node count
+    refinement: tuple = ()
 
 
 # RK4 steps are built and multiplied in blocks of this many, about 160 bytes
@@ -233,9 +240,13 @@ def s_matrix_ode(potential: Potential, lam: float) -> ScatteringMatrix:
     return ScatteringMatrix(k, s, defect)
 
 
+@functools.lru_cache(maxsize=_RULE_CACHE)
 def _chebyshev_rule(m: int):
     """Ascending first-kind Chebyshev nodes on [-1, 1], their Fejer weights
     and the matrix that integrates the interpolant from -1 to each node.
+
+    The rule depends on m alone, so it is built once per order and shared
+    by every panel, rung and energy; its arrays are read-only.
 
     Node values map to Chebyshev coefficients by a cosine transform; the
     antiderivative that vanishes at -1 has coefficients from
@@ -251,7 +262,10 @@ def _chebyshev_rule(m: int):
     anti[1:m - 1] -= c[2:]
     anti[1:] /= 2.0 * np.arange(1, m + 1)[:, None]
     anti[0] = -((-1.0) ** np.arange(1, m + 1)) @ anti[1:]
-    return np.cos(theta), anti.sum(axis=0), t @ anti
+    rule = np.cos(theta), anti.sum(axis=0), t @ anti
+    for array in rule:
+        array.setflags(write=False)
+    return rule
 
 
 _SINGULAR = "I + T J is numerically singular (exceptional energy)"
@@ -259,13 +273,12 @@ _SINGULAR = "I + T J is numerically singular (exceptional energy)"
 
 def _stationary_once(potential: Potential, lam: float, points, orders):
     k = math.sqrt(lam)
-    rules = {m: _chebyshev_rule(m) for m in set(orders)}
     n = sum(orders)
     nodes, weights = np.empty(n), np.empty(n)
     left = np.zeros((n, n))             # integration from -x_max to each node
     i = 0
     for a, b, m in zip(points[:-1], points[1:], orders):
-        x, w, s_m = rules[m]
+        x, w, s_m = _chebyshev_rule(m)
         h = 0.5 * (b - a)
         nodes[i:i + m] = 0.5 * (a + b) + h * x
         weights[i:i + m] = h * w
@@ -319,7 +332,10 @@ def s_matrix_stationary(potential: Potential, lam: float,
     per panel; it must be an integer in [1, ``N_CAP``] (DomainError).
     Without it each panel's order doubles from ``N_START`` until S moves
     by less than ``REFINE_TARGET``; a rung beyond ``N_CAP`` nodes in total
-    raises ConvergenceError.  The cap bounds the n x n system's memory.
+    raises ConvergenceError.  The operators' ``refinement`` holds the
+    ladder's trail.  The cap bounds the memory of the n x n system and of
+    the retained panel rules: at most 67 MB at the cap, 0.18 MB for the
+    default ladders.
     """
     if not 0 < lam < math.inf:
         raise DomainError(f"scattering energy must be positive and finite, "
@@ -340,7 +356,7 @@ def s_matrix_stationary(potential: Potential, lam: float,
         orders = [max(1, q + (p < r)) for p in range(panels)]
         s, ops = _stationary_once(potential, lam, points, orders)
     else:
-        m, s, delta = N_START, None, math.inf
+        m, s, delta, trail = N_START, None, math.inf, []
         while not delta < REFINE_TARGET:
             if m * panels > N_CAP:
                 raise ConvergenceError(
@@ -348,7 +364,9 @@ def s_matrix_stationary(potential: Potential, lam: float,
             s_new, ops = _stationary_once(potential, lam, points, [m] * panels)
             if s is not None:
                 delta = float(np.linalg.norm(s_new - s))
+                trail.append((m * panels, delta))
             s, m = s_new, 2 * m
+        ops = replace(ops, refinement=tuple(trail))
 
     defect = float(np.linalg.norm(s.conj().T @ s - np.eye(2)))
     sm = ScatteringMatrix(math.sqrt(lam), s, defect)

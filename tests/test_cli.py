@@ -184,6 +184,8 @@ def test_scatter_square_well(capsys):
     out = capsys.readouterr().out
     assert "band radii" in out
     assert "unitarity defect" in out
+    assert "stationary route: 32 nodes, condition number " in out
+    assert "refinement (nodes: |dS|) 32: " in out
 
 
 def test_scatter_leaves_the_print_options_alone(capsys):

@@ -23,6 +23,7 @@ from specdiff import scattering
 from specdiff.errors import DomainError, LevelCollisionError, SingularOperatorError
 from specdiff.scattering import (
     N_CAP,
+    REFINE_TARGET,
     _chebyshev_rule,
     _rk4_segment,
     birman_krein_value,
@@ -423,6 +424,19 @@ class TestStationaryRoute:
             _, ops = s_matrix_stationary(pot, lam, return_operators=True)
             assert ops.nodes.size == nodes
 
+    @pytest.mark.parametrize("pot, trail", [
+        (SquareWell(), (32,)),
+        (PoschlTeller(1), (32, 64, 128)),
+    ], ids=["square_well", "poschl_teller"])
+    def test_refinement_trail(self, pot, trail):
+        s, ops = s_matrix_stationary(pot, 1.0, return_operators=True)
+        assert tuple(n for n, _ in ops.refinement) == trail
+        assert ops.refinement[-1][1] < REFINE_TARGET
+        assert all(d >= REFINE_TARGET for _, d in ops.refinement[:-1])
+        _, fixed = s_matrix_stationary(pot, 1.0, n_nodes=trail[-1],
+                                       return_operators=True)
+        assert fixed.refinement == ()
+
 
 ORACLE_POTENTIALS = {
     "square_well": SquareWell(-2.0, 1.0),
@@ -465,6 +479,54 @@ class TestChebyshevRule:
             assert abs(w @ x ** d - exact) <= 1e-14
             exact = (x ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
             assert np.abs(s_m @ x ** d - exact).max() <= 1e-14
+
+    def test_one_shared_read_only_rule(self):
+        rule = _chebyshev_rule(16)
+        assert _chebyshev_rule(16) is rule
+        for array in rule:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("pot, lam, n_nodes", [
+        *((pot, lam, None) for pot in (SquareWell(), GaussianBump(),
+                                       PoschlTeller(1))
+          for lam in (0.5, 1.3)),
+        (ShiftedWell(center=3.0), 1.0, None),   # two panels
+        (ShiftedWell(center=3.0), 1.0, 51),     # orders 26 and 25
+        (SquareWell(), 1.0, 50),
+    ], ids=repr)
+    def test_cached_rule_changes_no_bit(self, pot, lam, n_nodes):
+        _chebyshev_rule.cache_clear()
+        cold, warm = (s_matrix_stationary(pot, lam, n_nodes=n_nodes,
+                                          return_operators=True)
+                      for _ in range(2))
+        assert np.array_equal(cold[0].matrix, warm[0].matrix)
+        for name in ("nodes", "weights"):
+            assert np.array_equal(getattr(cold[1], name), getattr(warm[1], name))
+        assert cold[1].condition_number == warm[1].condition_number
+
+    def test_second_energy_builds_no_rule(self):
+        _chebyshev_rule.cache_clear()
+        s_matrix_stationary(PoschlTeller(1), 0.5)
+        misses = _chebyshev_rule.cache_info().misses
+        s_matrix_stationary(PoschlTeller(1), 1.3)
+        assert _chebyshev_rule.cache_info().misses == misses
+
+    def test_retained_rules_stay_bounded(self):
+        for n in range(1, 41):
+            s_matrix_stationary(SquareWell(), 1.0, n_nodes=n)
+        assert _chebyshev_rule.cache_info().currsize <= 8
+        # The default ladders keep the orders 16 to 128, about 0.18 MB.
+        _chebyshev_rule.cache_clear()
+        tracemalloc.start()
+        try:
+            for pot in (SquareWell(), GaussianBump(), PoschlTeller(1)):
+                s_matrix_stationary(pot, 1.0)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 0.25e6
 
 
 class TestEigenphases:

@@ -40,7 +40,8 @@ node count, and spectrally small otherwise (an asymmetric smooth well:
 gecon estimates the condition number from that LU for the singularity
 guard.  ``N_CAP`` bounds the node count, and so both the n x n system's
 memory and that of the panel rules, which are built once per order and kept
-for the process: at most 67 MB at the cap, 0.18 MB for the default ladders.
+for the last eight orders: at most 67 MB at the cap, 0.18 MB for the
+default ladders.
 
 Spectral shift.  The integer count -(#eig(H) < lam) + (#eig(H0) < lam) on a
 Dirichlet box equals -trace(D) exactly but carries O(1) truncation jitter.

@@ -59,7 +59,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import carleman, scattering, schrodinger1d, specfun
-from .errors import ConfigError, LevelCollisionError
+from .errors import ConfigError, DomainError, LevelCollisionError
 
 __all__ = [
     "CAMPAIGNS",
@@ -454,6 +454,11 @@ def run_specfun_audit(config: ExperimentConfig) -> ExperimentReport:
             })
     for name, a, b in (("uniform", sups[0].uniform_sup, sups[1].uniform_sup),
                        ("holder", sups[0].holder_sup, sups[1].holder_sup)):
+        if a == 0.0:
+            raise DomainError(
+                f"SpecfunAudit: the {name} sup on the bound grid is 0, so its "
+                "growth is undefined; widen grids.bound_t_max, bound_x_max, "
+                "bound_samples or bound_n_t")
         growth = abs(b - a) / a
         report.add_verdict(f"bound_stability_{name}", "bound_growth", growth,
                            growth <= tol["bound_growth"])
@@ -606,14 +611,26 @@ def _nudge_level(box, lam: float) -> float:
 MAX_NUDGES = 3   # times a Fermi level that hits a box eigenvalue is moved
 
 
-def _with_level_nudge(fn, box, lam: float, record: dict):
+def _nudge_levels(box, lam: float):
+    """``lam``, then MAX_NUDGES levels, each the last one moved by
+    ``_nudge_level``; lazy, so the free levels wait for a collision."""
+    yield lam
     for _ in range(MAX_NUDGES):
+        lam = _nudge_level(box, lam)
+        yield lam
+
+
+def _with_level_nudge(fn, box, lam: float):
+    """(fn(level), level) at the first of ``_nudge_levels(box, lam)`` where
+    fn raises no LevelCollisionError, so a record's ``lambda_effective`` is
+    the level its values were computed at.  Any other error propagates at
+    once, and so does a collision at the last level."""
+    for level in _nudge_levels(box, lam):
         try:
-            return fn(lam)
-        except LevelCollisionError:
-            lam = _nudge_level(box, lam)
-            record["lambda_nudged_to"] = lam
-    return fn(lam)
+            return fn(level), level
+        except LevelCollisionError as exc:
+            collision = exc
+    raise collision
 
 
 # An eigenvalue of D or M+- counts as pinned at +-1 within this distance.
@@ -653,14 +670,12 @@ def _confinement(spectra, d_full: np.ndarray, kappa_max: float,
     }
 
 
-def _band_case(pot, lam, L, n, kappas, tol):
+def _band_case(pot, lam, L, n, kappa_max, tol):
     """One box: its record, and its confinement (kept out of the record)."""
     box = schrodinger1d.BoxDiscretization(L, n)
-    note = {}
-    spectra = _with_level_nudge(
+    spectra, level = _with_level_nudge(
         lambda level: schrodinger1d.band_spectra(box, pot, level),
-        box, lam, note)
-    kappa_max = float(kappas.max())
+        box, float(lam))
     ev = spectra.d_full
     margin = tol["edge_margin"]
     overflow = int(np.sum(np.abs(ev) > kappa_max + margin))
@@ -670,8 +685,7 @@ def _band_case(pot, lam, L, n, kappas, tol):
     mp, mm = spectra.m_plus, spectra.m_minus
     rec = {
         "case": "box", "L": float(L), "n": int(n), "lambda": float(lam),
-        "lambda_effective": note.get("lambda_nudged_to", float(lam)),
-        "kappa_max": kappa_max,
+        "lambda_effective": level, "kappa_max": kappa_max,
         "rank_p": spectra.rank_p, "rank_p0": spectra.rank_p0,
         "trace_d": spectra.trace_d,
         "max_abs_eig_d": float(np.abs(ev).max()),
@@ -714,7 +728,7 @@ def run_band_filling(config: ExperimentConfig) -> ExperimentReport:
     boxes = []
     for L, n in config.box_sequence:
         with report.case():
-            boxes.append(_band_case(pot, lam, L, n, kappas, tol))
+            boxes.append(_band_case(pot, lam, L, n, kappa_max, tol))
     recs = [rec for rec, _ in boxes]
     confined = [conf for _, conf in boxes]
     report.records.extend(recs)
@@ -750,22 +764,20 @@ def run_birman_krein(config: ExperimentConfig) -> ExperimentReport:
     box = schrodinger1d.BoxDiscretization(L, n)
     lams = [float(x) for x in config.lambda_grid]
 
-    # One window of box levels serves every energy, up to MAX_NUDGES nudges
-    # above the top one.
-    top = max(lams)
-    for _ in range(MAX_NUDGES):
-        top = _nudge_level(box, top)
+    # One window of box levels serves every energy: its top is the top
+    # energy's last nudged level.
+    *_, top = _nudge_levels(box, max(lams))
     levels = schrodinger1d.box_levels(box, pot, min(lams), top)
-    nudges = [dict() for _ in lams]
 
     def attempt(level):
         s = scattering.s_matrix_ode(pot, level)
         return scattering.birman_krein_value(pot, level, box, s=s, levels=levels)
 
-    vals = []
-    for lam, note in zip(lams, nudges):
+    runs = []
+    for lam in lams:
         with report.case():
-            vals.append(_with_level_nudge(attempt, box, lam, note))
+            runs.append(_with_level_nudge(attempt, box, lam))
+    vals = [val for val, _ in runs]
 
     # Branch tracking: shift each value by an integer to follow its
     # predecessor, so jumps measure genuine discontinuity, not mod-1 wraps.
@@ -775,10 +787,9 @@ def run_birman_krein(config: ExperimentConfig) -> ExperimentReport:
     residuals = [abs(v - round(v)) for v in vals]
     jumps = [abs(b - a) for a, b in zip(unwrapped[:-1], unwrapped[1:])]
 
-    for lam, val, res, note in zip(lams, vals, residuals, nudges):
+    for lam, (val, level), res in zip(lams, runs, residuals):
         report.records.append({
-            "case": "energy", "lambda": lam,
-            "lambda_effective": note.get("lambda_nudged_to", lam),
+            "case": "energy", "lambda": lam, "lambda_effective": level,
             "L": float(L), "n": int(n), "bk_value": val, "residual": res,
         })
     worst = max(residuals)

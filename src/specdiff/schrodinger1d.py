@@ -315,17 +315,25 @@ def _run_length(diag: np.ndarray, off: np.ndarray) -> int:
 
 
 def _band(shifts: np.ndarray, alpha, beta: float):
-    """(shift inside the band (alpha - 2|beta|, alpha + 2|beta|), theta,
-    u = (1 - c)/2) per shift, with c = (alpha - s)/(2|beta|) = cos theta
-    inside the band.  u and v = (1 + c)/2 are each taken from the shift's
-    distance to one band edge, so theta keeps full relative accuracy at
-    both edges; outside the band u < 0 or v < 0 and theta is unused.
-    alpha may be one value per shift."""
+    """Each shift s against the band (alpha - 2b, alpha + 2b), b = |beta|,
+    of a free block tridiag(beta, alpha, beta): (flip, inside, theta, mu).
+
+    Its pivots and rows are Chebyshev U_k(c), c = (alpha - s)/(2b), and
+    U_k(-c) = (-1)^k U_k(c): a shift above the band centre (``flip``) is
+    read as its mirror image -s about -alpha, so c >= 0.  Inside the band
+    c = cos theta, with u = sin^2(theta/2) and v = cos^2(theta/2) each from
+    the distance to one band edge, so theta (and pi - theta, mirrored) keeps
+    full relative accuracy at both edges.  Below it c = cosh mu; mu is 0
+    inside the band, and theta is unused outside it."""
+    flip = shifts > alpha
+    shifts = np.where(flip, -shifts, shifts)
+    alpha = np.where(flip, -alpha, alpha)
     b = abs(beta)
     u = (shifts - (alpha - 2.0 * b)) / (4.0 * b)     # sin^2(theta/2)
     v = ((alpha + 2.0 * b) - shifts) / (4.0 * b)     # cos^2(theta/2)
     theta = 2.0 * np.arctan2(np.sqrt(np.abs(u)), np.sqrt(np.abs(v)))
-    return (u > 0.0) & (v > 0.0), theta, u
+    mu = 2.0 * np.arcsinh(np.sqrt(np.maximum(-u, 0.0)))
+    return flip, (u > 0.0) & (v > 0.0), theta, mu
 
 
 def _wall_run(shifts, alpha: float, beta: float, rows: int):
@@ -339,15 +347,12 @@ def _wall_run(shifts, alpha: float, beta: float, rows: int):
     Inside the band (c = cos theta) that is ceil((rows+1) theta/pi) - 1
     and the last pivot is b sin((rows+1) theta)/sin(rows theta); below it
     (c = cosh mu) no pivot is negative and the last is the same ratio of
-    sinh.  U_k(-c) = (-1)^k U_k(c), so the pivots at c < 0 are those at -c
-    negated: a shift above the band centre is swept as its mirror image
-    about -alpha, whose angle pi - theta keeps full relative accuracy at
-    the upper band edge.
+    sinh.  A shift above the band centre is swept mirrored (``_band``): its
+    pivots are those of the mirror image negated, and its count the rows
+    the mirror image leaves positive.
     """
     b = abs(beta)
-    flip = shifts > alpha
-    inside, theta, u = _band(np.where(flip, -shifts, shifts),
-                             np.where(flip, -alpha, alpha), beta)
+    flip, inside, theta, mu = _band(shifts, alpha, beta)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         phase = (rows + 1) * theta
         turns = np.ceil(phase / math.pi)
@@ -359,7 +364,6 @@ def _wall_run(shifts, alpha: float, beta: float, rows: int):
         low = last <= 0.0
         turns -= low
         last = np.minimum(np.where(low, last + math.pi, last), math.pi)
-        mu = 2.0 * np.arcsinh(np.sqrt(-u))
         sinh_ratio = np.where(mu == 0.0, (rows + 1) / rows, np.exp(mu) * (
             np.expm1(-2.0 * (rows + 1) * mu) / np.expm1(-2.0 * rows * mu)))
         pivot = b * np.where(inside, np.sin(last) / np.sin(last - theta),
@@ -528,10 +532,10 @@ class _Wall(NamedTuple):
     That is U_{i-1}(c) with c = (s - alpha)/(2 beta) (Chebyshev), up to a
     factor per shift: sin(i theta) inside the band, with theta from
     ``_band``; below it sinh(i mu)/sinh(rows mu), 1 at the run's end, and
-    i/rows at mu = 0.  U_i(-c) = (-1)^i U_i(c), so a shift above the band
-    centre is taken mirrored about it, as in ``_wall_run``, and its rows
-    alternate in sign wherever c < 0.  The shifts inside the band, and
-    those with c < 0, are each one run of columns (``band``, ``alt``).
+    i/rows at mu = 0.  A shift above the band centre is taken mirrored
+    (``_band``), and its rows alternate in sign wherever c < 0.  The shifts
+    inside the band, and those with c < 0, are each one run of columns
+    (``band``, ``alt``).
     """
 
     rows: int
@@ -541,10 +545,7 @@ class _Wall(NamedTuple):
 
 
 def _wall(values: np.ndarray, alpha: float, beta: float, rows: int) -> _Wall:
-    flip = values > alpha
-    inside, theta, u = _band(np.where(flip, -values, values),
-                             np.where(flip, -alpha, alpha), beta)
-    mu = 2.0 * np.arcsinh(np.sqrt(np.maximum(-u, 0.0)))
+    flip, inside, theta, mu = _band(values, alpha, beta)
 
     def run(mask):
         i = np.flatnonzero(mask)

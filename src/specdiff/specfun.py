@@ -177,13 +177,6 @@ def hyp2f1(a, b, c, z):
     return out[()]
 
 
-def _check_t(t: np.ndarray) -> None:
-    if not np.all(t >= 0.0):
-        raise DomainError("conical function: t must be >= 0")
-    if np.any(t > T_MAX):
-        raise DomainError(f"conical function: t exceeds the supported range [0, {T_MAX}]")
-
-
 def _near(t, x):
     """The near-one form, elementwise over the broadcast of t and x."""
     val = hyp2f1(0.5 - 1j * t, 0.5 + 1j * t, 1.0, (1.0 - x) / 2.0)
@@ -234,32 +227,45 @@ def _far(t: np.ndarray, x: np.ndarray, pref: np.ndarray) -> tuple[np.ndarray, np
     return value, np.zeros(t.size)
 
 
-def _conical(t: np.ndarray, x: np.ndarray, near: np.ndarray):
-    """Values and imaginary residuals on the broadcast of t and x: the
-    near-one form where ``near``, the two-branch form elsewhere.
+def _conical(t, x, x_ok, message: str, near):
+    """The one evaluator behind the public conical functions: values and
+    imaginary residuals on the broadcast of t and x, as float arrays.
 
-    G(t) is evaluated once per entry of t as given.  The points go through
-    the series in blocks of at most _BLOCK, so the working arrays stay small
-    whatever the grid; since every element is computed on its own, the
-    blocking does not change a bit of the result.
+    It owns the argument rules: t in [0, T_MAX], and x passing the
+    representation's domain test ``x_ok(x)``, else DomainError
+    (``message``).  ``near(t, x)``, on the broadcast t and x, chooses the
+    representation per point: the near-one form where True, the two-branch
+    form elsewhere.  G(t) is evaluated once per entry of t as given.  The
+    points go through the series in blocks of at most _BLOCK, so the
+    working arrays stay small whatever the grid; since every element is
+    computed on its own, the blocking does not change a bit of the result.
     """
-    shape = near.shape
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if not np.all(t >= 0.0):
+        raise DomainError("conical function: t must be >= 0")
+    if np.any(t > T_MAX):
+        raise DomainError(f"conical function: t exceeds the supported range [0, {T_MAX}]")
+    if not np.all(x_ok(x)):
+        raise DomainError(message)
+    shape = np.broadcast_shapes(t.shape, x.shape)
     tb = np.broadcast_to(t, shape)
     xb = np.broadcast_to(x, shape)
+    mask = np.broadcast_to(near(tb, xb), shape)
     value = np.empty(shape)
     resid = np.empty(shape)
-    idx = np.flatnonzero(near)
+    idx = np.flatnonzero(mask)
     for start in range(0, idx.size, _BLOCK):
         block = idx[start:start + _BLOCK]
         value.flat[block], resid.flat[block] = _near(tb.flat[block], xb.flat[block])
-    idx = np.flatnonzero(~near)
+    idx = np.flatnonzero(~mask)
     if idx.size:
         pref = np.broadcast_to(_prefactor(np.maximum(t, T_SWITCH)), shape)
         for start in range(0, idx.size, _BLOCK):
             block = idx[start:start + _BLOCK]
             value.flat[block], resid.flat[block] = _far(
                 tb.flat[block], xb.flat[block], pref.flat[block])
-    return value, resid
+    return value[()], resid[()]
 
 
 def conical_values(t, x):
@@ -271,42 +277,27 @@ def conical_values(t, x):
     G(t) is evaluated once per entry of t as given, so pass a grid as
     ``conical_values(ts[:, None], xs)``.  Scalars in, scalars out.
     """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_t(t)
-    if not np.all(x >= 1.0):
-        raise DomainError("conical function: x must be >= 1")
-    near = np.broadcast_to(x, np.broadcast_shapes(t.shape, x.shape)) < SEAM_X
-    value, resid = _conical(t, x, near)
-    return value[()], resid[()]
+    return _conical(t, x, lambda x: x >= 1.0,
+                    "conical function: x must be >= 1",
+                    lambda t, x: x < SEAM_X)
 
 
 def conical_p_near_one(t, x):
     """Force the near-one representation (valid for 1 <= x < 3), elementwise
     over the broadcast of t and x; returns (value, imag_residual) like
     :func:`conical_values`."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_t(t)
-    if not np.all((1.0 <= x) & (x < 3.0)):
-        raise DomainError("near-one representation needs 1 <= x < 3")
-    near = np.ones(np.broadcast_shapes(t.shape, x.shape), dtype=bool)
-    value, resid = _conical(t, x, near)
-    return value[()], resid[()]
+    return _conical(t, x, lambda x: (1.0 <= x) & (x < 3.0),
+                    "near-one representation needs 1 <= x < 3",
+                    lambda t, x: True)
 
 
 def conical_p_far_branch(t, x):
     """Force the two-branch representation (valid for x > 1), elementwise
     over the broadcast of t and x; returns (value, imag_residual) like
     :func:`conical_values`."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_t(t)
-    if not np.all(x > 1.0):
-        raise DomainError("two-branch representation needs x > 1")
-    near = np.zeros(np.broadcast_shapes(t.shape, x.shape), dtype=bool)
-    value, resid = _conical(t, x, near)
-    return value[()], resid[()]
+    return _conical(t, x, lambda x: x > 1.0,
+                    "two-branch representation needs x > 1",
+                    lambda t, x: False)
 
 
 def check_conical_bounds(t_max: float, x_samples, n_t: int = 9) -> ConicalBoundReport:

@@ -110,7 +110,8 @@ def test_empty_or_non_finite_config_value_exits_2(tmp_path, capsys, command,
 
 
 # A grid count or window that the campaign cannot use is a config error
-# named by its key, caught before the campaign runs.
+# named by its key, caught before the campaign runs; a bound grid on which
+# a sup is 0 is caught where the audit divides by it.
 @pytest.mark.parametrize("command, config, key", [
     ("carleman", '{"experiment": "CarlemanMehler", "grids": {"n": 405}}', "'n'"),
     ("specfun", '{"experiment": "SpecfunAudit", "grids": {"seam_points": 0}}',
@@ -127,6 +128,14 @@ def test_empty_or_non_finite_config_value_exits_2(tmp_path, capsys, command,
      '"grids": {"window": [0.0, 0.8]}}', "window"),
     ("specfun", '{"experiment": "SpecfunAudit", "grids": {"seam_points": 2.5}}',
      "seam_points"),
+    ("specfun", '{"experiment": "SpecfunAudit", "grids": {"bound_t_max": 0}}',
+     "bound_t_max"),
+    ("specfun", '{"experiment": "SpecfunAudit", '
+     '"grids": {"bound_t_max": 1e-12}}', "bound_t_max"),
+    ("specfun", '{"experiment": "SpecfunAudit", "grids": {"bound_x_max": 1}}',
+     "bound_x_max"),
+    ("specfun", '{"experiment": "SpecfunAudit", "grids": {"bound_samples": 1}}',
+     "bound_samples"),
 ])
 def test_unusable_grid_value_exits_2(tmp_path, capsys, command, config, key):
     p = tmp_path / "cfg.json"

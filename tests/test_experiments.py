@@ -26,6 +26,7 @@ from specdiff.experiments import (
     run_experiment,
     run_model_spectrum,
     run_specfun_audit,
+    _nudge_level,
     _with_level_nudge,
 )
 from specdiff.schrodinger1d import BoxDiscretization
@@ -406,7 +407,8 @@ class TestBandFillingSpecialCases:
         })
         report = run_band_filling(cfg)
         rec = [r for r in report.records if r["case"] == "box"][0]
-        assert rec["lambda_effective"] != rec["lambda"]
+        assert rec["lambda"] == collide
+        assert rec["lambda_effective"] == _nudge_level(box, collide) != collide
 
     def test_reflectionless_band_is_single_and_symmetric(self):
         from specdiff.scattering import eigenphases, s_matrix_ode
@@ -558,7 +560,8 @@ class TestBirmanKreinCampaign:
         })
         report = run_birman_krein(cfg)
         rec = report.records[0]
-        assert rec["lambda_effective"] != rec["lambda"]
+        assert rec["lambda"] == collide
+        assert rec["lambda_effective"] == _nudge_level(box, collide) != collide
         assert rec["residual"] <= 1e-9
 
     def test_top_energy_on_a_free_level_is_nudged_inside_the_window(self):
@@ -596,7 +599,7 @@ class TestLevelNudge:
             return level
 
         with pytest.raises(DomainError, match="collision"):
-            _with_level_nudge(fails_once, BoxDiscretization(40.0, 3999), 1.0, {})
+            _with_level_nudge(fails_once, BoxDiscretization(40.0, 3999), 1.0)
         assert levels == [1.0]
 
     def test_level_collision_error_is_nudged(self):
@@ -608,9 +611,8 @@ class TestLevelNudge:
                 raise LevelCollisionError("on a box eigenvalue")
             return level
 
-        note = {}
-        got = _with_level_nudge(collides_once, BoxDiscretization(40.0, 3999),
-                                1.0, note)
+        box = BoxDiscretization(40.0, 3999)
+        got, level = _with_level_nudge(collides_once, box, 1.0)
         assert len(levels) == 2 and levels[0] == 1.0
-        assert got == levels[1] == note["lambda_nudged_to"] != 1.0
+        assert got == level == levels[1] == _nudge_level(box, 1.0) != 1.0
 

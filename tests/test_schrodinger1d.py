@@ -9,7 +9,9 @@ band spectra, eigenvectors by inverse iteration in long double (and, on
 sectors with no free run, LAPACK stein) with one sine SVD per side
 cross-checking its invariant-subspace basis and one-SVD reduction, and the
 row-by-row Sturm recurrence and LAPACK bisection (stebz) cross-checking the
-closed-form Sturm sweep's counts and eigenvalues.
+closed-form Sturm sweep's counts and eigenvalues, and the Cauchy-like
+overlaps of a rank-one update of H0 cross-checking M+- from eigenvalues
+alone.
 """
 
 import math
@@ -660,6 +662,48 @@ class TestClosedFormBasis:
             tracemalloc.stop()
         assert spectra.rank_p > 50
         assert peak <= bound * box.n * spectra.rank_p * 8
+
+
+class TestCentreNodeOracle:
+    """A well of half-width h/4 samples the centre node c of an odd box
+    only, so H = H0 + v e_c e_c^T.  The odd sector is then H0's (P = P0),
+    and the even sector a rank-one update of H0 on the odd modes k, whose
+    centre entries are a_k = sqrt(2/(n+1)) (-1)^((k-1)/2).  Its
+    eigenvector at lambda_j has the overlaps C_kj = a_k c_j / (mu_k -
+    lambda_j) with the free modes (a Cauchy-like matrix, c_j normalizing
+    column j), so s+ are the singular values of C's rows with mu_k above
+    the Fermi level: an oracle from eigenvalues alone, beyond desk scale
+    (n = 15,999 at L = 400)."""
+
+    @pytest.mark.parametrize("depth", [-2.0, -40.0])
+    @pytest.mark.parametrize("half_length", [50.0, 100.0, 200.0, 400.0])
+    def test_m_pm_match_the_cauchy_overlaps(self, depth, half_length):
+        h, lam = 0.05, 1.0
+        box = BoxDiscretization.from_spacing(half_length, h)
+        pot = SquareWell(depth=depth, half_width=h / 4)
+        n = box.n
+        assert n % 2 and np.count_nonzero(pot(box.grid)) == 1
+        k = np.arange(1, n + 1, 2)
+        a = math.sqrt(2.0 / (n + 1)) * np.where((k - 1) // 2 % 2, -1.0, 1.0)
+        mu = free_levels(box)
+        mu_odd, mu_even = mu[::2], mu[1::2]   # the odd and even modes k
+        even = box_levels(box, pot, -math.inf, lam).sectors[0]
+        lj = even.values[even.values < lam]
+        gap = mu_odd[:, None] - lj
+        c = np.sum((a[:, None] / gap) ** 2, axis=0) ** -0.5
+        s = np.linalg.svd((a[:, None] * c / gap)[mu_odd > lam],
+                          compute_uv=False)
+        j = lj.size - np.count_nonzero(mu_odd < lam)
+        sq = np.sort(s ** 2)
+        zeros = np.zeros(np.count_nonzero(mu_even < lam))
+        assert j == (1 if (depth, half_length) == (-40.0, 400.0) else 0)
+        spectra = band_spectra(box, pot, lam)
+        want_plus = np.sort(np.concatenate([sq, zeros]))
+        want_minus = np.sort(np.concatenate([sq[:sq.size - j], zeros]))
+        assert spectra.m_plus.size == want_plus.size
+        assert spectra.m_minus.size == want_minus.size
+        assert np.abs(spectra.m_plus - want_plus).max() <= 1e-11
+        assert np.abs(spectra.m_minus - want_minus).max() <= 1e-11
 
 
 def wall_rows_reference(wall, first, rows):

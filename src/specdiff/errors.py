@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class DomainError(ValueError):
     """An argument lies outside the domain a routine is specified for or
@@ -14,12 +16,16 @@ class LevelCollisionError(DomainError):
 class ConvergenceError(RuntimeError):
     """An iteration failed to converge within its cap.
 
-    Carries the magnitude of the last increment so callers can judge how
-    far from convergence the iteration stopped.
+    A series (hyp2f1) passes the magnitude of its last term as
+    ``last_term``, which the message then states, so callers can judge how
+    far from convergence it stopped; other raisers leave it NaN and name
+    their own measure of the shortfall in the message, if they have one.
     """
 
-    def __init__(self, message: str, last_term: float):
-        super().__init__(f"{message} (last term magnitude {last_term:.3e})")
+    def __init__(self, message: str, last_term: float = math.nan):
+        if not math.isnan(last_term):
+            message = f"{message} (last term magnitude {last_term:.3e})"
+        super().__init__(message)
         self.last_term = last_term
 
 

@@ -38,6 +38,35 @@ where its record lacks the key.  The record keys, in order:
                     band_fill_ratio, edge_overflow_count, coverage_gap,
                     m_plus_max, m_minus_max, m_plus_overflow, m_minus_overflow
     BirmanKrein     case, lambda, lambda_effective, L, n, bk_value, residual
+
+Each verdict's rule and the tolerance it cites.  ``<=`` is
+:meth:`ExperimentReport.at_most`: the verdict passes when its observed
+value is at most the very tolerance it cites.  A count (``== 0``) or a
+0/1 flag (0 passes) cites the tolerance its observed value is computed
+with: ``edge_margin`` places the band edges the counts look beyond, and
+``refinement_noise`` and ``gap_noise`` are the growth a monotone sequence
+may show from one step to the next.
+
+    SpecfunAudit    seam_consistency            <=      seam_consistency
+                    branch_realness             <=      imag_residual
+                    bound_stability_uniform     <=      bound_growth
+                    bound_stability_holder      <=      bound_growth
+    CarlemanMehler  spectrum_lower (-min_eig)   <=      spectrum_margin
+                    spectrum_upper (max_eig-1)  max_eig <= 1 + spectrum_margin
+                    top_eigenvalue (max_eig)    >=      top_eigenvalue_min
+                    scaling_invariance          <=      scaling_agreement
+                    mehler_residual             <=      mehler_residual
+                    mehler_refinement_monotone  flag    refinement_noise
+    ModelSpectrum   product_identity_synthetic  <=      product_identity
+                    product_identity_computed   <=      product_identity
+                    kappa_sq_identity           <=      product_identity
+    BandFilling     edge_overflow               == 0    edge_margin
+                    edge_deficit                |.| <=  edge_deficit
+                    coverage_gap_monotone       flag    gap_noise
+                    m_pm_top_deficit            |.| <=  edge_deficit
+                    bulk_confinement            == 0    edge_margin
+    BirmanKrein     bk_residual                 <=      bk_residual
+                    bk_continuity               <=      bk_continuity
 """
 
 from __future__ import annotations
@@ -311,6 +340,13 @@ class ExperimentReport:
             "observed": float(observed), "passed": bool(passed),
         })
 
+    def at_most(self, name: str, tolerance_name: str, observed: float):
+        """Record a verdict that passes when ``observed`` is at most the
+        config's tolerance ``tolerance_name``: the tolerance it cites is, by
+        construction, the one it is judged against."""
+        self.add_verdict(name, tolerance_name, observed,
+                         observed <= self.config["tolerances"][tolerance_name])
+
     @contextlib.contextmanager
     def case(self):
         """Time the block as one case: its wall time joins
@@ -415,7 +451,7 @@ def run_specfun_audit(config: ExperimentConfig) -> ExperimentReport:
     the verdict only sees the near-one form.
     """
     report = _new_report(config)
-    g, tol = config.grids, config.tolerances
+    g = config.grids
 
     with report.case():
         ts = np.asarray(g["seam_t"], dtype=float)
@@ -424,20 +460,14 @@ def run_specfun_audit(config: ExperimentConfig) -> ExperimentReport:
         far, far_imag = specfun.conical_p_far_branch(ts[:, None], xs)
         diffs = np.max(np.abs(near - far), axis=1)
         imags = np.maximum(np.max(near_imag, axis=1), np.max(far_imag, axis=1))
-        worst = 0.0
-        worst_imag = 0.0
         for t, diff_t, imag_t in zip(ts, diffs.tolist(), imags.tolist()):
-            worst = max(worst, diff_t)
-            worst_imag = max(worst_imag, imag_t)
             report.records.append({
                 "case": "seam", "t": float(t), "x_lo": float(g["seam_x_lo"]),
                 "x_hi": float(g["seam_x_hi"]), "points": int(g["seam_points"]),
                 "max_branch_diff": diff_t, "max_imag_residual": imag_t,
             })
-    report.add_verdict("seam_consistency", "seam_consistency", worst,
-                       worst <= tol["seam_consistency"])
-    report.add_verdict("branch_realness", "imag_residual", worst_imag,
-                       worst_imag <= tol["imag_residual"])
+    report.at_most("seam_consistency", "seam_consistency", diffs.max())
+    report.at_most("branch_realness", "imag_residual", imags.max())
 
     n_x = int(g["bound_samples"])
     sups = []
@@ -459,9 +489,8 @@ def run_specfun_audit(config: ExperimentConfig) -> ExperimentReport:
                 f"SpecfunAudit: the {name} sup on the bound grid is 0, so its "
                 "growth is undefined; widen grids.bound_t_max, bound_x_max, "
                 "bound_samples or bound_n_t")
-        growth = abs(b - a) / a
-        report.add_verdict(f"bound_stability_{name}", "bound_growth", growth,
-                           growth <= tol["bound_growth"])
+        report.at_most(f"bound_stability_{name}", "bound_growth",
+                       abs(b - a) / a)
     return report
 
 
@@ -485,15 +514,12 @@ def run_carleman_mehler(config: ExperimentConfig) -> ExperimentReport:
             "case": "spectrum", "a": a, "n": n, "min_eig": float(ev[0]),
             "max_eig": float(ev[-1]), "scaling_disagreement": scaling,
         })
-    margin = tol["spectrum_margin"]
-    report.add_verdict("spectrum_lower", "spectrum_margin",
-                       float(-ev[0]), ev[0] >= -margin)
+    report.at_most("spectrum_lower", "spectrum_margin", -ev[0])
     report.add_verdict("spectrum_upper", "spectrum_margin",
-                       float(ev[-1] - 1.0), ev[-1] <= 1.0 + margin)
-    report.add_verdict("top_eigenvalue", "top_eigenvalue_min", float(ev[-1]),
+                       ev[-1] - 1.0, ev[-1] <= 1.0 + tol["spectrum_margin"])
+    report.add_verdict("top_eigenvalue", "top_eigenvalue_min", ev[-1],
                        ev[-1] >= tol["top_eigenvalue_min"])
-    report.add_verdict("scaling_invariance", "scaling_agreement", scaling,
-                       scaling <= tol["scaling_agreement"])
+    report.at_most("scaling_invariance", "scaling_agreement", scaling)
 
     window = g["window"]
     xs = np.linspace(window[0] * a, window[1] * a, int(g["window_points"]))
@@ -506,32 +532,19 @@ def run_carleman_mehler(config: ExperimentConfig) -> ExperimentReport:
             grid = carleman.composite_graded_grid(a, panels=panels, order=order)
             by_panels.append(carleman.mehler_residual(a, ts, grid, xs).max(axis=1))
             nodes.append(grid.n)
-    all_monotone = True
-    worst_final = 0.0
-    for t, row in zip(ts, np.column_stack(by_panels)):
-        resids = row.tolist()
-        for panels, n_nodes, r in zip(panel_counts, nodes, resids):
+    resids = np.column_stack(by_panels)    # t by panel count
+    for t, row in zip(ts, resids.tolist()):
+        for panels, n_nodes, r in zip(panel_counts, nodes, row):
             report.records.append({
                 "case": "mehler", "t": float(t), "panels": panels,
                 "nodes": n_nodes, "max_rel_residual": r,
             })
-        noise = 1.0 + tol["refinement_noise"]
-        monotone = all(resids[i + 1] <= resids[i] * noise
-                       for i in range(len(resids) - 1))
-        all_monotone = all_monotone and monotone
-        worst_final = max(worst_final, resids[-1])
-    report.add_verdict("mehler_residual", "mehler_residual", worst_final,
-                       worst_final <= tol["mehler_residual"])
+    monotone = bool(np.all(
+        resids[:, 1:] <= resids[:, :-1] * (1.0 + tol["refinement_noise"])))
+    report.at_most("mehler_residual", "mehler_residual", resids[:, -1].max())
     report.add_verdict("mehler_refinement_monotone", "refinement_noise",
-                       0.0 if all_monotone else 1.0, all_monotone)
+                       0.0 if monotone else 1.0, monotone)
     return report
-
-
-def _product_spectrum_error(ev_model, mu, gamma):
-    """Product-identity error, top eigenvalue and top product (spectra ascend)."""
-    products = np.sort(np.outer(mu, gamma.kappa_sq).ravel())
-    return float(np.abs(ev_model - products).max()), float(ev_model[-1]), \
-        float(mu[-1] * gamma.kappa_sq.max())
 
 
 def _fill_gap_statistic(eigenvalues: np.ndarray, top: float) -> float:
@@ -547,55 +560,58 @@ def _fill_gap_statistic(eigenvalues: np.ndarray, top: float) -> float:
     return float(np.diff(inner).max() / top)
 
 
+def _model_tail(csq, mu, gam) -> dict:
+    """The last keys of a ModelSpectrum record, for the model operator of
+    ``csq`` and ``gam``: the error of the product identity against ``mu``
+    times kappa_sq, the top eigenvalue, the top product and the fill gap
+    (spectra ascend)."""
+    ev = carleman.model_operator(csq, gam).eigenvalues()
+    products = np.sort(np.outer(mu, gam.kappa_sq).ravel())
+    top = float(ev[-1])
+    return {"product_error": float(np.abs(ev - products).max()),
+            "top_eigenvalue": top,
+            "expected_top": float(mu[-1] * gam.kappa_sq.max()),
+            "fill_gap": _fill_gap_statistic(ev, top)}
+
+
 def run_model_spectrum(config: ExperimentConfig) -> ExperimentReport:
     """Product-spectrum identity for the squared-kernel x scattering-factor
     model, with both a synthetic unitary and one computed from the benchmark
     potential near threshold."""
     report = _new_report(config)
-    g, tol = config.grids, config.tolerances
+    g = config.grids
     a, n = float(g["a"]), int(g["n"])
     csq = carleman.carleman_squared(carleman.gauss_legendre_grid(a, n))
     mu = csq.eigenvalues()
 
     with report.case():
         phases = [float(p) for p in g["synthetic_phases"]]
-        s0 = np.diag(np.exp(1j * np.array(phases)))
-        gam = carleman.gamma_matrix(s0)
-        ev = carleman.model_operator(csq, gam).eigenvalues()
-        err, top, expected_top = _product_spectrum_error(ev, mu, gam)
+        gam = carleman.gamma_matrix(np.diag(np.exp(1j * np.array(phases))))
+        tail = _model_tail(csq, mu, gam)
         report.records.append({
             "case": "synthetic", "n": n, "dim": gam.dim,
-            "kappa_sq_max": float(gam.kappa_sq.max()),
-            "product_error": err, "top_eigenvalue": top,
-            "expected_top": expected_top,
-            "fill_gap": _fill_gap_statistic(ev, top),
-        })
-    report.add_verdict("product_identity_synthetic", "product_identity", err,
-                       err <= tol["product_identity"])
+            "kappa_sq_max": float(gam.kappa_sq.max()), **tail})
+    report.at_most("product_identity_synthetic", "product_identity",
+                   tail["product_error"])
 
     if config.potential is not None:
         with report.case():
             pot = potential_from_dict(config.potential)
             (lam,) = config.lambda_grid
             s = scattering.s_matrix_ode(pot, lam)
-            gam = carleman.gamma_matrix(s.matrix, unitarity_tol=tol["unitarity"])
-            phases_set = scattering.eigenphases(s)
-            ev = carleman.model_operator(csq, gam).eigenvalues()
-            err, top, expected_top = _product_spectrum_error(ev, mu, gam)
+            gam = carleman.gamma_matrix(
+                s.matrix, unitarity_tol=config.tolerances["unitarity"])
+            kappas = scattering.eigenphases(s).kappas
             kappa_match = float(np.abs(np.sort(gam.kappa_sq)
-                                       - np.sort(phases_set.kappas ** 2)).max())
+                                       - np.sort(kappas ** 2)).max())
+            tail = _model_tail(csq, mu, gam)
             report.records.append({
                 "case": "computed", "n": n, "dim": gam.dim,
                 "lambda": lam, "kappa_sq_max": float(gam.kappa_sq.max()),
-                "kappa_identity_error": kappa_match,
-                "product_error": err, "top_eigenvalue": top,
-                "expected_top": expected_top,
-                "fill_gap": _fill_gap_statistic(ev, top),
-            })
-        report.add_verdict("product_identity_computed", "product_identity", err,
-                           err <= tol["product_identity"])
-        report.add_verdict("kappa_sq_identity", "product_identity", kappa_match,
-                           kappa_match <= tol["product_identity"])
+                "kappa_identity_error": kappa_match, **tail})
+        report.at_most("product_identity_computed", "product_identity",
+                       tail["product_error"])
+        report.at_most("kappa_sq_identity", "product_identity", kappa_match)
     return report
 
 
@@ -637,68 +653,53 @@ def _with_level_nudge(fn, box, lam: float):
 PIN_TOL = 1e-9
 
 
-def _unpin(ev: np.ndarray, target: float, allowance: int) -> np.ndarray:
-    """``ev`` without up to ``allowance`` eigenvalues within PIN_TOL of
-    ``target``: the eigenvalues the index of the pair explains."""
-    pinned = np.flatnonzero(np.abs(ev - target) <= PIN_TOL)[:allowance]
-    return np.delete(ev, pinned)
-
-
-def _confinement(spectra, d_full: np.ndarray, kappa_max: float,
-                 margin: float) -> dict:
-    """Index-explained confinement of one box's spectra, with D's full
-    spectrum ``d_full`` (``spectra.d_full``, built once by the caller).
+def _band_case(pot, lam, L, n, kappa_max, tol):
+    """One box: its record, and the largest |eig D| and eig M+- that the
+    index does not pin, and the count of those beyond the band edge.
 
     With j = rank P - rank P0, the pair (P, P0) forces |j| eigenvalues of D
     at sign(j) (Avron-Seiler-Simon) and as many eigenvalues of M+ (j > 0) or
-    M- (j < 0) at 1; "at" means within PIN_TOL.  Those are removed, and
-    ``unexplained`` counts what is left beyond kappa_max + margin (D) or
-    kappa_max**2 + margin (M+-).  The trace identity forces the pins to
-    exist, so a pin that drifted from +-1 is counted here too.  ``d_max``
-    and ``m_max`` are the largest |eig D| and eig M+- that are not pinned.
+    M- (j < 0) at 1; "at" means within PIN_TOL.  The record's overflow
+    counts take every eigenvalue beyond kappa_max + margin (D) or
+    kappa_max**2 + margin (M+-), pins included; the returned maxima and
+    count take what is left once the first |j| eigenvalues at each pin are
+    removed.  The trace identity forces the pins to exist, so a pin that
+    drifted from +-1 is counted there too.
     """
-    j = spectra.rank_p - spectra.rank_p0
-    d = _unpin(d_full, float(np.sign(j)), abs(j))
-    mp = _unpin(spectra.m_plus, 1.0, max(j, 0))
-    mm = _unpin(spectra.m_minus, 1.0, max(-j, 0))
-    m = np.concatenate([mp, mm])
-    return {
-        "unexplained": int(np.sum(np.abs(d) > kappa_max + margin)
-                           + np.sum(m > kappa_max ** 2 + margin)),
-        "d_max": float(np.abs(d).max()) if d.size else 0.0,
-        "m_max": float(m.max()) if m.size else 0.0,
-    }
-
-
-def _band_case(pot, lam, L, n, kappa_max, tol):
-    """One box: its record, and its confinement (kept out of the record)."""
     box = schrodinger1d.BoxDiscretization(L, n)
     spectra, level = _with_level_nudge(
         lambda level: schrodinger1d.band_spectra(box, pot, level),
         box, float(lam))
-    ev = spectra.d_full
-    margin = tol["edge_margin"]
-    overflow = int(np.sum(np.abs(ev) > kappa_max + margin))
+    ev, mp, mm = spectra.d_full, spectra.m_plus, spectra.m_minus
+    j, abs_ev = spectra.trace_d, np.abs(ev)
+    d_edge = kappa_max + tol["edge_margin"]
+    m_edge = kappa_max ** 2 + tol["edge_margin"]
     eps = tol["coverage_margin"] * kappa_max
-    inner = np.sort(ev[(ev > -kappa_max + eps) & (ev < kappa_max - eps)])
+    inner = ev[(ev > -kappa_max + eps) & (ev < kappa_max - eps)]   # ascending
     gap = float(np.diff(inner).max()) if inner.size > 1 else 2.0 * kappa_max
-    mp, mm = spectra.m_plus, spectra.m_minus
     rec = {
         "case": "box", "L": float(L), "n": int(n), "lambda": float(lam),
         "lambda_effective": level, "kappa_max": kappa_max,
         "rank_p": spectra.rank_p, "rank_p0": spectra.rank_p0,
-        "trace_d": spectra.trace_d,
-        "max_abs_eig_d": float(np.abs(ev).max()),
-        "max_abs_eig_in_band": float(np.abs(ev[np.abs(ev) <= kappa_max + margin]).max()),
-        "band_fill_ratio": float(np.abs(ev).max()) / kappa_max,
-        "edge_overflow_count": overflow,
+        "trace_d": j,
+        "max_abs_eig_d": float(abs_ev.max()),
+        "max_abs_eig_in_band": float(abs_ev[abs_ev <= d_edge].max()),
+        "band_fill_ratio": float(abs_ev.max()) / kappa_max,
+        "edge_overflow_count": int(np.sum(abs_ev > d_edge)),
         "coverage_gap": gap,
         "m_plus_max": float(mp.max()) if mp.size else 0.0,
         "m_minus_max": float(mm.max()) if mm.size else 0.0,
-        "m_plus_overflow": int(np.sum(mp > kappa_max ** 2 + margin)),
-        "m_minus_overflow": int(np.sum(mm > kappa_max ** 2 + margin)),
+        "m_plus_overflow": int(np.sum(mp > m_edge)),
+        "m_minus_overflow": int(np.sum(mm > m_edge)),
     }
-    return rec, _confinement(spectra, ev, kappa_max, margin)
+    d, mp, mm = (np.delete(x, np.flatnonzero(np.abs(x - pin) <= PIN_TOL)[:count])
+                 for x, pin, count in ((ev, float(np.sign(j)), abs(j)),
+                                       (mp, 1.0, max(j, 0)),
+                                       (mm, 1.0, max(-j, 0))))
+    d, m = np.abs(d), np.concatenate([mp, mm])
+    return (rec, float(d.max()) if d.size else 0.0,
+            float(m.max()) if m.size else 0.0,
+            int(np.sum(d > d_edge) + np.sum(m > m_edge)))
 
 
 def run_band_filling(config: ExperimentConfig) -> ExperimentReport:
@@ -707,7 +708,7 @@ def run_band_filling(config: ExperimentConfig) -> ExperimentReport:
 
     ``edge_overflow`` counts every eigenvalue beyond the band edge, the ones
     pinned at +-1 by the index rank P - rank P0 included; ``bulk_confinement``
-    counts only those the index does not explain (see :func:`_confinement`).
+    counts only those the index does not explain (see :func:`_band_case`).
     ``edge_deficit`` and ``m_pm_top_deficit`` compare the largest eigenvalue
     of the last box that is not index-pinned with kappa_max and kappa_max**2.
     """
@@ -729,15 +730,15 @@ def run_band_filling(config: ExperimentConfig) -> ExperimentReport:
     for L, n in config.box_sequence:
         with report.case():
             boxes.append(_band_case(pot, lam, L, n, kappa_max, tol))
-    recs = [rec for rec, _ in boxes]
-    confined = [conf for _, conf in boxes]
+    recs = [rec for rec, *_ in boxes]
     report.records.extend(recs)
+    _, d_max, m_max, _ = boxes[-1]
 
     overflow_total = sum(r["edge_overflow_count"] + r["m_plus_overflow"]
                          + r["m_minus_overflow"] for r in recs)
     report.add_verdict("edge_overflow", "edge_margin",
                        overflow_total, overflow_total == 0)
-    deficit = kappa_max - confined[-1]["d_max"]
+    deficit = kappa_max - d_max
     report.add_verdict("edge_deficit", "edge_deficit",
                        deficit, abs(deficit) <= tol["edge_deficit"])
     noise = 1.0 + tol["gap_noise"]
@@ -745,10 +746,10 @@ def run_band_filling(config: ExperimentConfig) -> ExperimentReport:
     monotone = all(gaps[i + 1] <= gaps[i] * noise for i in range(len(gaps) - 1))
     report.add_verdict("coverage_gap_monotone", "gap_noise",
                        0.0 if monotone else 1.0, monotone)
-    sq_deficit = kappa_max ** 2 - confined[-1]["m_max"]
+    sq_deficit = kappa_max ** 2 - m_max
     report.add_verdict("m_pm_top_deficit", "edge_deficit",
                        sq_deficit, abs(sq_deficit) <= tol["edge_deficit"])
-    unexplained = sum(conf["unexplained"] for conf in confined)
+    unexplained = sum(count for *_, count in boxes)
     report.add_verdict("bulk_confinement", "edge_margin",
                        unexplained, unexplained == 0)
     return report
@@ -758,7 +759,6 @@ def run_birman_krein(config: ExperimentConfig) -> ExperimentReport:
     """Scattering-determinant versus smeared-counting comparison over an
     energy grid, with branch tracking for the continuity check."""
     report = _new_report(config)
-    tol = config.tolerances
     pot = potential_from_dict(config.potential)
     ((L, n),) = config.box_sequence
     box = schrodinger1d.BoxDiscretization(L, n)
@@ -792,12 +792,8 @@ def run_birman_krein(config: ExperimentConfig) -> ExperimentReport:
             "case": "energy", "lambda": lam, "lambda_effective": level,
             "L": float(L), "n": int(n), "bk_value": val, "residual": res,
         })
-    worst = max(residuals)
-    report.add_verdict("bk_residual", "bk_residual",
-                       worst, worst <= tol["bk_residual"])
-    worst_jump = max(jumps) if jumps else 0.0
-    report.add_verdict("bk_continuity", "bk_continuity",
-                       worst_jump, worst_jump <= tol["bk_continuity"])
+    report.at_most("bk_residual", "bk_residual", max(residuals))
+    report.at_most("bk_continuity", "bk_continuity", max(jumps, default=0.0))
     return report
 
 

@@ -346,9 +346,13 @@ def s_matrix_stationary(potential: Potential, lam: float,
                                 or not 1 <= n_nodes <= N_CAP):
         raise DomainError(f"node count must be an integer in [1, {N_CAP}], "
                           f"got {n_nodes!r}")
-    # Truncating where |V| falls below 1e-6 perturbs S by O(1e-6), far below
-    # both the refinement target and the cross-method tolerance, and keeps
-    # the node counts small for slowly decaying potentials.
+    # Truncating where |V| falls below 1e-6 keeps the node counts small for
+    # slowly decaying potentials.  What the cut tail moves S by depends on
+    # the potential and the energy.  For the reflectionless Poschl-Teller
+    # well it grows like 1/k: ||S_ode - S_stat|| is 1.5e-6 at lambda = 0.25,
+    # 7.1e-6 at 1e-2, 9.9e-5 at 1e-4, 1.0e-3 (the cross-method tolerance)
+    # at 1e-6 and 1.0e-2 at 1e-8.  Over the same energies it stays below
+    # 5.6e-7 for the Gaussian bump (-1, 1) and 7.3e-10 for the square well.
     points = _segments(potential, potential.effective_support(1e-6))
     panels = len(points) - 1
 
@@ -361,7 +365,8 @@ def s_matrix_stationary(potential: Potential, lam: float,
         while not delta < REFINE_TARGET:
             if m * panels > N_CAP:
                 raise ConvergenceError(
-                    "stationary route did not settle within the node cap", delta)
+                    f"stationary route did not settle within the node cap "
+                    f"(the last rung moved S by {delta:.3e} in norm)")
             s_new, ops = _stationary_once(potential, lam, points, [m] * panels)
             if s is not None:
                 delta = float(np.linalg.norm(s_new - s))

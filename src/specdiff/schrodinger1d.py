@@ -505,8 +505,8 @@ class SturmSweep:
             r = np.flatnonzero(below < grid.shape[1])
             hi[active[r]] = grid[r, below[r]]
         raise ConvergenceError(
-            f"eigenvalue brackets did not close in {_MAX_ROUNDS} rounds",
-            float((hi - lo).max()))
+            f"eigenvalue brackets did not close in {_MAX_ROUNDS} rounds "
+            f"(widest bracket {(hi - lo).max():.3e})")
 
 
 def count_below(sweep: SturmSweep, level: float) -> int:
@@ -759,12 +759,12 @@ def eigenpairs_below(sweep: SturmSweep, values: np.ndarray):
         if info > 0:
             raise ConvergenceError(
                 f"inverse iteration left {info} of the eigenvectors "
-                f"{a}..{b - 1} unconverged", math.nan)
+                f"{a}..{b - 1} unconverged")
     chol, info = dpotrf(basis.T @ basis)
     if info > 0:
         raise ConvergenceError(
             f"Cholesky QR: the Gram matrix of the {k} basis vectors is not "
-            f"positive definite at order {info}", math.nan)
+            f"positive definite at order {info}")
     # U R^-1 as U times the triangular inverse, in place.  R is as well
     # conditioned as U, so the explicit inverse costs no accuracy, and at
     # n x k = 20000 x 128 on one OpenBLAS thread trtri + trmm take 0.010 s

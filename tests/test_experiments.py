@@ -334,6 +334,82 @@ class TestVerdictTraceability:
                 assert v["tolerance_name"] in report.config["tolerances"]
 
 
+# Small configs of each campaign, and the verdicts its runner judges with
+# ExperimentReport.at_most (observed <= the tolerance the verdict cites).
+_AT_MOST = {
+    "SpecfunAudit": ({"grids": {"seam_points": 9, "bound_samples": 40,
+                                "bound_n_t": 8, "bound_t_max": 1.5}},
+                     ("seam_consistency", "branch_realness",
+                      "bound_stability_uniform", "bound_stability_holder")),
+    "CarlemanMehler": ({"grids": {"n": 40, "mehler_t": [0.5, 2.0],
+                                  "mehler_panels": [10, 20],
+                                  "window_points": 5}},
+                       ("spectrum_lower", "scaling_invariance",
+                        "mehler_residual")),
+    "ModelSpectrum": ({"grids": {"n": 40}},
+                      ("product_identity_synthetic",
+                       "product_identity_computed", "kappa_sq_identity")),
+    "BandFilling": ({"box_sequence": [[15, 749]]}, ()),
+    "BirmanKrein": ({"lambda_grid": [0.8, 1.1],
+                     "box_sequence": [[40, 3999]]},
+                    ("bk_residual", "bk_continuity")),
+}
+# at_most verdicts that read 0 at the campaign defaults and on the small
+# config, so no tolerance (all are positive) turns them red there.  The
+# uniform sup sits at (t = 0, x = x_max) on every grid, so its growth is 0
+# by construction; branch_realness sees only the near-one form, whose
+# imaginary residual is 0 on these seam grids (t <= 2) and grows only at
+# large t.
+_READS_ZERO = ("branch_realness", "bound_stability_uniform")
+
+
+def _small_run(campaign, **tolerances):
+    raw, _ = _AT_MOST[campaign]
+    return run_experiment(config_from_dict(
+        {"experiment": campaign, **raw, "tolerances": tolerances}))
+
+
+class TestAtMostVerdicts:
+    def test_at_most_judges_exactly_these_verdicts(self, monkeypatch):
+        judged = []
+        at_most = ExperimentReport.at_most
+
+        def spy(report, name, tolerance_name, observed):
+            judged.append(name)
+            at_most(report, name, tolerance_name, observed)
+        monkeypatch.setattr(ExperimentReport, "at_most", spy)
+        for campaign, (_, names) in _AT_MOST.items():
+            judged.clear()
+            _small_run(campaign)
+            assert tuple(judged) == names
+
+    @pytest.mark.parametrize("name", _READS_ZERO)
+    def test_zero_readings_are_named(self, name):
+        assert _verdict(_small_run("SpecfunAudit"), name)["observed"] == 0.0
+        assert _verdict(run_specfun_audit(default_config("SpecfunAudit")),
+                        name)["observed"] == 0.0
+
+    @pytest.mark.parametrize("campaign, name", [
+        (campaign, name) for campaign, (_, names) in _AT_MOST.items()
+        for name in names if name not in _READS_ZERO])
+    def test_verdict_goes_red_on_its_own_tolerance(self, campaign, name):
+        base = _small_run(campaign)
+        verdict = _verdict(base, name)
+        assert verdict["passed"] and verdict["observed"] > 0
+        cited, tol = verdict["tolerance_name"], verdict["observed"] / 2
+        report = _small_run(campaign, **{cited: tol})
+        assert not _verdict(report, name)["passed"]
+        # Only the verdicts that cite the lowered tolerance change, each
+        # to observed <= tol; spectrum_upper, which also cites
+        # spectrum_margin, reads below 0 and stays green.
+        assert len(report.verdicts) == len(base.verdicts)
+        for old, new in zip(base.verdicts, report.verdicts):
+            if old["tolerance_name"] == cited:
+                old = {**old, "tolerance": tol,
+                       "passed": old["observed"] <= tol}
+            assert new == old
+
+
 class TestModelSpectrumCampaign:
     def test_synthetic_bands(self):
         cfg = config_from_dict({"experiment": "ModelSpectrum",

@@ -20,7 +20,8 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from specdiff import scattering
-from specdiff.errors import DomainError, LevelCollisionError, SingularOperatorError
+from specdiff.errors import (ConvergenceError, DomainError, LevelCollisionError,
+                             SingularOperatorError)
 from specdiff.scattering import (
     N_CAP,
     REFINE_TARGET,
@@ -436,6 +437,31 @@ class TestStationaryRoute:
         _, fixed = s_matrix_stationary(pot, 1.0, n_nodes=trail[-1],
                                        return_operators=True)
         assert fixed.refinement == ()
+
+    def test_node_cap_names_the_last_change_of_s(self, monkeypatch):
+        # Capped at 64 nodes, the ladder stops after the rung whose trail
+        # entry is (64, ||S_64 - S_32||) and says so.
+        _, ops = s_matrix_stationary(PoschlTeller(1), 1.0,
+                                     return_operators=True)
+        moved = dict(ops.refinement)[64]
+        monkeypatch.setattr(scattering, "N_CAP", 64)
+        with pytest.raises(ConvergenceError) as err:
+            s_matrix_stationary(PoschlTeller(1), 1.0)
+        assert str(err.value) == (
+            "stationary route did not settle within the node cap "
+            f"(the last rung moved S by {moved:.3e} in norm)")
+        assert math.isnan(err.value.last_term)
+
+    def test_truncation_floor_grows_like_one_over_k(self):
+        # Cutting the reflectionless well where |V| < 1e-6 perturbs S by
+        # about 1e-6 / k at low energy: 9.9e-5 at lambda = 1e-4 and 1.0e-3
+        # at 1e-6, where it reaches the two routes' 1e-3 agreement.
+        pot = PoschlTeller(1)
+        errs = [np.linalg.norm(s_matrix_ode(pot, lam).matrix
+                               - s_matrix_stationary(pot, lam).matrix)
+                for lam in (1e-4, 1e-6)]
+        assert 8e-5 <= errs[0] <= 1.2e-4
+        assert 8e-4 <= errs[1] <= 1.2e-3
 
 
 ORACLE_POTENTIALS = {

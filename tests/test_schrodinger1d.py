@@ -560,9 +560,19 @@ class TestInvariantSubspaceBasis:
         monkeypatch.setattr(schrodinger1d, "dstein", unconverged)
         sweep = SturmSweep(*hamiltonian_tridiagonal(BoxDiscretization(5.0, 99),
                                                     SquareWell(-2.0, 1.0)))
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=r"unconverged$") as err:
             eigenpairs_below(sweep, values_below(sweep, 1.0))
         assert calls
+        assert math.isnan(err.value.last_term)
+
+    def test_failed_cholesky_qr_names_its_order(self, monkeypatch):
+        monkeypatch.setattr(schrodinger1d, "dpotrf", lambda gram: (gram, 2))
+        sweep = SturmSweep(*hamiltonian_tridiagonal(BoxDiscretization(5.0, 99),
+                                                    SquareWell(-2.0, 1.0)))
+        with pytest.raises(ConvergenceError,
+                           match=r"not positive definite at order 2$") as err:
+            eigenpairs_below(sweep, values_below(sweep, 1.0))
+        assert math.isnan(err.value.last_term)
 
     def test_singular_gram_matrix_raises_typed(self, monkeypatch):
         calls = []
@@ -1174,8 +1184,10 @@ class TestSturmKernel:
     def test_unclosed_brackets_raise_typed(self, monkeypatch):
         monkeypatch.setattr(schrodinger1d, "_MAX_ROUNDS", 2)
         diag, off = KERNEL_CASES[0][1:]
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=r"did not close in 2 rounds "
+                           r"\(widest bracket \d\.\d{3}e[+-]\d\d\)$") as err:
             schrodinger1d.eigenvalues_by_index(SturmSweep(diag, off), 0, 9)
+        assert math.isnan(err.value.last_term)
 
     def test_indices_outside_the_spectrum_raise_typed(self):
         # No count is ever <= -1, so index -1's bracket would close on the
